@@ -22,9 +22,10 @@ Two gluing rules are implemented:
   translation invariance.
 
 Under the correct rule the complex does not depend on the divisor at all,
-so :func:`build_real_complex` builds it straight from the fan: ``d``
-vertices, ``2d`` edges (two parallel classes per fan ray), and the four
-polygon faces.
+so it has one construction, :func:`build_real_complex`, straight from the
+fan: ``d`` vertices, ``2d`` edges (two parallel classes per fan ray), and
+the four polygon faces. The class-merging builder in
+:func:`build_real_complex_from_polytope` serves only the affine demo.
 """
 
 from __future__ import annotations
@@ -197,30 +198,28 @@ def build_real_complex_from_polytope(
 ) -> CellComplex:
     """Glue the four polygon copies under the requested rule.
 
-    With ``PARALLEL_SUBGROUP`` this reproduces :func:`build_real_complex`
-    exactly (same indices, same boundary words) for every ample divisor.
-    With ``AFFINE_SPAN`` the identifications also test agreement at a
-    lattice point of each face's affine span, so the result depends on
-    where the polygon sits in the lattice.
+    The parallel-subgroup rule never looks at the polygon beyond checking
+    its fan, so ``PARALLEL_SUBGROUP`` returns :func:`build_real_complex`
+    itself, for every ample divisor. ``AFFINE_SPAN`` merges the copies
+    class by class: they must also agree at a lattice point of each face's
+    affine span, so the result depends on where the polygon sits in the
+    lattice.
     """
     if polygon.fan != fan:
         raise PolygonFanMismatch("polygon was built over a different fan")
+    if rule is GluingRule.PARALLEL_SUBGROUP:
+        return build_real_complex(fan)
+    if rule is not GluingRule.AFFINE_SPAN:
+        raise ValueError(f"unknown gluing rule {rule!r}")
     d = fan.d
     verts = polygon.vertices
-    affine = rule is GluingRule.AFFINE_SPAN
-    if not affine and rule is not GluingRule.PARALLEL_SUBGROUP:
-        raise ValueError(f"unknown gluing rule {rule!r}")
 
-    # Vertex classes. verts[i] is the corner between rays i and i+1; its
-    # parallel subgroup is everything, so the correct rule merges all four
-    # copies. The affine rule also compares values at the corner itself.
+    # Vertex classes. verts[i] is the corner between rays i and i+1; the
+    # copies that agree on the corner itself are merged.
     vertex_class_of: dict[tuple[int, SignHom], int] = {}
     vertex_labels = []
     for i in range(d):
-        keys = {
-            eps: evaluate(eps, verts[i]) if affine else 0
-            for eps in ALL_SIGN_HOMS
-        }
+        keys = {eps: evaluate(eps, verts[i]) for eps in ALL_SIGN_HOMS}
         for members in _classes(keys):
             index = len(vertex_labels)
             for eps in members:
@@ -239,13 +238,10 @@ def build_real_complex_from_polytope(
     edge_labels = []
     for i in range(d):
         u = rot90(fan.rays[i])
-        if affine:
-            keys: dict[SignHom, object] = {
-                eps: (evaluate(eps, u), evaluate(eps, verts[i]))
-                for eps in ALL_SIGN_HOMS
-            }
-        else:
-            keys = {eps: evaluate(eps, u) for eps in ALL_SIGN_HOMS}
+        keys = {
+            eps: (evaluate(eps, u), evaluate(eps, verts[i]))
+            for eps in ALL_SIGN_HOMS
+        }
         for members in _classes(keys):
             index = len(edges)
             for eps in members:
@@ -262,11 +258,7 @@ def build_real_complex_from_polytope(
                     "edge identification would tear its endpoints apart"
                 )
             edges.append(next(iter(endpoints)))
-            if affine:
-                edge_labels.append(f"E{i}[{','.join(map(str, members))}]")
-            else:
-                s = evaluate(members[0], u)
-                edge_labels.append(f"({i},{'+' if s == 1 else '-'})")
+            edge_labels.append(f"E{i}[{','.join(map(str, members))}]")
 
     faces = []
     face_labels = []

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import CharacterOverflow, DegenerateWeights
 from .fan import Fan, Vec
 from .gluing import ALL_SIGN_HOMS, SignHom, evaluate
@@ -180,6 +178,8 @@ def run_moment_checks(
             magnitudes = (abs(x[0]), abs(x[1]))
             if moment_map(magnitudes, points) != mu:
                 translation_exact = False
+
+    import numpy as np
 
     grid = np.linspace(-radius, radius, 32)
     logs = np.array([(a, b) for a in grid for b in grid])

@@ -11,6 +11,7 @@ from realtoric import verify
 P2_RAYS = {"rays": [[-1, -1], [1, 0], [0, 1]]}
 F4_RAYS = {"rays": [[1, 0], [0, 1], [-1, 4], [0, -1]]}
 BAD_RAYS = {"rays": [[1, 0], [0, 1], [-1, -2]]}
+FIVE_RAYS = {"rays": [[1, 0], [1, 1], [1, 2], [0, 1], [-1, -1]]}
 
 
 @pytest.fixture
@@ -256,3 +257,225 @@ class TestDemosAndBulk:
         code, _, err = run_lines(capsys, ["frobnicate"])
         assert code == 1
         assert json.loads(err)["error"] == "Usage"
+
+
+# Exact standard output of the parallel and affine builders, pinned so
+# that numbering, endpoints, face words and DOT labels cannot drift.
+P2_COMPLEX_JSON = (
+    '{"vertices": 3, "edges": [[2, 0], [2, 0], [0, 1], [0, 1], [1, 2], '
+    '[1, 2]], "faces": [[1, 3, 5], [2, 3, 6], [1, 4, 6], [2, 4, 5]]}\n'
+)
+P2_COMPLEX_DOT = """\
+digraph real_complex {
+  v0 [label="w0"];
+  v1 [label="w1"];
+  v2 [label="w2"];
+  v2 -> v0 [label="(0,+)"];
+  v2 -> v0 [label="(0,-)"];
+  v0 -> v1 [label="(1,+)"];
+  v0 -> v1 [label="(1,-)"];
+  v1 -> v2 [label="(2,+)"];
+  v1 -> v2 [label="(2,-)"];
+}
+"""
+P2_AFFINE_111_JSON = (
+    '{"vertices": 6, "edges": [[4, 0], [4, 1], [5, 1], [5, 0], [0, 2], '
+    '[1, 3], [1, 2], [0, 3], [2, 4], [3, 4], [2, 5], [3, 5]], '
+    '"faces": [[1, 5, 9], [2, 6, 10], [3, 7, 11], [4, 8, 12]]}\n'
+)
+P2_AFFINE_111_DOT = """\
+digraph real_complex {
+  v0 [label="w0[++,--]"];
+  v1 [label="w0[+-,-+]"];
+  v2 [label="w1[++,-+]"];
+  v3 [label="w1[+-,--]"];
+  v4 [label="w2[++,+-]"];
+  v5 [label="w2[-+,--]"];
+  v4 -> v0 [label="E0[++]"];
+  v4 -> v1 [label="E0[+-]"];
+  v5 -> v1 [label="E0[-+]"];
+  v5 -> v0 [label="E0[--]"];
+  v0 -> v2 [label="E1[++]"];
+  v1 -> v3 [label="E1[+-]"];
+  v1 -> v2 [label="E1[-+]"];
+  v0 -> v3 [label="E1[--]"];
+  v2 -> v4 [label="E2[++]"];
+  v3 -> v4 [label="E2[+-]"];
+  v2 -> v5 [label="E2[-+]"];
+  v3 -> v5 [label="E2[--]"];
+}
+"""
+P2_AFFINE_211_JSON = (
+    '{"vertices": 6, "edges": [[4, 0], [5, 1], [0, 2], [1, 3], [0, 2], '
+    '[1, 3], [2, 4], [3, 5], [2, 4], [3, 5]], "faces": [[1, 3, 7], '
+    '[2, 4, 8], [1, 5, 9], [2, 6, 10]]}\n'
+)
+P2_AFFINE_211_DOT = """\
+digraph real_complex {
+  v0 [label="w0[++,-+]"];
+  v1 [label="w0[+-,--]"];
+  v2 [label="w1[++,-+]"];
+  v3 [label="w1[+-,--]"];
+  v4 [label="w2[++,-+]"];
+  v5 [label="w2[+-,--]"];
+  v4 -> v0 [label="E0[++,-+]"];
+  v5 -> v1 [label="E0[+-,--]"];
+  v0 -> v2 [label="E1[++]"];
+  v1 -> v3 [label="E1[+-]"];
+  v0 -> v2 [label="E1[-+]"];
+  v1 -> v3 [label="E1[--]"];
+  v2 -> v4 [label="E2[++]"];
+  v3 -> v5 [label="E2[+-]"];
+  v2 -> v4 [label="E2[-+]"];
+  v3 -> v5 [label="E2[--]"];
+}
+"""
+P2_GKZ = (
+    '{"divisor": [1, 1, 1], '
+    '"chi_parallel": 1, "chi_affine": -2, '
+    '"parallel_matches_combinatorial": true, "verdict": "rules disagree"}\n'
+)
+FIVE_COMPLEX_JSON = (
+    '{"vertices": 5, "edges": [[4, 0], [4, 0], [0, 1], [0, 1], [1, 2], '
+    '[1, 2], [2, 3], [2, 3], [3, 4], [3, 4]], "faces": [[1, 3, 5, 7, 9], '
+    '[2, 4, 6, 7, 10], [1, 4, 5, 8, 10], [2, 3, 6, 8, 9]]}\n'
+)
+FIVE_COMPLEX_DOT = """\
+digraph real_complex {
+  v0 [label="w0"];
+  v1 [label="w1"];
+  v2 [label="w2"];
+  v3 [label="w3"];
+  v4 [label="w4"];
+  v4 -> v0 [label="(0,+)"];
+  v4 -> v0 [label="(0,-)"];
+  v0 -> v1 [label="(1,+)"];
+  v0 -> v1 [label="(1,-)"];
+  v1 -> v2 [label="(2,+)"];
+  v1 -> v2 [label="(2,-)"];
+  v2 -> v3 [label="(3,+)"];
+  v2 -> v3 [label="(3,-)"];
+  v3 -> v4 [label="(4,+)"];
+  v3 -> v4 [label="(4,-)"];
+}
+"""
+FIVE_AFFINE_AMPLE_JSON = (
+    '{"vertices": 7, "edges": [[6, 0], [6, 0], [0, 1], [0, 2], [1, 3], '
+    '[2, 3], [2, 4], [1, 4], [3, 5], [4, 5], [5, 6], [5, 6]], '
+    '"faces": [[1, 3, 5, 9, 11], [2, 4, 6, 9, 12], [1, 4, 7, 10, 12], '
+    '[2, 3, 8, 10, 11]]}\n'
+)
+FIVE_AFFINE_AMPLE_DOT = """\
+digraph real_complex {
+  v0 [label="w0"];
+  v1 [label="w1[++,--]"];
+  v2 [label="w1[+-,-+]"];
+  v3 [label="w2[++,+-]"];
+  v4 [label="w2[-+,--]"];
+  v5 [label="w3"];
+  v6 [label="w4"];
+  v6 -> v0 [label="E0[++,-+]"];
+  v6 -> v0 [label="E0[+-,--]"];
+  v0 -> v1 [label="E1[++,--]"];
+  v0 -> v2 [label="E1[+-,-+]"];
+  v1 -> v3 [label="E2[++]"];
+  v2 -> v3 [label="E2[+-]"];
+  v2 -> v4 [label="E2[-+]"];
+  v1 -> v4 [label="E2[--]"];
+  v3 -> v5 [label="E3[++,+-]"];
+  v4 -> v5 [label="E3[-+,--]"];
+  v5 -> v6 [label="E4[++,--]"];
+  v5 -> v6 [label="E4[+-,-+]"];
+}
+"""
+FIVE_AFFINE_SHIFTED_JSON = (
+    '{"vertices": 9, "edges": [[7, 0], [7, 0], [8, 1], [8, 1], [0, 2], '
+    '[0, 3], [1, 2], [1, 3], [2, 4], [3, 4], [4, 5], [4, 6], [5, 7], '
+    '[5, 7], [6, 8], [6, 8]], "faces": [[1, 5, 9, 11, 13], '
+    '[2, 6, 10, 11, 14], [3, 7, 9, 12, 15], [4, 8, 10, 12, 16]]}\n'
+)
+FIVE_AFFINE_SHIFTED_DOT = """\
+digraph real_complex {
+  v0 [label="w0[++,+-]"];
+  v1 [label="w0[-+,--]"];
+  v2 [label="w1[++,-+]"];
+  v3 [label="w1[+-,--]"];
+  v4 [label="w2"];
+  v5 [label="w3[++,+-]"];
+  v6 [label="w3[-+,--]"];
+  v7 [label="w4[++,+-]"];
+  v8 [label="w4[-+,--]"];
+  v7 -> v0 [label="E0[++]"];
+  v7 -> v0 [label="E0[+-]"];
+  v8 -> v1 [label="E0[-+]"];
+  v8 -> v1 [label="E0[--]"];
+  v0 -> v2 [label="E1[++]"];
+  v0 -> v3 [label="E1[+-]"];
+  v1 -> v2 [label="E1[-+]"];
+  v1 -> v3 [label="E1[--]"];
+  v2 -> v4 [label="E2[++,-+]"];
+  v3 -> v4 [label="E2[+-,--]"];
+  v4 -> v5 [label="E3[++,+-]"];
+  v4 -> v6 [label="E3[-+,--]"];
+  v5 -> v7 [label="E4[++]"];
+  v5 -> v7 [label="E4[+-]"];
+  v6 -> v8 [label="E4[-+]"];
+  v6 -> v8 [label="E4[--]"];
+}
+"""
+FIVE_GKZ = (
+    '{"divisor": [4, 6, 9, 4, 4], '
+    '"chi_parallel": -1, "chi_affine": -1, '
+    '"parallel_matches_combinatorial": true, "verdict": "rules disagree"}\n'
+)
+
+FIVE_AMPLE = [4, 6, 9, 4, 4]
+FIVE_SHIFTED = [5, 7, 10, 4, 3]  # FIVE_AMPLE translated by (1, 0)
+AFFINE = ["--rule", "affine"]
+DOT = ["--format", "dot"]
+
+
+GOLDEN = {  # id: (command, fan, divisor coefficients, flags, stdout)
+    "p2-json": ("complex", P2_RAYS, None, [], P2_COMPLEX_JSON),
+    "p2-dot": ("complex", P2_RAYS, None, DOT, P2_COMPLEX_DOT),
+    "p2-divisor-json": ("complex", P2_RAYS, [2, 1, 1], [], P2_COMPLEX_JSON),
+    "p2-divisor-dot": ("complex", P2_RAYS, [2, 1, 1], DOT, P2_COMPLEX_DOT),
+    "p2-affine-111-json": ("complex", P2_RAYS, [1, 1, 1], AFFINE, P2_AFFINE_111_JSON),
+    "p2-affine-111-dot": (
+        "complex", P2_RAYS, [1, 1, 1], AFFINE + DOT, P2_AFFINE_111_DOT
+    ),
+    "p2-affine-211-json": ("complex", P2_RAYS, [2, 1, 1], AFFINE, P2_AFFINE_211_JSON),
+    "p2-affine-211-dot": (
+        "complex", P2_RAYS, [2, 1, 1], AFFINE + DOT, P2_AFFINE_211_DOT
+    ),
+    "p2-gkz": ("gkz-demo", P2_RAYS, None, [], P2_GKZ),
+    "five-json": ("complex", FIVE_RAYS, None, [], FIVE_COMPLEX_JSON),
+    "five-dot": ("complex", FIVE_RAYS, None, DOT, FIVE_COMPLEX_DOT),
+    "five-divisor-json": ("complex", FIVE_RAYS, FIVE_SHIFTED, [], FIVE_COMPLEX_JSON),
+    "five-divisor-dot": ("complex", FIVE_RAYS, FIVE_SHIFTED, DOT, FIVE_COMPLEX_DOT),
+    "five-affine-ample-json": (
+        "complex", FIVE_RAYS, FIVE_AMPLE, AFFINE, FIVE_AFFINE_AMPLE_JSON
+    ),
+    "five-affine-ample-dot": (
+        "complex", FIVE_RAYS, FIVE_AMPLE, AFFINE + DOT, FIVE_AFFINE_AMPLE_DOT
+    ),
+    "five-affine-shifted-json": (
+        "complex", FIVE_RAYS, FIVE_SHIFTED, AFFINE, FIVE_AFFINE_SHIFTED_JSON
+    ),
+    "five-affine-shifted-dot": (
+        "complex", FIVE_RAYS, FIVE_SHIFTED, AFFINE + DOT, FIVE_AFFINE_SHIFTED_DOT
+    ),
+    "five-gkz": ("gkz-demo", FIVE_RAYS, None, [], FIVE_GKZ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, rays, coeffs, flags, expected",
+    list(GOLDEN.values()),
+    ids=list(GOLDEN),
+)
+def test_golden_stdout(capsys, write, command, rays, coeffs, flags, expected):
+    argv = [command, write("fan.json", rays), *flags]
+    if coeffs is not None:
+        argv += ["--divisor", write("div.json", {"coeffs": coeffs})]
+    assert run_lines(capsys, argv) == (0, expected, "")

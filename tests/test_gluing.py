@@ -162,6 +162,21 @@ class TestPolytopeBuilders:
                 )
                 assert built == reference
 
+    def test_affine_rule_on_even_corners_matches_combinatorial_builder(self):
+        # With every corner in 2Z^2 the affine-span keys reduce to the
+        # parallel ones, so the class merger must reproduce the direct
+        # builder: numbering, endpoints and face words.
+        for s in range(40):
+            fan = random_fan(s, s % 6)
+            div = find_ample(fan)
+            doubled = ToricDivisor(tuple(2 * b for b in div.coeffs))
+            poly = polygon_from_divisor(fan, doubled)
+            assert all(x % 2 == 0 and y % 2 == 0 for x, y in poly.vertices)
+            built = build_real_complex_from_polytope(
+                fan, poly, GluingRule.AFFINE_SPAN
+            )
+            assert built == build_real_complex(fan)
+
     def test_affine_rule_underglues_the_triangle(self):
         poly = polygon_from_divisor(P2, ToricDivisor((1, 1, 1)))
         c = build_real_complex_from_polytope(P2, poly, GluingRule.AFFINE_SPAN)

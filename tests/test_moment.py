@@ -1,6 +1,10 @@
 """Numeric moment-map checks: monomials, signs, averages, sampling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +156,17 @@ class TestSuite:
         fan = hirzebruch_fan(0)
         report = run_moment_checks(fan, ToricDivisor((1, 1, 1, 1)), samples=32)
         assert report.signs_exact and report.translation_exact
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the grid check inside run_moment_checks.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, realtoric, realtoric.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
