@@ -306,34 +306,6 @@ def reconstruct_fan(seq: Sequence[int]) -> Fan:
     return fan
 
 
-@dataclass(frozen=True)
-class Projective2:
-    """The unique smooth complete surface with 3 rays."""
-
-
-@dataclass(frozen=True)
-class Hirzebruch:
-    """A 4-ray surface; ``a`` is the largest absolute self-intersection."""
-
-    a: int
-
-
-@dataclass(frozen=True)
-class Other:
-    """A surface with 5 or more rays (a repeated blow-up)."""
-
-    d: int
-
-
-def recognize(fan: Fan) -> Projective2 | Hirzebruch | Other:
-    """Coarse type by ray count: 3, 4, or more."""
-    if fan.d == 3:
-        return Projective2()
-    if fan.d == 4:
-        return Hirzebruch(max(abs(a) for a in self_intersections(fan)))
-    return Other(fan.d)
-
-
 def projective_plane_fan() -> Fan:
     """Canonical 3-ray fan: ``(1,0), (0,1), (-1,-1)``."""
     return normalize_fan([(1, 0), (0, 1), (-1, -1)])

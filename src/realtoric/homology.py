@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidComplex, NotAClosedSurfaceProfile
-from .fan import Fan, Hirzebruch, fan_to_json, recognize, self_intersections
+from .fan import Fan, fan_to_json, self_intersections
 from .gluing import CellComplex, build_real_complex
 from .intmat import mat_mul, smith_normal_form
 
@@ -146,11 +146,11 @@ def classify_surface(profile: HomologyProfile) -> SurfaceType:
 def predict_theorem(fan: Fan) -> SurfaceType:
     """Predicted type straight from the fan, no chains involved.
 
-    A 4-ray fan with even parameter gives the torus; every other valid
-    fan gives the connect sum of ``d - 2`` projective planes.
+    A 4-ray fan whose largest absolute self-intersection is even (an even
+    Hirzebruch surface) gives the torus; every other valid fan gives the
+    connect sum of ``d - 2`` projective planes.
     """
-    kind = recognize(fan)
-    if isinstance(kind, Hirzebruch) and kind.a % 2 == 0:
+    if fan.d == 4 and max(abs(a) for a in self_intersections(fan)) % 2 == 0:
         return SurfaceType(orientable=True, genus=1)
     return SurfaceType(orientable=False, genus=fan.d - 2)
 

@@ -25,10 +25,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return tuple((0,) * n for _ in range(m))
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     """Exact product; inner dimensions must agree."""
     m = len(a)

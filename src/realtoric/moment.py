@@ -6,8 +6,10 @@ Monomials, sign profiles, and the weighted-average moment map
 
 evaluated stably by shifting log-weights before exponentiating. Sample
 points on the four sign components come from the package's seeded
-generator, so every run is reproducible. The numerics here back up the
-exact combinatorics; nothing downstream consumes these floats.
+generator, so every run is reproducible. Log-coordinates lie in
+``[-3, 3]``; the injectivity grid's smallest separation comes from a
+closest-pair sweep in pure Python. The numerics here back up the exact
+combinatorics; nothing downstream consumes these floats.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 TorusPoint = tuple[float, float]
+
+# Half-width of the log-coordinate window for samples and the grid.
+_RADIUS = 3.0
 
 
 def character(x: TorusPoint, u: Vec) -> float:
@@ -100,20 +105,17 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
     return (mx / total, my / total)
 
 
-def sample_T_epsilon(
-    eps: SignHom, seed: int, n: int, radius: float = 3.0
-) -> list[TorusPoint]:
+def sample_T_epsilon(eps: SignHom, seed: int, n: int) -> list[TorusPoint]:
     """``n`` reproducible points on the sign component of ``eps``.
 
-    Coordinates are ``s * exp(r)`` with ``r`` uniform on
-    ``[-radius, radius]``, drawn first for the x and then for the y
-    coordinate of each point.
+    Coordinates are ``s * exp(r)`` with ``r`` uniform on ``[-3, 3]``,
+    drawn first for the x and then for the y coordinate of each point.
     """
     rng = SplitMix64(seed)
     out = []
     for _ in range(n):
-        r1 = -radius + 2.0 * radius * rng.uniform()
-        r2 = -radius + 2.0 * radius * rng.uniform()
+        r1 = -_RADIUS + 2.0 * _RADIUS * rng.uniform()
+        r2 = -_RADIUS + 2.0 * _RADIUS * rng.uniform()
         out.append((eps.s1 * math.exp(r1), eps.s2 * math.exp(r2)))
     return out
 
@@ -140,12 +142,38 @@ def _max_violation(polygon: LatticePolygon, mu: tuple[float, float]) -> float:
     return worst
 
 
+def _min_separation(points: Sequence[tuple[float, float]]) -> float:
+    """Smallest Euclidean distance between two entries of ``points``.
+
+    Sorts by x and scans forward from each point until the squared x gap
+    alone reaches the best squared distance so far. Rounding is monotone
+    and ``dy*dy`` is nonnegative, so no skipped pair is closer: the result
+    equals the all-pairs minimum of ``sqrt(dx*dx + dy*dy)`` bit for bit.
+    Repeated points give 0.0; fewer than two give ``inf``.
+    """
+    pts = sorted(points)
+    n = len(pts)
+    best = math.inf
+    for i in range(n):
+        x0, y0 = pts[i]
+        for j in range(i + 1, n):
+            x1, y1 = pts[j]
+            dx = x1 - x0
+            dx2 = dx * dx
+            if dx2 >= best:
+                break
+            dy = y1 - y0
+            dist2 = dx2 + dy * dy
+            if dist2 < best:
+                best = dist2
+    return math.sqrt(best)
+
+
 def run_moment_checks(
     fan: Fan,
     divisor: ToricDivisor | None = None,
     seed: int = 0,
     samples: int = 256,
-    radius: float = 3.0,
 ) -> MomentCheckReport:
     """Numeric suite: signs, containment, sign-flip invariance, injectivity.
 
@@ -154,9 +182,10 @@ def run_moment_checks(
     sign vector on every polygon lattice point, (b) the moment image lying
     inside the polygon up to float slack, and (c) bit-exact equality of
     the moment image across all four sign flips of the same magnitudes.
-    Separately, a fixed 32 x 32 log-coordinate grid on the positive
-    component measures the smallest separation of moment images for grid
-    points more than ``1e-6`` apart in log coordinates.
+    Separately, a fixed 32 x 32 grid of evenly spaced log-coordinates in
+    ``[-3, 3]`` on the positive component measures the smallest distance
+    between the moment images of two distinct grid points, found by a
+    closest-pair sweep.
     """
     if divisor is None:
         divisor = find_ample(fan)
@@ -167,7 +196,7 @@ def run_moment_checks(
     worst_violation = 0.0
     translation_exact = True
     for k, eps in enumerate(ALL_SIGN_HOMS):
-        for x in sample_T_epsilon(eps, seed + k, samples, radius):
+        for x in sample_T_epsilon(eps, seed + k, samples):
             for u in points:
                 if math.copysign(1.0, character(x, u)) != evaluate(eps, u):
                     signs_exact = False
@@ -179,17 +208,13 @@ def run_moment_checks(
             if moment_map(magnitudes, points) != mu:
                 translation_exact = False
 
-    import numpy as np
-
-    grid = np.linspace(-radius, radius, 32)
-    logs = np.array([(a, b) for a in grid for b in grid])
-    mus = np.array(
-        [moment_map((math.exp(a), math.exp(b)), points) for a, b in logs]
-    )
-    log_gaps = np.sqrt(((logs[:, None, :] - logs[None, :, :]) ** 2).sum(-1))
-    mu_gaps = np.sqrt(((mus[:, None, :] - mus[None, :, :]) ** 2).sum(-1))
-    separated = log_gaps > 1e-6
-    min_sep = float(mu_gaps[separated].min()) if separated.any() else math.inf
+    # The last point is set, not computed, so it is exactly _RADIUS.
+    step = 2.0 * _RADIUS / 31
+    grid =[-_RADIUS + i * step for i in range(31)] + [_RADIUS]
+    images = [
+        moment_map((math.exp(a), math.exp(b)), points) for a in grid for b in grid
+    ]
+    min_sep = _min_separation(images)
 
     return MomentCheckReport(
         fan=fan,

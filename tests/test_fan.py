@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from realtoric import (
     DuplicateRay,
-    Hirzebruch,
     IndexOutOfRange,
     InvalidInput,
     NonPrimitiveRay,
@@ -12,8 +11,6 @@ from realtoric import (
     NotExceptional,
     NotSmooth,
     NotUnimodular,
-    Other,
-    Projective2,
     TooFewRays,
     apply_map,
     blow_down,
@@ -28,7 +25,6 @@ from realtoric import (
     projective_plane_fan,
     random_fan,
     reconstruct_fan,
-    recognize,
     self_intersections,
 )
 from realtoric.rng import SplitMix64
@@ -201,23 +197,6 @@ class TestIsomorphism:
     def test_reconstruct_rejects_garbage(self):
         with pytest.raises(Exception):
             reconstruct_fan((5, 5, 5, 5))
-
-
-class TestRecognize:
-    def test_three_rays(self):
-        assert recognize(P2) == Projective2()
-
-    @pytest.mark.parametrize("a", range(5))
-    def test_four_rays(self, a):
-        assert recognize(hirzebruch_fan(a)) == Hirzebruch(a)
-
-    def test_four_rays_after_map(self):
-        image = apply_map(hirzebruch_fan(4), ((1, 2), (0, 1)))
-        assert recognize(image) == Hirzebruch(4)
-
-    def test_more_rays(self):
-        fan = blow_up(hirzebruch_fan(0), 1)
-        assert recognize(fan) == Other(5)
 
 
 class TestSurgery:

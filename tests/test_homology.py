@@ -10,6 +10,7 @@ from realtoric import (
     InvalidComplex,
     NotAClosedSurfaceProfile,
     SurfaceType,
+    apply_map,
     blow_up,
     build_real_complex,
     classify_surface,
@@ -165,6 +166,10 @@ class TestPredict:
     def test_even_four_ray_fans_give_torus(self):
         for a in (0, 2, 4):
             assert predict_theorem(hirzebruch_fan(a)) == SurfaceType(True, 1)
+
+    def test_even_four_ray_fan_after_map_gives_torus(self):
+        image = apply_map(hirzebruch_fan(4), ((1, 2), (0, 1)))
+        assert predict_theorem(image) == SurfaceType(True, 1)
 
     def test_odd_four_ray_fans_give_klein_bottle(self):
         for a in (1, 3):

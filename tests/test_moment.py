@@ -1,7 +1,10 @@
 """Numeric moment-map checks: monomials, signs, averages, sampling."""
 
+import itertools
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,18 +18,22 @@ from realtoric import (
     SignHom,
     ToricDivisor,
     character,
+    corpus_tasks,
     find_ample,
     hirzebruch_fan,
     lattice_points,
     moment_map,
     polygon_from_divisor,
     projective_plane_fan,
+    random_fan,
     run_moment_checks,
     sample_T_epsilon,
     sign_profile,
 )
+from realtoric.moment import _min_separation
 
 P2 = projective_plane_fan()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestCharacter:
@@ -156,6 +163,108 @@ class TestSuite:
         fan = hirzebruch_fan(0)
         report = run_moment_checks(fan, ToricDivisor((1, 1, 1, 1)), samples=32)
         assert report.signs_exact and report.translation_exact
+
+
+# min_mu_separation for samples=1, recorded from the numpy all-pairs
+# implementation this sweep replaced.
+GOLDEN_SEPARATIONS = [
+    ("P2", "0.000752465133860777"),
+    ("F0", "0.011616959921737613"),
+    ("F1", "0.0007527140262133909"),
+    ("F2", "5.8945269652335155e-05"),
+    ("F3", "4.149233216156362e-06"),
+    ("F4", "2.69341485190201e-07"),
+    ("corpus0", "0.0007527140751500318"),
+    ("corpus1", "4.149233216226578e-06"),
+    ("corpus2", "0.000752465133860777"),
+    ("corpus3", "4.149233216156362e-06"),
+    ("corpus4", "0.00866042776804585"),
+    ("corpus5", "5.894527040235838e-05"),
+]
+
+
+def _golden_fan(name):
+    if name == "P2":
+        return P2
+    if name.startswith("F"):
+        return hirzebruch_fan(int(name[1:]))
+    seed, n = corpus_tasks(4242, 6, 3)[int(name[len("corpus") :])]
+    return random_fan(seed, n)
+
+
+@pytest.mark.parametrize("name, expected", GOLDEN_SEPARATIONS)
+def test_min_separation_golden(name, expected):
+    report = run_moment_checks(_golden_fan(name), samples=1)
+    assert repr(report.min_mu_separation) == expected
+
+
+def _brute_force_separation(points):
+    return min(
+        (
+            math.sqrt((b[0] - a[0]) * (b[0] - a[0]) + (b[1] - a[1]) * (b[1] - a[1]))
+            for a, b in itertools.combinations(points, 2)
+        ),
+        default=math.inf,
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_min_separation_matches_all_pairs(seed):
+    rng = random.Random(seed)
+    scale = 10.0 ** rng.randint(-8, 3)
+    n = rng.randint(2, 120)
+    if seed % 2:
+        # few distinct x values, so many points share one
+        xs = [rng.uniform(-scale, scale) for _ in range(rng.randint(1, 6))]
+        points = [(rng.choice(xs), rng.uniform(-scale, scale)) for _ in range(n)]
+    else:
+        points = [
+            (rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(n)
+        ]
+    points += rng.sample(points, rng.randint(0, min(3, n)))
+    rng.shuffle(points)
+    assert _min_separation(points) == _brute_force_separation(points)
+
+
+def test_min_separation_edge_cases():
+    assert _min_separation([]) == math.inf
+    assert _min_separation([(1.0, 2.0)]) == math.inf
+    assert _min_separation([(1.0, 2.0), (1.0, 2.0)]) == 0.0
+    assert _min_separation([(0.0, 0.0), (3.0, 4.0)]) == 5.0
+
+
+def test_moment_check_runs_on_the_standard_library_alone(tmp_path):
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps({"rays": [[1, 0], [0, 1], [-1, -1]]}))
+    probe = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "sys.modules['numpy'] = None\n"
+        "from realtoric import cli\n"
+        "code = cli.run(['moment-check', sys.argv[2], '--samples', '16'])\n"
+        "skip = (None, sys.modules['__main__'])\n"
+        "loaded = {n.split('.')[0] for n, m in sys.modules.items() if m not in skip}\n"
+        "foreign = loaded - set(sys.stdlib_module_names) - {'realtoric'}\n"
+        "print(json.dumps({'code': code, 'foreign': sorted(foreign)}))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC), str(fan_file)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    report, status = result.stdout.splitlines()
+    assert json.loads(status) == {"code": 0, "foreign": []}
+    assert json.loads(report) == {
+        "fan": [[1, 0], [0, 1], [-1, -1]],
+        "divisor": [1, 1, 1],
+        "samples": 16,
+        "max_inequality_violation": 0.0,
+        "translation_exact": True,
+        "min_mu_separation": 0.000752465133860777,
+    }
 
 
 def test_import_does_not_load_numpy():
