@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from .corpus import corpus_tasks
@@ -192,10 +192,15 @@ def _cmd_corpus(args) -> int:
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
     tasks = corpus_tasks(args.seed, args.count, args.max_blowups)
-    if args.jobs == 1:
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs == 1:
         reports = [_corpus_line(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # Imported here: the pool and multiprocessing cost every other
+        # command its start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_corpus_line, tasks, chunksize=8))
     consistent = 0
     for report in reports:
@@ -288,7 +293,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--max-blowups", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most the CPU count"
+    )
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("moment-check", help="numeric moment-map suite")

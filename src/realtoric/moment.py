@@ -10,13 +10,28 @@ generator, so every run is reproducible. Log-coordinates lie in
 ``[-3, 3]``; the injectivity grid's smallest separation comes from a
 closest-pair sweep in pure Python. The numerics here back up the exact
 combinatorics; nothing downstream consumes these floats.
+
+``run_moment_checks`` computes what several evaluations share once, and
+otherwise performs the float operations of ``character`` and
+``moment_map`` on the same operands in the same order, so its report is
+bit-identical to evaluating them point by point. The grid multiplies
+each lattice point's coordinates by each of its 32 log-coordinates once,
+not once per cell (``int * float`` converts the int and then multiplies,
+so the product does not depend on where it is taken), and the sign check
+raises each sample coordinate to each distinct exponent once. It tests
+each monomial for leaving the float range only when the extreme powers
+do not already rule that out. Every sum is one ``math.fsum``, which
+rounds the exact sum once, so how the terms are produced does not change
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from operator import add, itemgetter, mul, ne, sub
+from typing import Iterable, Sequence
 
 from .errors import CharacterOverflow, DegenerateWeights
 from .fan import Fan, Vec
@@ -44,6 +59,9 @@ TorusPoint = tuple[float, float]
 
 # Half-width of the log-coordinate window for samples and the grid.
 _RADIUS = 3.0
+# 32 evenly spaced log-coordinates for the injectivity grid. The last is
+# set, not computed, so it is exactly _RADIUS.
+_GRID = [-_RADIUS + i * (2.0 * _RADIUS / 31) for i in range(31)] + [_RADIUS]
 
 
 def character(x: TorusPoint, u: Vec) -> float:
@@ -54,10 +72,25 @@ def character(x: TorusPoint, u: Vec) -> float:
     """
     if x[0] == 0.0 or x[1] == 0.0:
         raise ValueError("torus points have nonzero coordinates")
-    out = _ipow(x[0], u[0]) * _ipow(x[1], u[1])
-    if not math.isfinite(out) or out == 0.0:
+    return _checked_monomial(_ipow(x[0], u[0]) * _ipow(x[1], u[1]), x, u)
+
+
+def _checked_monomial(value: float, x: TorusPoint, u: Vec) -> float:
+    if not math.isfinite(value) or value == 0.0:
         raise CharacterOverflow(f"monomial {u} at {x} left the float range")
-    return out
+    return value
+
+
+def _products_in_range(first: Iterable[float], second: Iterable[float]) -> bool:
+    """True when ``p * q`` is finite and nonzero for every ``p`` in
+    ``first`` and ``q`` in ``second`` (none of them NaN).
+
+    Rounding is monotone, so the products of the smallest and of the
+    largest magnitudes bound the magnitude of every other product.
+    """
+    a = [abs(p) for p in first]
+    b = [abs(q) for q in second]
+    return min(a) * min(b) != 0.0 and math.isfinite(max(a) * max(b))
 
 
 def _ipow(base: float, e: int) -> float:
@@ -94,14 +127,26 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
         raise ValueError("torus points have nonzero coordinates")
     lx = math.log(abs(x[0]))
     ly = math.log(abs(x[1]))
-    logs = [u[0] * lx + u[1] * ly for u in points]
+    xs = [u[0] for u in points]
+    ys = [u[1] for u in points]
+    return _weighted_mean([a * lx for a in xs], [b * ly for b in ys], xs, ys)
+
+
+def _weighted_mean(
+    px: Sequence[float], py: Sequence[float], xs: Sequence[int], ys: Sequence[int]
+) -> tuple[float, float]:
+    """Moment image of the points ``(xs[k], ys[k])`` with log-weights
+    ``px[k] + py[k]``, the two terms of ``<u, log|x|>``, which callers
+    compute so that the grid can share them between cells.
+    """
+    logs = list(map(add, px, py))
     top = max(logs)
-    weights = [math.exp(v - top) for v in logs]
+    weights = list(map(math.exp, map(sub, logs, repeat(top))))
     total = math.fsum(weights)
     if total == 0.0 or not math.isfinite(total):
         raise DegenerateWeights("weights degenerated to zero or infinity")
-    mx = math.fsum(w * u[0] for w, u in zip(weights, points))
-    my = math.fsum(w * u[1] for w, u in zip(weights, points))
+    mx = math.fsum(map(mul, weights, xs))
+    my = math.fsum(map(mul, weights, ys))
     return (mx / total, my / total)
 
 
@@ -169,6 +214,21 @@ def _min_separation(points: Sequence[tuple[float, float]]) -> float:
     return math.sqrt(best)
 
 
+def _grid_images(xs: Sequence[int], ys: Sequence[int]) -> list[tuple[float, float]]:
+    """``moment_map((exp(a), exp(b)), points)`` for ``a``, then ``b``, in
+    ``_GRID``, with each coordinate times each log-coordinate taken once.
+    """
+    # moment_map takes log|exp(g)|, which need not equal g; keep that
+    # value so the images stay bit-identical.
+    log_grid = [math.log(abs(math.exp(g))) for g in _GRID]
+    py = [[b * lg for b in ys] for lg in log_grid]
+    images = []
+    for lg in log_grid:
+        px = [a * lg for a in xs]
+        images.extend(_weighted_mean(px, q, xs, ys) for q in py)
+    return images
+
+
 def run_moment_checks(
     fan: Fan,
     divisor: ToricDivisor | None = None,
@@ -185,21 +245,38 @@ def run_moment_checks(
     Separately, a fixed 32 x 32 grid of evenly spaced log-coordinates in
     ``[-3, 3]`` on the positive component measures the smallest distance
     between the moment images of two distinct grid points, found by a
-    closest-pair sweep.
+    closest-pair sweep. The first monomial outside the float range, in the
+    order of ``lattice_points``, raises CharacterOverflow as ``character``
+    would.
     """
     if divisor is None:
         divisor = find_ample(fan)
     polygon = polygon_from_divisor(fan, divisor)
     points = lattice_points(polygon)
+    distinct_xs = {u[0] for u in points}
+    distinct_ys = {u[1] for u in points}
 
     signs_exact = True
     worst_violation = 0.0
     translation_exact = True
     for k, eps in enumerate(ALL_SIGN_HOMS):
+        signs = [evaluate(eps, u) for u in points]
         for x in sample_T_epsilon(eps, seed + k, samples):
-            for u in points:
-                if math.copysign(1.0, character(x, u)) != evaluate(eps, u):
-                    signs_exact = False
+            # The products character(x, u) takes, with each power once,
+            # made lazily so that no list of them sits beside ``points``.
+            pa = {a: _ipow(x[0], a) for a in distinct_xs}
+            pb = {b: _ipow(x[1], b) for b in distinct_ys}
+            values = map(
+                mul,
+                map(pa.__getitem__, map(itemgetter(0), points)),
+                map(pb.__getitem__, map(itemgetter(1), points)),
+            )
+            if not _products_in_range(pa.values(), pb.values()):
+                # Some product may leave the float range: test each, in
+                # point order, so the first one raises as character would.
+                values = [_checked_monomial(v, x, u) for u, v in zip(points, values)]
+            if any(map(ne, map(math.copysign, repeat(1.0), values), signs)):
+                signs_exact = False
             mu = moment_map(x, points)
             violation = _max_violation(polygon, mu)
             if violation > worst_violation:
@@ -208,13 +285,9 @@ def run_moment_checks(
             if moment_map(magnitudes, points) != mu:
                 translation_exact = False
 
-    # The last point is set, not computed, so it is exactly _RADIUS.
-    step = 2.0 * _RADIUS / 31
-    grid =[-_RADIUS + i * step for i in range(31)] + [_RADIUS]
-    images = [
-        moment_map((math.exp(a), math.exp(b)), points) for a in grid for b in grid
-    ]
-    min_sep = _min_separation(images)
+    xs = [u[0] for u in points]
+    ys = [u[1] for u in points]
+    min_sep = _min_separation(_grid_images(xs, ys))
 
     return MomentCheckReport(
         fan=fan,

@@ -143,16 +143,33 @@ def polygon_from_divisor(fan: Fan, div: ToricDivisor) -> LatticePolygon:
 
 
 def lattice_points(polygon: LatticePolygon) -> list[Vec]:
-    """Integer points of the polygon in lexicographic (x, then y) order."""
+    """Integer points of the polygon in lexicographic (x, then y) order.
+
+    Column by column: on the line of abscissa ``x`` each inequality
+    ``x*v0 + y*v1 >= -b`` bounds ``y`` from below (``v1 > 0``) or above
+    (``v1 < 0``) by an exact integer ceiling or floor, or holds or fails
+    for the whole column (``v1 == 0``). That gives exactly the
+    bounding-box cells passing every inequality, at O(d) work per column
+    instead of per cell.
+    """
     xs = [w[0] for w in polygon.vertices]
     ys = [w[1] for w in polygon.vertices]
     rays = polygon.fan.rays
     b = polygon.offsets
+    y_min, y_max = min(ys), max(ys)
     points = []
     for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if all(x * v[0] + y * v[1] >= -b[k] for k, v in enumerate(rays)):
-                points.append((x, y))
+        lo, hi = y_min, y_max
+        for v, bk in zip(rays, b):
+            # y * v[1] >= c, with c exact
+            c = -bk - x * v[0]
+            if v[1] > 0:
+                lo = max(lo, -(-c // v[1]))
+            elif v[1] < 0:
+                hi = min(hi, c // v[1])
+            elif c > 0:
+                hi = lo - 1
+        points.extend((x, y) for y in range(lo, hi + 1))
     return points
 
 

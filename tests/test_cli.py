@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,35 @@ class TestDemosAndBulk:
         _, serial, _ = run_lines(capsys, base)
         _, parallel, _ = run_lines(capsys, base + ["--jobs", "2"])
         assert serial == parallel
+
+    def test_corpus_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        created = []
+
+        class RecordingPool:
+            # Stands in for ProcessPoolExecutor and runs the tasks in process.
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", RecordingPool, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        base = ["corpus", "--seed", "3", "--count", "3", "--max-blowups", "2"]
+        code, out, _ = run_lines(capsys, base + ["--jobs", "64"])
+        assert code == 0
+        assert created == [2]
+        assert out == run_lines(capsys, base)[1]
 
     def test_corpus_rejects_bad_jobs(self, capsys):
         code, _, err = run_lines(capsys, ["corpus", "--jobs", "0"])
@@ -479,3 +512,22 @@ def test_golden_stdout(capsys, write, command, rays, coeffs, flags, expected):
     if coeffs is not None:
         argv += ["--divisor", write("div.json", {"coeffs": coeffs})]
     assert run_lines(capsys, argv) == (0, expected, "")
+
+
+def test_import_does_not_load_the_process_pool():
+    # Only corpus --jobs above 1 needs it; every other command would pay
+    # for importing multiprocessing at start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, realtoric.cli; "
+        "pool = {'multiprocessing', 'concurrent.futures.process'}; "
+        "print(sorted(pool & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

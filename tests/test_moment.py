@@ -23,6 +23,7 @@ from realtoric import (
     hirzebruch_fan,
     lattice_points,
     moment_map,
+    normalize_fan,
     polygon_from_divisor,
     projective_plane_fan,
     random_fan,
@@ -30,7 +31,8 @@ from realtoric import (
     sample_T_epsilon,
     sign_profile,
 )
-from realtoric.moment import _min_separation
+import realtoric.moment
+from realtoric.moment import _GRID, _grid_images, _min_separation, _products_in_range
 
 P2 = projective_plane_fan()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -231,6 +233,139 @@ def test_min_separation_edge_cases():
     assert _min_separation([(1.0, 2.0)]) == math.inf
     assert _min_separation([(1.0, 2.0), (1.0, 2.0)]) == 0.0
     assert _min_separation([(0.0, 0.0), (3.0, 4.0)]) == 5.0
+
+
+# (name, max_inequality_violation, min_mu_separation, translation_exact,
+# signs_exact) at samples=16, recorded before the grid and the sign check
+# shared their per-axis products and powers; corpus fans come from
+# corpus_tasks(5151, 12, 3).
+GOLDEN_REPORTS = [
+    ("P2", 0.0, 0.000752465133860777, True, True),
+    ("F0", 0.0, 0.011616959921737613, True, True),
+    ("F1", 0.0, 0.0007527140262133909, True, True),
+    ("F2", 0.0, 5.8945269652335155e-05, True, True),
+    ("F3", 0.0, 4.149233216156362e-06, True, True),
+    ("F4", 0.0, 2.69341485190201e-07, True, True),
+    ("corpus0", 0.0, 0.0007527140262133909, True, True),
+    ("corpus1", 0.0, 0.008628202722276643, True, True),
+    ("corpus2", 0.0, 5.8945269652335155e-05, True, True),
+    ("corpus3", 0.0, 0.009667541407758102, True, True),
+    ("corpus4", 0.0, 4.149233216226578e-06, True, True),
+    ("corpus5", 0.0, 0.009185403975182166, True, True),
+    ("corpus6", 0.0, 0.000752465133860777, True, True),
+    ("corpus7", 0.0, 5.8945269652335155e-05, True, True),
+    ("corpus8", 0.0, 2.693414822820998e-07, True, True),
+    ("corpus9", 0.0, 2.693414960686539e-07, True, True),
+    ("corpus10", 0.0, 0.008792387264840268, True, True),
+    ("corpus11", 0.0, 0.000752465133860777, True, True),
+]
+
+
+def _assert_golden_report(name, violation, separation, translation, signs):
+    if name.startswith("corpus"):
+        seed, n = corpus_tasks(5151, 12, 3)[int(name[len("corpus") :])]
+        fan = random_fan(seed, n)
+    else:
+        fan = _golden_fan(name)
+    report = run_moment_checks(fan, samples=16)
+    assert repr(report.max_inequality_violation) == repr(violation)
+    assert repr(report.min_mu_separation) == repr(separation)
+    assert report.translation_exact is translation
+    assert report.signs_exact is signs
+
+
+TEN_RAY_FAN = [
+    [1, 0], [1, 1], [1, 2], [1, 3], [1, 4], [0, 1], [-1, 0], [-1, -1], [-1, -2], [0, -1]
+]
+
+
+def _assert_ten_ray_overflow():
+    # ROADMAP item 3: a valid fan whose monomials leave the float range.
+    with pytest.raises(CharacterOverflow) as info:
+        run_moment_checks(normalize_fan(TEN_RAY_FAN), samples=16)
+    assert str(info.value) == (
+        "monomial (-433, 63) at (9.972834527981743, 0.6630983110190635) "
+        "left the float range"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, violation, separation, translation, signs", GOLDEN_REPORTS
+)
+def test_report_golden(name, violation, separation, translation, signs):
+    _assert_golden_report(name, violation, separation, translation, signs)
+
+
+def test_ten_ray_fan_overflow_message():
+    _assert_ten_ray_overflow()
+
+
+def test_per_point_sign_check_gives_the_same_reports(monkeypatch):
+    # Where the extreme powers leave no doubt, the sign check skips the
+    # per-point range test; forcing it everywhere must change nothing.
+    monkeypatch.setattr(realtoric.moment, "_products_in_range", lambda a, b: False)
+    for golden in GOLDEN_REPORTS[:8]:
+        _assert_golden_report(*golden)
+    _assert_ten_ray_overflow()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_products_in_range_matches_all_products(seed):
+    rng = random.Random(seed)
+
+    def draw():
+        values = [
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-170.0, 170.0)
+            for _ in range(rng.randint(1, 6))
+        ]
+        if rng.random() < 0.2:
+            values.append(rng.choice((0.0, -0.0, math.inf, -math.inf)))
+        return values
+
+    first, second = draw(), draw()
+    expected = all(
+        math.isfinite(p * q) and p * q != 0.0 for p in first for q in second
+    )
+    assert _products_in_range(first, second) == expected
+
+
+def _reference_moment_map(x, points):
+    # One point at a time, as the moment map is written down.
+    lx = math.log(abs(x[0]))
+    ly = math.log(abs(x[1]))
+    logs = [u[0] * lx + u[1] * ly for u in points]
+    top = max(logs)
+    weights = [math.exp(v - top) for v in logs]
+    total = math.fsum(weights)
+    mx = math.fsum(w * u[0] for w, u in zip(weights, points))
+    my = math.fsum(w * u[1] for w, u in zip(weights, points))
+    return (mx / total, my / total)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_moment_map_matches_per_point_reference(seed):
+    rng = random.Random(seed)
+    seed_fan, n = corpus_tasks(seed, 1, 3)[0]
+    fan = random_fan(seed_fan, n)
+    points = lattice_points(polygon_from_divisor(fan, find_ample(fan)))
+    rng.shuffle(points)
+    for _ in range(40):
+        x = (
+            rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-30.0, 30.0)),
+            rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-30.0, 30.0)),
+        )
+        assert repr(moment_map(x, points)) == repr(_reference_moment_map(x, points))
+
+
+@pytest.mark.parametrize("name", ["P2", "F3", "corpus1"])
+def test_grid_images_match_moment_map(name):
+    fan = _golden_fan(name)
+    points = lattice_points(polygon_from_divisor(fan, find_ample(fan)))
+    expected = [
+        moment_map((math.exp(a), math.exp(b)), points) for a in _GRID for b in _GRID
+    ]
+    images = _grid_images([u[0] for u in points], [u[1] for u in points])
+    assert repr(images) == repr(expected)
 
 
 def test_moment_check_runs_on_the_standard_library_alone(tmp_path):

@@ -1,5 +1,6 @@
 """Divisors, ampleness, polygons, and Pick's theorem as a cross-check."""
 
+import random
 from math import gcd
 
 import pytest
@@ -157,6 +158,37 @@ class TestPick:
             div = find_ample(fan)
             self.assert_pick(fan, div)
             self.assert_pick(fan, translate_divisor(fan, div, (1, -2)))
+
+
+def brute_force_lattice_points(polygon):
+    # Every cell of the bounding box, tested against every inequality.
+    xs = [w[0] for w in polygon.vertices]
+    ys = [w[1] for w in polygon.vertices]
+    return [
+        (x, y)
+        for x in range(min(xs), max(xs) + 1)
+        for y in range(min(ys), max(ys) + 1)
+        if all(
+            x * v[0] + y * v[1] >= -b
+            for v, b in zip(polygon.fan.rays, polygon.offsets)
+        )
+    ]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_lattice_points_match_bounding_box_scan(seed):
+    rng = random.Random(seed)
+    fan = random_fan(seed, rng.randint(0, 4))
+    div = find_ample(fan)
+    u = (rng.randint(-9, 9), rng.randint(-9, 9))
+    shifted = translate_divisor(fan, div, u)
+    for d in (div, shifted, ToricDivisor(tuple(2 * c for c in shifted.coeffs))):
+        poly = polygon_from_divisor(fan, d)
+        pts = lattice_points(poly)
+        assert pts == brute_force_lattice_points(poly)
+        double_area = shoelace_double_area(poly.vertices)
+        boundary = boundary_point_count(poly.vertices)
+        assert len(pts) == (double_area + boundary) // 2 + 1
 
 
 class TestTranslation:
