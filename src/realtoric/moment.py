@@ -247,8 +247,10 @@ def run_moment_checks(
     between the moment images of two distinct grid points, found by a
     closest-pair sweep. The first monomial outside the float range, in the
     order of ``lattice_points``, raises CharacterOverflow as ``character``
-    would.
+    would. Raises ValueError when ``samples`` is less than 1.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if divisor is None:
         divisor = find_ample(fan)
     polygon = polygon_from_divisor(fan, divisor)

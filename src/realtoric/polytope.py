@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInput, LengthMismatch, NotAmple
-from .fan import Fan, Vec, blow_up, minimal_model, self_intersections
+from .fan import Fan, Vec, det2, self_intersections
 
 __all__ = [
     "ToricDivisor",
@@ -77,45 +77,35 @@ def is_ample(fan: Fan, div: ToricDivisor) -> bool:
 
 
 def find_ample(fan: Fan) -> ToricDivisor:
-    """Construct some ample divisor on any valid fan.
+    """Construct an ample divisor from the lattice lengths of its edges.
 
-    Strategy: contract to a minimal model, put an explicitly ample divisor
-    there, then undo the contractions; each undo doubles the existing
-    coefficients and gives the new ray ``2 * (b_left + b_right) - 1``
-    (neighbor coefficients taken before the doubling), which keeps every
-    intersection number positive.
+    The intersection numbers ``l`` of a divisor are the lattice lengths of
+    its polygon's edges. Any integers with ``sum(l[i] * v[i]) == 0`` occur,
+    for one divisor up to characters, and it is ample exactly when every
+    ``l[i] >= 1`` (Fulton, *Introduction to Toric Varieties*, 3.4 and 5.2).
+    So take every length 1 and close the polygon up: with ``w = sum(v)``,
+    in the cone ``(v[j], v[j+1])`` that holds ``-w``, add
+    ``det(-w, v[j+1]) >= 0`` to ``l[j]`` and ``det(v[j], -w) >= 0`` to
+    ``l[j+1]``. Then ``b[0] = b[1] = 0`` and
+    ``l[i] = b[i-1] + b[i+1] + a[i] * b[i]`` give the other coefficients;
+    the two equations left over hold because the lengths close up.
     """
-    base, steps = minimal_model(fan)
-    coeffs: dict[Vec, int] = {}
-    if base.d == 3:
-        for v in base.rays:
-            coeffs[v] = 1
-    else:
-        a = self_intersections(base)
-        bound = max(abs(x) for x in a)
-        for v, ai in zip(base.rays, a):
-            coeffs[v] = 1 if ai != 0 else bound + 1
-
-    current = base
-    for step in reversed(steps):
-        d = current.d
-        position = None
-        for j in range(d):
-            if current.rays[j] == step.left and current.rays[(j + 1) % d] == step.right:
-                position = j
-                break
-        if position is None:
-            raise RuntimeError("contraction record does not match the fan")
-        inserted = 2 * (coeffs[step.left] + coeffs[step.right]) - 1
-        coeffs = {v: 2 * c for v, c in coeffs.items()}
-        coeffs[step.ray] = inserted
-        current = blow_up(current, position)
-        if step.ray not in set(current.rays):
-            raise RuntimeError("undoing a contraction inserted the wrong ray")
-
-    if current != fan:
-        raise RuntimeError("undoing the contractions did not restore the fan")
-    div = ToricDivisor(tuple(coeffs[v] for v in fan.rays))
+    rays = fan.rays
+    d = fan.d
+    minus_w = (-sum(v[0] for v in rays), -sum(v[1] for v in rays))
+    lengths = [1] * d
+    for j in range(d):
+        k = (j + 1) % d
+        alpha, beta = det2(minus_w, rays[k]), det2(rays[j], minus_w)
+        if alpha >= 0 and beta >= 0:
+            lengths[j] += alpha
+            lengths[k] += beta
+            break
+    a = self_intersections(fan)
+    b = [0, 0]
+    for i in range(1, d - 1):
+        b.append(lengths[i] - b[i - 1] - a[i] * b[i])
+    div = ToricDivisor(tuple(b))
     if not is_ample(fan, div):
         raise RuntimeError("constructed divisor failed the ampleness check")
     return div

@@ -255,9 +255,7 @@ def test_criterion_5_structural_identities(corpus):
 @criterion(6, "gluing-rule correction demo")
 def test_criterion_6_gkz_demo():
     # the triangle with unit offsets separates the two rules
-    div = find_ample(P2)
-    assert div.coeffs == (1, 1, 1)
-    poly = polygon_from_divisor(P2, div)
+    poly = polygon_from_divisor(P2, ToricDivisor((1, 1, 1)))
     parallel = build_real_complex_from_polytope(
         P2, poly, GluingRule.PARALLEL_SUBGROUP
     )
@@ -265,6 +263,17 @@ def test_criterion_6_gkz_demo():
     assert euler_from_cells(parallel) == 1
     assert euler_from_cells(affine) == -2
     assert parallel != affine
+
+    # so does the unit triangle, find_ample's divisor, though chi agrees
+    div = find_ample(P2)
+    assert div.coeffs == (0, 0, 1)
+    unit_triangle = polygon_from_divisor(P2, div)
+    affine = build_real_complex_from_polytope(
+        P2, unit_triangle, GluingRule.AFFINE_SPAN
+    )
+    assert (affine.num_vertices, len(affine.edges), len(affine.faces)) == (5, 8, 4)
+    assert euler_from_cells(affine) == 1
+    assert affine != parallel
 
     # the wrong rule sees where the square sits in the lattice
     f0 = hirzebruch_fan(0)

@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import realtoric.cli as cli
-from realtoric import verify
+from realtoric import ToricDivisor, verify
 
 P2_RAYS = {"rays": [[-1, -1], [1, 0], [0, 1]]}
+TEN_RAY_FAN = [
+    [1, 0], [1, 1], [1, 2], [1, 3], [1, 4], [0, 1], [-1, 0], [-1, -1], [-1, -2], [0, -1]
+]
 F4_RAYS = {"rays": [[1, 0], [0, 1], [-1, 4], [0, -1]]}
 BAD_RAYS = {"rays": [[1, 0], [0, 1], [-1, -2]]}
 FIVE_RAYS = {"rays": [[1, 0], [1, 1], [1, 2], [0, 1], [-1, -1]]}
@@ -199,8 +202,16 @@ class TestComplex:
         assert json.loads(err)["error"] == "NotAmple"
 
 
+def use_divisor(monkeypatch, coeffs):
+    # gkz-demo and ample take no divisor: they ask find_ample for one.
+    # This hands them ``coeffs`` instead, such as the divisor find_ample
+    # gave before it built one from edge lengths.
+    monkeypatch.setattr(cli, "find_ample", lambda fan: ToricDivisor(tuple(coeffs)))
+
+
 class TestDemosAndBulk:
-    def test_gkz_demo(self, capsys, write):
+    def test_gkz_demo(self, capsys, write, monkeypatch):
+        use_divisor(monkeypatch, [1, 1, 1])
         code, out, _ = run_lines(capsys, ["gkz-demo", write("fan.json", P2_RAYS)])
         assert code == 0
         obj = json.loads(out)
@@ -209,12 +220,33 @@ class TestDemosAndBulk:
         assert obj["parallel_matches_combinatorial"] is True
         assert obj["verdict"] == "rules disagree"
 
-    def test_ample(self, capsys, write):
+    def test_gkz_demo_default_divisor(self, capsys, write):
+        # the unit triangle: the affine rule gets chi right but not the complex
+        code, out, _ = run_lines(capsys, ["gkz-demo", write("fan.json", P2_RAYS)])
+        assert code == 0
+        assert json.loads(out) == {
+            "divisor": [0, 0, 1],
+            "chi_parallel": 1,
+            "chi_affine": 1,
+            "parallel_matches_combinatorial": True,
+            "verdict": "rules disagree",
+        }
+
+    def test_ample(self, capsys, write, monkeypatch):
+        use_divisor(monkeypatch, [5, 1, 5, 1])
         code, out, _ = run_lines(capsys, ["ample", write("fan.json", F4_RAYS)])
         assert code == 0
         obj = json.loads(out)
         assert obj["coeffs"] == [5, 1, 5, 1]
         assert obj["intersection_numbers"] == [2, 6, 2, 14]
+
+    def test_ample_default_divisor(self, capsys, write):
+        code, out, _ = run_lines(capsys, ["ample", write("fan.json", F4_RAYS)])
+        assert code == 0
+        assert json.loads(out) == {
+            "coeffs": [0, 0, 1, 1],
+            "intersection_numbers": [1, 1, 1, 5],
+        }
 
     def test_corpus_deterministic(self, capsys):
         argv = ["corpus", "--seed", "11", "--count", "5", "--max-blowups", "6"]
@@ -285,6 +317,30 @@ class TestDemosAndBulk:
         assert obj["samples"] == 16
         assert obj["translation_exact"] is True
         assert obj["max_inequality_violation"] <= 1e-9
+
+    @pytest.mark.parametrize("samples", ["16", "256"])
+    def test_moment_check_ten_ray_fan(self, capsys, write, samples):
+        fan = {"rays": TEN_RAY_FAN}
+        code, out, err = run_lines(
+            capsys, ["moment-check", write("fan.json", fan), "--samples", samples]
+        )
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["divisor"] == [0, 0, 1, 3, 6, 4, 11, 8, 6, 1]
+        assert obj["samples"] == int(samples)
+        assert obj["max_inequality_violation"] <= 1e-9
+        assert obj["min_mu_separation"] > 1e-9
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_moment_check_rejects_sample_counts_below_one(self, capsys, write, samples):
+        code, out, err = run_lines(
+            capsys, ["moment-check", write("fan.json", P2_RAYS), "--samples", samples]
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "InvalidInput",
+            "detail": "samples must be at least 1",
+        }
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_lines(capsys, ["frobnicate"])
@@ -461,14 +517,26 @@ FIVE_GKZ = (
     '"chi_parallel": -1, "chi_affine": -1, '
     '"parallel_matches_combinatorial": true, "verdict": "rules disagree"}\n'
 )
+P2_GKZ_DEFAULT = (
+    '{"divisor": [0, 0, 1], '
+    '"chi_parallel": 1, "chi_affine": 1, '
+    '"parallel_matches_combinatorial": true, "verdict": "rules disagree"}\n'
+)
+FIVE_GKZ_DEFAULT = (
+    '{"divisor": [0, 0, 1, 2, 2], '
+    '"chi_parallel": -1, "chi_affine": -1, '
+    '"parallel_matches_combinatorial": true, "verdict": "rules disagree"}\n'
+)
 
-FIVE_AMPLE = [4, 6, 9, 4, 4]
+FIVE_AMPLE = [4, 6, 9, 4, 4]  # find_ample's divisor before edge lengths
 FIVE_SHIFTED = [5, 7, 10, 4, 3]  # FIVE_AMPLE translated by (1, 0)
 AFFINE = ["--rule", "affine"]
 DOT = ["--format", "dot"]
 
 
-GOLDEN = {  # id: (command, fan, divisor coefficients, flags, stdout)
+# id: (command, fan, divisor coefficients, flags, stdout); gkz-demo gets
+# the coefficients through use_divisor, None keeps find_ample's divisor.
+GOLDEN = {
     "p2-json": ("complex", P2_RAYS, None, [], P2_COMPLEX_JSON),
     "p2-dot": ("complex", P2_RAYS, None, DOT, P2_COMPLEX_DOT),
     "p2-divisor-json": ("complex", P2_RAYS, [2, 1, 1], [], P2_COMPLEX_JSON),
@@ -481,7 +549,8 @@ GOLDEN = {  # id: (command, fan, divisor coefficients, flags, stdout)
     "p2-affine-211-dot": (
         "complex", P2_RAYS, [2, 1, 1], AFFINE + DOT, P2_AFFINE_211_DOT
     ),
-    "p2-gkz": ("gkz-demo", P2_RAYS, None, [], P2_GKZ),
+    "p2-gkz": ("gkz-demo", P2_RAYS, [1, 1, 1], [], P2_GKZ),
+    "p2-gkz-default": ("gkz-demo", P2_RAYS, None, [], P2_GKZ_DEFAULT),
     "five-json": ("complex", FIVE_RAYS, None, [], FIVE_COMPLEX_JSON),
     "five-dot": ("complex", FIVE_RAYS, None, DOT, FIVE_COMPLEX_DOT),
     "five-divisor-json": ("complex", FIVE_RAYS, FIVE_SHIFTED, [], FIVE_COMPLEX_JSON),
@@ -498,7 +567,8 @@ GOLDEN = {  # id: (command, fan, divisor coefficients, flags, stdout)
     "five-affine-shifted-dot": (
         "complex", FIVE_RAYS, FIVE_SHIFTED, AFFINE + DOT, FIVE_AFFINE_SHIFTED_DOT
     ),
-    "five-gkz": ("gkz-demo", FIVE_RAYS, None, [], FIVE_GKZ),
+    "five-gkz": ("gkz-demo", FIVE_RAYS, FIVE_AMPLE, [], FIVE_GKZ),
+    "five-gkz-default": ("gkz-demo", FIVE_RAYS, None, [], FIVE_GKZ_DEFAULT),
 }
 
 
@@ -507,9 +577,13 @@ GOLDEN = {  # id: (command, fan, divisor coefficients, flags, stdout)
     list(GOLDEN.values()),
     ids=list(GOLDEN),
 )
-def test_golden_stdout(capsys, write, command, rays, coeffs, flags, expected):
+def test_golden_stdout(
+    capsys, write, monkeypatch, command, rays, coeffs, flags, expected
+):
     argv = [command, write("fan.json", rays), *flags]
-    if coeffs is not None:
+    if coeffs is not None and command == "gkz-demo":
+        use_divisor(monkeypatch, coeffs)
+    elif coeffs is not None:
         argv += ["--divisor", write("div.json", {"coeffs": coeffs})]
     assert run_lines(capsys, argv) == (0, expected, "")
 
@@ -531,3 +605,43 @@ def test_import_does_not_load_the_process_pool():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+# The fan each README example runs on; README calls every fan file fan.json.
+README_FANS = {"ample": F4_RAYS, "gkz-demo": P2_RAYS, "moment-check": P2_RAYS}
+
+
+def _readme_examples():
+    # (argv after the fan file, printed JSON) for each README_FANS command
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    for i, line in enumerate(lines):
+        words = line.split("#")[0].split()
+        if words[:2] != ["$", "realtoric"] or words[2] not in README_FANS:
+            continue
+        output = []
+        for following in lines[i + 1 :]:
+            if not following.strip() or following.startswith(("$", "```")):
+                break
+            output.append(following)
+        yield words[2], words[4:], "\n".join(output)
+
+
+README_EXAMPLES = list(_readme_examples())
+
+
+def test_readme_examples_cover_every_command():
+    assert sorted(command for command, _, _ in README_EXAMPLES) == sorted(README_FANS)
+
+
+@pytest.mark.parametrize(
+    "command, flags, printed",
+    README_EXAMPLES,
+    ids=[command for command, _, _ in README_EXAMPLES],
+)
+def test_readme_example_matches_cli(capsys, write, command, flags, printed):
+    fan = write("fan.json", README_FANS[command])
+    code, out, err = run_lines(capsys, [command, fan, *flags])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == json.loads(printed)

@@ -153,22 +153,65 @@ class TestSampling:
 
 class TestSuite:
     def test_plane_report(self):
-        report = run_moment_checks(P2, samples=64, seed=5)
-        assert report.signs_exact
-        assert report.translation_exact
-        assert report.max_inequality_violation <= 1e-9
-        assert report.min_mu_separation > 1e-9
-        assert report.divisor.coeffs == (1, 1, 1)
-        assert report.samples == 64
+        for divisor, coeffs in [(ToricDivisor((1, 1, 1)), (1, 1, 1)), (None, (0, 0, 1))]:
+            report = run_moment_checks(P2, divisor, samples=64, seed=5)
+            assert report.signs_exact
+            assert report.translation_exact
+            assert report.max_inequality_violation <= 1e-9
+            assert report.min_mu_separation > 1e-9
+            assert report.divisor.coeffs == coeffs
+            assert report.samples == 64
 
     def test_explicit_divisor(self):
         fan = hirzebruch_fan(0)
         report = run_moment_checks(fan, ToricDivisor((1, 1, 1, 1)), samples=32)
         assert report.signs_exact and report.translation_exact
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_sample_counts_below_one(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            run_moment_checks(P2, samples=samples)
+
+
+# The ample divisors find_ample gave before it built them from edge
+# lengths (it undid the blow-downs to a minimal model, doubling every
+# coefficient each time). The goldens below were recorded on them, so
+# they are passed explicitly; corpus fans are named by their seed.
+OLD_AMPLE = {
+    "P2": (1, 1, 1),
+    "F0": (1, 1, 1, 1),
+    "F1": (2, 3, 2, 2),
+    "F2": (3, 1, 3, 1),
+    "F3": (4, 1, 4, 1),
+    "F4": (5, 1, 5, 1),
+    "4242:0": (31, 24, 8, 34, 28, 24, 8),
+    "4242:1": (11, 10, 2, 10, 2),
+    "4242:2": (1, 1, 1),
+    "4242:3": (4, 1, 4, 1),
+    "4242:4": (30, 45, 16, 28, 16, 24, 16),
+    "4242:5": (15, 4, 12, 14, 4, 12),
+    "5151:0": (2, 3, 2, 2),
+    "5151:1": (31, 16, 28, 42, 16, 24, 16),
+    "5151:2": (3, 1, 3, 1),
+    "5151:3": (8, 14, 21, 8, 12, 8),
+    "5151:4": (8, 2, 9, 8, 2),
+    "5151:5": (4, 7, 4, 6, 4),
+    "5151:6": (1, 1, 1),
+    "5151:7": (3, 1, 3, 1),
+    "5151:8": (55, 8, 48, 52, 58, 8, 48),
+    "5151:9": (39, 8, 32, 8, 42, 36, 32),
+    "5151:10": (15, 8, 14, 8, 12, 8),
+    "5151:11": (1, 1, 1),
+    "ten-ray": (433, 370, 308, 248, 192, 64, 272, 224, 192, 64),
+}
+
+
+def _old_ample(key):
+    return ToricDivisor(OLD_AMPLE[key])
+
 
 # min_mu_separation for samples=1, recorded from the numpy all-pairs
-# implementation this sweep replaced.
+# implementation this sweep replaced, on the divisors of OLD_AMPLE.
 GOLDEN_SEPARATIONS = [
     ("P2", "0.000752465133860777"),
     ("F0", "0.011616959921737613"),
@@ -196,7 +239,8 @@ def _golden_fan(name):
 
 @pytest.mark.parametrize("name, expected", GOLDEN_SEPARATIONS)
 def test_min_separation_golden(name, expected):
-    report = run_moment_checks(_golden_fan(name), samples=1)
+    key = name.replace("corpus", "4242:")
+    report = run_moment_checks(_golden_fan(name), _old_ample(key), samples=1)
     assert repr(report.min_mu_separation) == expected
 
 
@@ -236,9 +280,9 @@ def test_min_separation_edge_cases():
 
 
 # (name, max_inequality_violation, min_mu_separation, translation_exact,
-# signs_exact) at samples=16, recorded before the grid and the sign check
-# shared their per-axis products and powers; corpus fans come from
-# corpus_tasks(5151, 12, 3).
+# signs_exact) at samples=16 on the divisors of OLD_AMPLE, recorded before
+# the grid and the sign check shared their per-axis products and powers;
+# corpus fans come from corpus_tasks(5151, 12, 3).
 GOLDEN_REPORTS = [
     ("P2", 0.0, 0.000752465133860777, True, True),
     ("F0", 0.0, 0.011616959921737613, True, True),
@@ -261,17 +305,29 @@ GOLDEN_REPORTS = [
 ]
 
 
-def _assert_golden_report(name, violation, separation, translation, signs):
-    if name.startswith("corpus"):
-        seed, n = corpus_tasks(5151, 12, 3)[int(name[len("corpus") :])]
-        fan = random_fan(seed, n)
-    else:
-        fan = _golden_fan(name)
-    report = run_moment_checks(fan, samples=16)
-    assert repr(report.max_inequality_violation) == repr(violation)
-    assert repr(report.min_mu_separation) == repr(separation)
-    assert report.translation_exact is translation
-    assert report.signs_exact is signs
+# The same fields for the default divisor, the one find_ample builds from
+# edge lengths; its coefficients come first.
+GOLDEN_DEFAULT_REPORTS = [
+    ("P2", (0, 0, 1), 0.0, 0.0006927576166670079, True, True),
+    ("F0", (0, 0, 1, 1), 0.0, 0.009550663776157764, True, True),
+    ("F1", (0, 0, 1, 1), 0.0, 0.0007410487778238069, True, True),
+    ("F2", (0, 0, 1, 1), 0.0, 5.8651234800837666e-05, True, True),
+    ("F3", (0, 0, 1, 1), 0.0, 4.132668744460683e-06, True, True),
+    ("F4", (0, 0, 1, 1), 0.0, 2.683593329555298e-07, True, True),
+    ("corpus0", (0, 0, 1, 1), 0.0, 0.0007410487778238069, True, True),
+    ("corpus1", (0, 0, 1, 3, 3, 4, 2), 0.0, 0.011286804090298596, True, True),
+    ("corpus2", (0, 0, 1, 1), 0.0, 5.8651234800837666e-05, True, True),
+    ("corpus3", (0, 0, 1, 2, 4, 3), 0.0, 0.00965429246054337, True, True),
+    ("corpus4", (0, 0, 1, 2, 2), 0.0, 4.149126621564712e-06, True, True),
+    ("corpus5", (0, 0, 1, 2, 2), 0.0, 0.009654014591647105, True, True),
+    ("corpus6", (0, 0, 1), 0.0, 0.0006927576166670079, True, True),
+    ("corpus7", (0, 0, 1, 1), 0.0, 5.8651234800837666e-05, True, True),
+    ("corpus8", (0, 0, 1, 2, 4, 3, 1), 0.0, 2.693411425727896e-07, True, True),
+    ("corpus9", (0, 0, 1, 4, 6, 3, 1), 0.0, 2.6934147808150904e-07, True, True),
+    ("corpus10", (0, 0, 1, 2, 2, 1), 0.0, 0.009674767903759653, True, True),
+    ("corpus11", (0, 0, 1), 0.0, 0.0006927576166670079, True, True),
+    ("ten-ray", (0, 0, 1, 3, 6, 4, 11, 8, 6, 1), 0.0, 0.009654295874915186, True, True),
+]
 
 
 TEN_RAY_FAN = [
@@ -279,10 +335,33 @@ TEN_RAY_FAN = [
 ]
 
 
+def _report_fan(name):
+    if name == "ten-ray":
+        return normalize_fan(TEN_RAY_FAN)
+    if name.startswith("corpus"):
+        seed, n = corpus_tasks(5151, 12, 3)[int(name[len("corpus") :])]
+        return random_fan(seed, n)
+    return _golden_fan(name)
+
+
+def _assert_report(report, violation, separation, translation, signs):
+    assert repr(report.max_inequality_violation) == repr(violation)
+    assert repr(report.min_mu_separation) == repr(separation)
+    assert report.translation_exact is translation
+    assert report.signs_exact is signs
+
+
+def _assert_golden_report(name, violation, separation, translation, signs):
+    key = name.replace("corpus", "5151:")
+    report = run_moment_checks(_report_fan(name), _old_ample(key), samples=16)
+    _assert_report(report, violation, separation, translation, signs)
+
+
 def _assert_ten_ray_overflow():
-    # ROADMAP item 3: a valid fan whose monomials leave the float range.
+    # A valid fan whose monomials leave the float range on a divisor this
+    # large (ROADMAP item 3); the default divisor is far smaller.
     with pytest.raises(CharacterOverflow) as info:
-        run_moment_checks(normalize_fan(TEN_RAY_FAN), samples=16)
+        run_moment_checks(normalize_fan(TEN_RAY_FAN), _old_ample("ten-ray"), samples=16)
     assert str(info.value) == (
         "monomial (-433, 63) at (9.972834527981743, 0.6630983110190635) "
         "left the float range"
@@ -294,6 +373,17 @@ def _assert_ten_ray_overflow():
 )
 def test_report_golden(name, violation, separation, translation, signs):
     _assert_golden_report(name, violation, separation, translation, signs)
+
+
+@pytest.mark.parametrize(
+    "name, coeffs, violation, separation, translation, signs",
+    GOLDEN_DEFAULT_REPORTS,
+    ids=[golden[0] for golden in GOLDEN_DEFAULT_REPORTS],
+)
+def test_default_report_golden(name, coeffs, violation, separation, translation, signs):
+    report = run_moment_checks(_report_fan(name), samples=16)
+    assert report.divisor.coeffs == coeffs
+    _assert_report(report, violation, separation, translation, signs)
 
 
 def test_ten_ray_fan_overflow_message():
@@ -394,11 +484,11 @@ def test_moment_check_runs_on_the_standard_library_alone(tmp_path):
     assert json.loads(status) == {"code": 0, "foreign": []}
     assert json.loads(report) == {
         "fan": [[1, 0], [0, 1], [-1, -1]],
-        "divisor": [1, 1, 1],
+        "divisor": [0, 0, 1],
         "samples": 16,
         "max_inequality_violation": 0.0,
         "translation_exact": True,
-        "min_mu_separation": 0.000752465133860777,
+        "min_mu_separation": 0.0006927576166670079,
     }
 
 

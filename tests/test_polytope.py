@@ -10,6 +10,7 @@ from realtoric import (
     NotAmple,
     ToricDivisor,
     blow_up,
+    corpus_fans,
     divisor_from_json,
     divisor_to_json,
     find_ample,
@@ -17,6 +18,7 @@ from realtoric import (
     intersection_numbers,
     is_ample,
     lattice_points,
+    normalize_fan,
     polygon_from_divisor,
     polygon_to_json,
     projective_plane_fan,
@@ -71,7 +73,12 @@ class TestIntersectionNumbers:
 
 class TestFindAmple:
     def test_plane(self):
-        assert find_ample(P2).coeffs == (1, 1, 1)
+        # Every edge of the triangle has length 1. The earlier default,
+        # (1, 1, 1), is the same triangle three times as large.
+        div = find_ample(P2)
+        assert div.coeffs == (0, 0, 1)
+        assert intersection_numbers(P2, div) == (1, 1, 1)
+        assert intersection_numbers(P2, ToricDivisor((1, 1, 1))) == (3, 3, 3)
 
     @pytest.mark.parametrize("a", range(5))
     def test_four_ray_fans(self, a):
@@ -82,13 +89,62 @@ class TestFindAmple:
     def test_blown_up_plane_coefficients(self):
         fan = blow_up(P2, 0)
         div = find_ample(fan)
-        assert div.coeffs == (2, 3, 2, 2)
-        assert intersection_numbers(fan, div) == (5, 1, 5, 6)
+        assert div.coeffs == (0, 0, 1, 1)
+        assert intersection_numbers(fan, div) == (1, 1, 1, 2)
+        # the divisor find_ample gave when it undid the blow-down
+        old = ToricDivisor((2, 3, 2, 2))
+        assert intersection_numbers(fan, old) == (5, 1, 5, 6)
 
     def test_random_fans(self):
         for seed in range(15):
             fan = random_fan(seed, seed % 6)
             assert is_ample(fan, find_ample(fan))
+
+
+def assert_edge_lengths_close_up_from_ones(fan):
+    # All lengths 1, except where the polygon closes up: at most two
+    # adjacent edges, of one cone, are longer.
+    lengths = intersection_numbers(fan, find_ample(fan))
+    assert min(lengths) >= 1
+    longer = {i for i, x in enumerate(lengths) if x != 1}
+    assert any(longer <= {j, (j + 1) % fan.d} for j in range(fan.d))
+
+
+def test_find_ample_on_the_acceptance_corpus():
+    for fan in corpus_fans(20260817, 200, 16):
+        assert_edge_lengths_close_up_from_ones(fan)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_ample_on_many_blow_ups(seed):
+    for n in (1, 2, 5, 16, 31, 64, 128, 256):
+        assert_edge_lengths_close_up_from_ones(random_fan(seed, n))
+
+
+TEN_RAY_FAN = normalize_fan(
+    [[1, 0], [1, 1], [1, 2], [1, 3], [1, 4], [0, 1], [-1, 0], [-1, -1], [-1, -2], [0, -1]]
+)
+
+
+@pytest.mark.parametrize(
+    "fan, count",
+    [
+        (P2, 3),
+        (hirzebruch_fan(3), 7),
+        (TEN_RAY_FAN, 36),
+        (random_fan(3, 9), 117),
+        (random_fan(3, 10), 150),
+    ],
+    ids=["P2", "F3", "ten-ray", "random_fan(3, 9)", "random_fan(3, 10)"],
+)
+def test_find_ample_lattice_point_counts(fan, count):
+    assert len(lattice_points(polygon_from_divisor(fan, find_ample(fan)))) == count
+
+
+def test_find_ample_coefficients_stay_small():
+    # 1,004 rays; undoing the blow-downs gave coefficients of 1,016 bits
+    div = find_ample(random_fan(5, 1000))
+    assert max(abs(c) for c in div.coeffs).bit_length() <= 32
 
 
 class TestPolygon:
@@ -105,8 +161,10 @@ class TestPolygon:
 
     def test_trapezoid_point_count(self):
         fan = hirzebruch_fan(2)
-        poly = polygon_from_divisor(fan, find_ample(fan))
+        poly = polygon_from_divisor(fan, ToricDivisor((3, 1, 3, 1)))
         assert len(lattice_points(poly)) == 21
+        poly = polygon_from_divisor(fan, find_ample(fan))
+        assert len(lattice_points(poly)) == 6
 
     def test_rejects_non_ample(self):
         with pytest.raises(NotAmple):
