@@ -1,10 +1,12 @@
 """Command line interface.
 
 Every subcommand reads fan (and divisor) JSON files, prints deterministic
-output to standard out, and uses three exit codes: 0 for success, 1 for
+output to standard out, and uses four exit codes: 0 for success, 1 for
 any input or validation problem (reported as an ``{"error", "detail"}``
-object on standard error), and 2 when a verification run finds an
-inconsistency between the computed and predicted answers.
+object on standard error), 2 when a verification run finds an
+inconsistency between the computed and predicted answers, and 3 for an
+internal error (reported as an ``{"error": "Internal", "stage",
+"detail"}`` object on standard error).
 """
 
 from __future__ import annotations
@@ -83,15 +85,11 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    _emit(report_to_json(verify(_load_fan(args.fan))))
-    return 0
-
-
 def _cmd_verify(args) -> int:
+    # classify prints the same report but exits 0 even when it is inconsistent
     report = verify(_load_fan(args.fan))
     _emit(report_to_json(report))
-    return 0 if report.all_consistent else 2
+    return 0 if report.all_consistent or args.command == "classify" else 2
 
 
 def _cmd_predict(args) -> int:
@@ -250,7 +248,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="full pipeline, print the report")
     p.add_argument("fan")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("predict", help="surface type from the fan alone")
     p.add_argument("fan")
@@ -310,8 +308,10 @@ def _build_parser() -> _Parser:
 def run(argv: Sequence[str]) -> int:
     """Parse and execute one command line; returns the exit code."""
     parser = _build_parser()
+    stage = None
     try:
         args = parser.parse_args(list(argv))
+        stage = args.command
         return args.func(args)
     except _CliError as exc:
         print(json.dumps({"error": "Usage", "detail": str(exc)}), file=sys.stderr)
@@ -327,6 +327,13 @@ def run(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return 1
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        print(
+            json.dumps({"error": "Internal", "stage": stage, "detail": detail}),
+            file=sys.stderr,
+        )
+        return 3
 
 
 def main() -> None:

@@ -1,12 +1,15 @@
 """Integral homology of the glued complex, and surface classification.
 
-Everything is exact: ranks and torsion come from Smith normal forms of
-the integer boundary matrices, the Euler characteristic is checked two
-independent ways, and closed-surface recognition goes through the
-standard homology profiles
+Everything is exact: ranks and torsion come from the invariant factors
+of the integer boundary matrices, and closed-surface recognition goes
+through the standard homology profiles
 
     orientable genus g:      Z, Z^(2g), Z
     nonorientable genus k:   Z, Z^(k-1) + Z/2, 0
+
+The report also compares the cell count ``V - E + F`` with the closed form
+``4 - d``. That is an identity of how the complex is built (``d``, ``2d``
+and ``4`` cells), not an independent check of the Euler characteristic.
 """
 
 from __future__ import annotations

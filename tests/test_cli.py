@@ -90,6 +90,52 @@ class TestClassifyAndPredict:
         assert code == 2
         assert json.loads(out)["all_consistent"] is False
 
+    def test_classify_exit_zero_on_mismatch(self, capsys, write, monkeypatch):
+        def broken_verify(fan):
+            return dataclasses.replace(verify(fan), all_consistent=False)
+
+        monkeypatch.setattr(cli, "verify", broken_verify)
+        code, out, _ = run_lines(capsys, ["classify", write("fan.json", P2_RAYS)])
+        assert code == 0
+        assert json.loads(out)["all_consistent"] is False
+
+
+def assert_internal_error(capsys, argv, stage, detail):
+    code, out, err = run_lines(capsys, argv)
+    assert (code, out) == (3, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "Internal",
+        "stage": stage,
+        "detail": detail,
+    }
+
+
+class TestInternalErrors:
+    def test_classify_internal_error(self, capsys, write, monkeypatch):
+        def failing_verify(fan):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "verify", failing_verify)
+        argv = ["classify", write("fan.json", P2_RAYS)]
+        assert_internal_error(capsys, argv, "classify", "RuntimeError: boom")
+
+    def test_moment_check_sign_disagreement(self, capsys, write, monkeypatch):
+        real = cli.run_moment_checks
+
+        def unsound_checks(fan, **kwargs):
+            return dataclasses.replace(real(fan, **kwargs), signs_exact=False)
+
+        monkeypatch.setattr(cli, "run_moment_checks", unsound_checks)
+        argv = ["moment-check", write("fan.json", P2_RAYS), "--samples", "4"]
+        assert_internal_error(
+            capsys,
+            argv,
+            "moment-check",
+            "RuntimeError: sign profiles disagreed with the sign vectors",
+        )
+
 
 class TestSelfintAndSurgery:
     def test_selfint(self, capsys, write):

@@ -1,9 +1,9 @@
-"""Smith normal form against two independent oracles.
+"""Smith normal form against three independent oracles.
 
-The first oracle diagonalizes by plain elementary operations without
-tracking transforms; the second computes invariant factors as quotients
-of gcds of k-by-k minors, with determinants by recursive cofactor
-expansion. Neither shares code with the library routine.
+The first oracle diagonalizes by plain elementary operations; the second
+computes invariant factors as quotients of gcds of k-by-k minors, with
+determinants by recursive cofactor expansion; the third is sympy's
+``invariant_factors``. None shares code with the library routine.
 """
 
 import math
@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realtoric import SmithForm, invariant_factors, mat_det, mat_mul, smith_normal_form
+from realtoric import (
+    SmithForm,
+    build_real_complex,
+    corpus_fans,
+    invariant_factors,
+    smith_normal_form,
+)
 from realtoric.rng import SplitMix64
 
 
@@ -123,11 +129,6 @@ def rank_over_rationals(a):
 
 
 def assert_smith_invariants(a, snf: SmithForm):
-    m, n = snf.shape
-    assert len(snf.left) == m and len(snf.right) == n
-    assert mat_mul(mat_mul(snf.left, a), snf.right) == snf.diagonal_matrix()
-    assert abs(mat_det(snf.left)) == 1
-    assert abs(mat_det(snf.right)) == 1
     assert all(x > 0 for x in snf.diag)
     for x, y in zip(snf.diag, snf.diag[1:]):
         assert y % x == 0
@@ -164,34 +165,15 @@ class TestSmithExamples:
 
     def test_empty(self):
         snf = smith_normal_form([])
-        assert snf.diag == () and snf.shape == (0, 0)
+        assert snf.diag == () and snf.rank == 0
 
     def test_zero_width(self):
         snf = smith_normal_form([[], []])
-        assert snf.diag == () and snf.shape == (2, 0)
+        assert snf.diag == () and snf.rank == 0
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
-
-
-class TestDeterminant:
-    def test_matches_cofactor_expansion(self):
-        rng = SplitMix64(31337)
-        for _ in range(60):
-            n = rng.below(5) + 1
-            a = [[rng.below(21) - 10 for _ in range(n)] for _ in range(n)]
-            assert mat_det(a) == cofactor_det(a)
-
-    def test_singular(self):
-        assert mat_det([[1, 2], [2, 4]]) == 0
-
-    def test_empty(self):
-        assert mat_det([]) == 1
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            mat_det([[1, 2, 3], [4, 5, 6]])
 
 
 class TestAgainstOracles:
@@ -209,6 +191,31 @@ class TestAgainstOracles:
 
     def test_invariant_factors_helper(self):
         assert invariant_factors([[4, 0], [0, 6]]) == (2, 12)
+
+
+def sympy_factors(a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as reference
+
+    return tuple(abs(int(x)) for x in reference(sympy.Matrix(a)) if x != 0)
+
+
+class TestAgainstSympy:
+    def test_criterion_4_suite(self):
+        # the 500 seeded matrices of acceptance criterion 4
+        rng = SplitMix64(987654321)
+        for _ in range(500):
+            m = rng.below(6) + 1
+            n = rng.below(6) + 1
+            a = [[rng.below(21) - 10 for _ in range(n)] for _ in range(m)]
+            assert invariant_factors(a) == sympy_factors(a)
+
+    def test_boundary_matrices_of_the_acceptance_corpus(self):
+        # the 200-fan corpus of acceptance criterion 2
+        for fan in corpus_fans(20260817, 200, 16):
+            c = build_real_complex(fan)
+            for a in (c.boundary_matrix_1(), c.boundary_matrix_2()):
+                assert invariant_factors(a) == sympy_factors(a)
 
 
 @given(
