@@ -96,12 +96,6 @@ class NotAClosedSurfaceProfile(ToricError):
     code = "NotAClosedSurfaceProfile"
 
 
-class CharacterOverflow(ToricError):
-    """A monomial evaluation that left the range of finite nonzero floats."""
-
-    code = "Overflow"
-
-
 class DegenerateWeights(ToricError):
     """A weighted average whose weights are empty or sum to zero."""
 

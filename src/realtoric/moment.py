@@ -1,6 +1,6 @@
 """Floating-point checks tying the real points to the moment polygon.
 
-Monomials, sign profiles, and the weighted-average moment map
+Sign profiles and the weighted-average moment map
 
     mu(x) = sum_u |x^u| * u / sum_u |x^u|,   u over lattice points of P,
 
@@ -11,18 +11,11 @@ generator, so every run is reproducible. Log-coordinates lie in
 closest-pair sweep in pure Python. The numerics here back up the exact
 combinatorics; nothing downstream consumes these floats.
 
-``run_moment_checks`` computes what several evaluations share once, and
-otherwise performs the float operations of ``character`` and
-``moment_map`` on the same operands in the same order, so its report is
-bit-identical to evaluating them point by point. The grid multiplies
-each lattice point's coordinates by each of its 32 log-coordinates once,
-not once per cell (``int * float`` converts the int and then multiplies,
-so the product does not depend on where it is taken), and the sign check
-raises each sample coordinate to each distinct exponent once. It tests
-each monomial for leaving the float range only when the extreme powers
-do not already rule that out. Every sum is one ``math.fsum``, which
-rounds the exact sum once, so how the terms are produced does not change
-it.
+No monomial ``x^u`` is formed as a float: its sign is exactly
+``evaluate(sign_profile(x), u)``, which reads ``u`` only mod 2. The grid
+takes each lattice coordinate times each log-coordinate once, not once
+per cell (``int * float`` converts the int and then multiplies), and
+every sum is one ``math.fsum``, so its images equal ``moment_map``'s.
 """
 
 from __future__ import annotations
@@ -30,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, itemgetter, mul, ne, sub
-from typing import Iterable, Sequence
+from operator import add, mul, sub
+from typing import Sequence
 
-from .errors import CharacterOverflow, DegenerateWeights
+from .errors import DegenerateWeights
 from .fan import Fan, Vec
 from .gluing import ALL_SIGN_HOMS, SignHom, evaluate
 from .rng import SplitMix64
@@ -47,7 +40,6 @@ from .polytope import (
 
 __all__ = [
     "TorusPoint",
-    "character",
     "sign_profile",
     "moment_map",
     "sample_T_epsilon",
@@ -62,49 +54,6 @@ _RADIUS = 3.0
 # 32 evenly spaced log-coordinates for the injectivity grid. The last is
 # set, not computed, so it is exactly _RADIUS.
 _GRID = [-_RADIUS + i * (2.0 * _RADIUS / 31) for i in range(31)] + [_RADIUS]
-
-
-def character(x: TorusPoint, u: Vec) -> float:
-    """Evaluate the monomial ``x1**u1 * x2**u2`` by repeated squaring.
-
-    Both coordinates must be nonzero. Raises CharacterOverflow when the
-    result is not a finite nonzero float.
-    """
-    if x[0] == 0.0 or x[1] == 0.0:
-        raise ValueError("torus points have nonzero coordinates")
-    return _checked_monomial(_ipow(x[0], u[0]) * _ipow(x[1], u[1]), x, u)
-
-
-def _checked_monomial(value: float, x: TorusPoint, u: Vec) -> float:
-    if not math.isfinite(value) or value == 0.0:
-        raise CharacterOverflow(f"monomial {u} at {x} left the float range")
-    return value
-
-
-def _products_in_range(first: Iterable[float], second: Iterable[float]) -> bool:
-    """True when ``p * q`` is finite and nonzero for every ``p`` in
-    ``first`` and ``q`` in ``second`` (none of them NaN).
-
-    Rounding is monotone, so the products of the smallest and of the
-    largest magnitudes bound the magnitude of every other product.
-    """
-    a = [abs(p) for p in first]
-    b = [abs(q) for q in second]
-    return min(a) * min(b) != 0.0 and math.isfinite(max(a) * max(b))
-
-
-def _ipow(base: float, e: int) -> float:
-    if e < 0:
-        base = 1.0 / base
-        e = -e
-    out = 1.0
-    while e:
-        if e & 1:
-            out *= base
-        e >>= 1
-        if e:
-            base *= base
-    return out
 
 
 def sign_profile(x: TorusPoint) -> SignHom:
@@ -238,16 +187,15 @@ def run_moment_checks(
     """Numeric suite: signs, containment, sign-flip invariance, injectivity.
 
     For each of the four sign components, ``samples`` seeded points are
-    checked for (a) exact agreement of ``sign(x^u)`` with the component's
-    sign vector on every polygon lattice point, (b) the moment image lying
-    inside the polygon up to float slack, and (c) bit-exact equality of
-    the moment image across all four sign flips of the same magnitudes.
+    checked for (a) exact agreement of ``sign(x^u)``, read off the parity
+    of ``u``, with the component's sign vector on every polygon lattice
+    point, (b) the moment image lying inside the polygon up to float
+    slack, and (c) bit-exact equality of the moment image across all four
+    sign flips of the same magnitudes.
     Separately, a fixed 32 x 32 grid of evenly spaced log-coordinates in
     ``[-3, 3]`` on the positive component measures the smallest distance
     between the moment images of two distinct grid points, found by a
-    closest-pair sweep. The first monomial outside the float range, in the
-    order of ``lattice_points``, raises CharacterOverflow as ``character``
-    would. Raises ValueError when ``samples`` is less than 1.
+    closest-pair sweep. Raises ValueError when ``samples`` is less than 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -255,34 +203,19 @@ def run_moment_checks(
         divisor = find_ample(fan)
     polygon = polygon_from_divisor(fan, divisor)
     points = lattice_points(polygon)
-    distinct_xs = {u[0] for u in points}
-    distinct_ys = {u[1] for u in points}
+    # sign(x^u) = evaluate(sign_profile(x), u) depends on u only mod 2.
+    parities = {(u[0] & 1, u[1] & 1) for u in points}
 
     signs_exact = True
     worst_violation = 0.0
     translation_exact = True
     for k, eps in enumerate(ALL_SIGN_HOMS):
-        signs = [evaluate(eps, u) for u in points]
         for x in sample_T_epsilon(eps, seed + k, samples):
-            # The products character(x, u) takes, with each power once,
-            # made lazily so that no list of them sits beside ``points``.
-            pa = {a: _ipow(x[0], a) for a in distinct_xs}
-            pb = {b: _ipow(x[1], b) for b in distinct_ys}
-            values = map(
-                mul,
-                map(pa.__getitem__, map(itemgetter(0), points)),
-                map(pb.__getitem__, map(itemgetter(1), points)),
-            )
-            if not _products_in_range(pa.values(), pb.values()):
-                # Some product may leave the float range: test each, in
-                # point order, so the first one raises as character would.
-                values = [_checked_monomial(v, x, u) for u, v in zip(points, values)]
-            if any(map(ne, map(math.copysign, repeat(1.0), values), signs)):
+            profile = sign_profile(x)
+            if any(evaluate(profile, c) != evaluate(eps, c) for c in parities):
                 signs_exact = False
             mu = moment_map(x, points)
-            violation = _max_violation(polygon, mu)
-            if violation > worst_violation:
-                worst_violation = violation
+            worst_violation = max(worst_violation, _max_violation(polygon, mu))
             magnitudes = (abs(x[0]), abs(x[1]))
             if moment_map(magnitudes, points) != mu:
                 translation_exact = False

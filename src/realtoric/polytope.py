@@ -112,8 +112,14 @@ def find_ample(fan: Fan) -> ToricDivisor:
 
 
 def polygon_from_divisor(fan: Fan, div: ToricDivisor) -> LatticePolygon:
-    """Exact polygon of an ample divisor. Raises NotAmple otherwise."""
-    if not is_ample(fan, div):
+    """Exact polygon of an ample divisor. Raises NotAmple otherwise.
+
+    Self-check in O(d): edge ``i`` (vertex ``i-1`` to ``i``) must be
+    ``l[i] >= 1`` steps of ``(v[i][1], -v[i][0])``, ``l`` the intersection
+    numbers; the rays turn once, so the polygon is then convex.
+    """
+    lengths = intersection_numbers(fan, div)
+    if min(lengths) < 1:
         raise NotAmple(f"divisor {list(div.coeffs)} is not ample on this fan")
     b = div.coeffs
     rays = fan.rays
@@ -126,9 +132,10 @@ def polygon_from_divisor(fan: Fan, div: ToricDivisor) -> LatticePolygon:
         x = -bi * vj[1] + bj * vi[1]
         y = -bj * vi[0] + bi * vj[0]
         vertices.append((x, y))
-    for w in vertices:
-        if any(w[0] * v[0] + w[1] * v[1] < -b[k] for k, v in enumerate(rays)):
-            raise RuntimeError("polygon vertex violates a defining inequality")
+    for i, (v, length) in enumerate(zip(rays, lengths)):
+        w, w_prev = vertices[i], vertices[i - 1]
+        if (w[0] - w_prev[0], w[1] - w_prev[1]) != (length * v[1], -length * v[0]):
+            raise RuntimeError("polygon edge disagrees with its length")
     return LatticePolygon(fan=fan, offsets=tuple(b), vertices=tuple(vertices))
 
 

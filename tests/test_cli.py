@@ -1,6 +1,8 @@
 """End-to-end command line behavior, run in process."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -8,17 +10,29 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import realtoric
 import realtoric.cli as cli
-from realtoric import ToricDivisor, verify
+from realtoric import ToricDivisor, fan_to_json, hirzebruch_fan, random_fan, verify
 
 P2_RAYS = {"rays": [[-1, -1], [1, 0], [0, 1]]}
 TEN_RAY_FAN = [
     [1, 0], [1, 1], [1, 2], [1, 3], [1, 4], [0, 1], [-1, 0], [-1, -1], [-1, -2], [0, -1]
 ]
 F4_RAYS = {"rays": [[1, 0], [0, 1], [-1, 4], [0, -1]]}
+F300_RAYS = {"rays": [[1, 0], [0, 1], [-1, 300], [0, -1]]}
 BAD_RAYS = {"rays": [[1, 0], [0, 1], [-1, -2]]}
 FIVE_RAYS = {"rays": [[1, 0], [1, 1], [1, 2], [0, 1], [-1, -1]]}
+MOMENT_CHECK_KEYS = [
+    "fan",
+    "divisor",
+    "samples",
+    "max_inequality_violation",
+    "translation_exact",
+    "min_mu_separation",
+]
 
 
 @pytest.fixture
@@ -352,14 +366,7 @@ class TestDemosAndBulk:
         )
         assert code == 0
         obj = json.loads(out)
-        assert list(obj.keys()) == [
-            "fan",
-            "divisor",
-            "samples",
-            "max_inequality_violation",
-            "translation_exact",
-            "min_mu_separation",
-        ]
+        assert list(obj) == MOMENT_CHECK_KEYS
         assert obj["samples"] == 16
         assert obj["translation_exact"] is True
         assert obj["max_inequality_violation"] <= 1e-9
@@ -376,6 +383,17 @@ class TestDemosAndBulk:
         assert obj["samples"] == int(samples)
         assert obj["max_inequality_violation"] <= 1e-9
         assert obj["min_mu_separation"] > 1e-9
+
+    def test_moment_check_long_edge_fan(self, capsys, write):
+        # A float monomial x^u would leave the float range on this fan.
+        code, out, err = run_lines(
+            capsys, ["moment-check", write("fan.json", F300_RAYS), "--samples", "16"]
+        )
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert list(obj) == MOMENT_CHECK_KEYS
+        assert obj["divisor"] == [0, 0, 1, 1]
+        assert obj["translation_exact"] is True
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_moment_check_rejects_sample_counts_below_one(self, capsys, write, samples):
@@ -653,6 +671,19 @@ def test_import_does_not_load_the_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in realtoric.__all__ if not hasattr(realtoric, name)]
+    assert missing == []
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "from realtoric import *"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 # The fan each README example runs on; README calls every fan file fan.json.
 README_FANS = {"ample": F4_RAYS, "gkz-demo": P2_RAYS, "moment-check": P2_RAYS}
 
@@ -691,3 +722,54 @@ def test_readme_example_matches_cli(capsys, write, command, flags, printed):
     code, out, err = run_lines(capsys, [command, fan, *flags])
     assert (code, err) == (0, "")
     assert json.loads(out) == json.loads(printed)
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fan.json"
+
+
+VALID_FANS = st.one_of(
+    st.builds(random_fan, st.integers(0, 2**64 - 1), st.integers(0, 6)),
+    st.builds(hirzebruch_fan, st.integers(0, 400)),
+)
+
+
+@given(fan=VALID_FANS)
+@settings(max_examples=12, deadline=None)
+def test_fuzz_moment_check_answers_every_valid_fan(fuzz_file, fan):
+    rays = fan_to_json(fan)["rays"]
+    fuzz_file.write_text(json.dumps({"rays": rays}))
+    code, out, err = run_captured(["moment-check", str(fuzz_file), "--samples", "1"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["fan"] == rays
+
+
+# Arbitrary integer pairs are almost never a fan, so valid fans, in any
+# ray order, are drawn too.
+COORDS = st.integers(-3, 3) | st.integers()
+RAY_LISTS = st.lists(st.tuples(COORDS, COORDS), max_size=8) | VALID_FANS.flatmap(
+    lambda fan: st.permutations(fan_to_json(fan)["rays"])
+)
+
+
+@given(command=st.sampled_from(["validate", "classify"]), rays=RAY_LISTS)
+@settings(max_examples=150, deadline=None)
+def test_fuzz_fan_commands_answer_or_refuse(fuzz_file, command, rays):
+    fuzz_file.write_text(json.dumps({"rays": rays}))
+    code, out, err = run_captured([command, str(fuzz_file)])
+    if code == 0:
+        assert err == "" and len(out.splitlines()) == 1
+        json.loads(out)
+    else:
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert list(json.loads(err)) == ["error", "detail"]

@@ -249,6 +249,21 @@ def test_lattice_points_match_bounding_box_scan(seed):
         assert len(pts) == (double_area + boundary) // 2 + 1
 
 
+def assert_vertices_satisfy_every_inequality(polygon):
+    # O(d^2) oracle for the O(d) edge check of polygon_from_divisor.
+    for x, y in polygon.vertices:
+        for v, b in zip(polygon.fan.rays, polygon.offsets):
+            assert x * v[0] + y * v[1] >= -b
+
+
+def test_edge_check_agrees_with_vertex_scan_on_the_acceptance_corpus():
+    for k, fan in enumerate(corpus_fans(20260817, 200, 16)):
+        div = find_ample(fan)
+        for u in ((0, 0), (k % 7 - 3, 5 - k % 11)):
+            moved = translate_divisor(fan, div, u)
+            assert_vertices_satisfy_every_inequality(polygon_from_divisor(fan, moved))
+
+
 class TestTranslation:
     def test_polygon_shifts_opposite_to_character(self):
         div = ToricDivisor((1, 1, 1))
