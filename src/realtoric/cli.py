@@ -200,16 +200,19 @@ def _cmd_corpus(args) -> int:
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_corpus_line, tasks, chunksize=8))
-    consistent = 0
-    for report in reports:
+    failing = []
+    for task, report in zip(tasks, reports):
         _emit(report)
-        if report["all_consistent"]:
-            consistent += 1
+        if not report["all_consistent"]:
+            failing.append(list(task))
     summary = {
         "count": len(reports),
-        "consistent": consistent,
-        "all_consistent": consistent == len(reports),
+        "consistent": len(reports) - len(failing),
+        "all_consistent": not failing,
     }
+    if failing:
+        # Each pair reproduces its fan: random_fan(seed, n_blowups).
+        summary["failing"] = failing
     _emit(summary)
     return 0 if summary["all_consistent"] else 2
 

@@ -1,23 +1,56 @@
 """Exact integer matrix utilities: products and Smith form.
 
 Matrices are tuples of tuples of Python integers, so every operation here
-is exact at any magnitude. The Smith normal form routine returns only the
-invariant factors, which is all that homology reads. Every step it takes
-is unimodular, so the factors are those of the input: a row operation is
-either a swap, adding a multiple of one row to another, or a 2x2 block
-built from an extended gcd (determinant +1), and likewise for columns.
+is exact at any magnitude. Entries are coerced with ``operator.index``:
+ints, bools and other integer types pass, and anything else (a float, a
+string, a ``Fraction``) is refused with a ``ValueError`` that names the
+entry, rather than truncated.
+
+The Smith normal form routine returns only the invariant factors, which
+is all that homology reads. Every step it takes is unimodular, so the
+factors are those of the input: a row operation is either a swap, adding
+a multiple of one row to another, or a 2x2 block built from an extended
+gcd (determinant +1), and likewise for columns.
+
+Boundary matrices are almost all 0 and +-1, so the routine skips work that
+cannot change the matrix (sparse pivoting in the sense of Dumas, Saunders
+and Villard, J. Symbolic Comput. 2001). The pivot search stops at the
+first unit, only rows and columns with a nonzero entry in the pivot
+column or row are combined, and the divisibility patch is skipped behind
+a unit pivot. Each shortcut skips only steps that would leave the matrix
+as it was, so the pivots, and the factors, are those of the plain scheme.
+On the d x 2d boundary matrix of a real toric surface this takes O(d^2)
+time instead of O(d^3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def _int_rows(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of ``a`` as lists of ints; a non-integer entry is a ValueError."""
+    try:
+        return [list(map(index, row)) for row in a]
+    except TypeError:
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                try:
+                    index(x)
+                except TypeError:
+                    raise ValueError(
+                        f"entry ({i}, {j}) is {x!r}, not an integer"
+                    ) from None
+        raise
+
+
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     """Exact product; inner dimensions must agree."""
+    a, b = _int_rows(a), _int_rows(b)
     m = len(a)
     k = len(a[0]) if m else 0
     if k != len(b):
@@ -94,15 +127,47 @@ def _col_combine(d: list[list[int]], t: int, j: int) -> None:
         row[j] = p * ct + q * cj
 
 
+def _find_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    # The first nonzero entry of least absolute value in d[t:][t:], in
+    # row-major order. Nothing is smaller than a unit, so a unit ends it.
+    pivot = None
+    best = None
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            e = row[j]
+            if e != 0 and (best is None or abs(e) < best):
+                best = abs(e)
+                pivot = (i, j)
+                if best == 1:
+                    return pivot
+    return pivot
+
+
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     """Smith normal form, diagonal only.
 
     Pivoting picks the entry of smallest absolute value in the remaining
-    submatrix, clears its row and column with gcd steps, then patches any
-    divisibility failure (adding the offending row to the pivot row) and
-    repeats. Handles empty and all-zero matrices.
+    submatrix (the first one in row-major order), clears its row and
+    column with gcd steps, then patches any divisibility failure (adding
+    the offending row to the pivot row) and repeats. Handles empty and
+    all-zero matrices; a non-integer entry is a ValueError.
+
+    Three shortcuts skip work that cannot change the matrix, so the pivots
+    and every update are those of the plain scheme:
+
+    * the pivot search stops at the first entry of absolute value 1, which
+      is the first strict minimum the full scan would keep;
+    * rows and columns are combined with the pivot only where they have a
+      nonzero entry in the pivot column or row (a zero needs no step);
+    * the divisibility patch is skipped when the pivot is +-1, since every
+      entry is divisible by it.
+
+    The vertex-edge boundary of a real toric surface with d rays is d x 2d
+    with one +1 and one -1 per column. Each pivot then costs O(d) instead
+    of O(d^2), and the whole form O(d^2) instead of O(d^3).
     """
-    d = [list(map(int, row)) for row in a]
+    d = _int_rows(a)
     m = len(d)
     n = len(d[0]) if m else 0
     if any(len(row) != n for row in d):
@@ -110,14 +175,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
 
     t = 0
     while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = d[i][j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    pivot = (i, j)
+        pivot = _find_pivot(d, t)
         if pivot is None:
             break
         pi, pj = pivot
@@ -128,15 +186,17 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
                 row[t], row[pj] = row[pj], row[t]
 
         while True:
-            for i in range(t + 1, m):
+            for i in [i for i in range(t + 1, m) if d[i][t]]:
                 _row_combine(d, t, i)
-            for j in range(t + 1, n):
+            for j in [j for j in range(t + 1, n) if d[t][j]]:
                 _col_combine(d, t, j)
             if any(d[i][t] for i in range(t + 1, m)):
                 continue
             if any(d[t][j] for j in range(t + 1, n)):
                 continue
             g = d[t][t]
+            if g in (1, -1):
+                break
             offender = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):

@@ -319,6 +319,29 @@ class TestDemosAndBulk:
         summary = json.loads(lines[-1])
         assert summary == {"count": 5, "consistent": 5, "all_consistent": True}
 
+    def test_corpus_names_failing_seeds(self, capsys, monkeypatch):
+        argv = ["corpus", "--seed", "11", "--count", "5", "--max-blowups", "6"]
+        tasks = realtoric.corpus_tasks(11, 5, 6)
+        bad_seed, bad_n = tasks[2]
+        bad_fan = random_fan(bad_seed, bad_n)
+
+        def verify_failing_once(fan):
+            report = verify(fan)
+            if fan == bad_fan:
+                return dataclasses.replace(report, all_consistent=False)
+            return report
+
+        monkeypatch.setattr(cli, "verify", verify_failing_once)
+        code, out, _ = run_lines(capsys, argv)
+        assert code == 2
+        summary = json.loads(out.strip().split("\n")[-1])
+        assert summary == {
+            "count": 5,
+            "consistent": 4,
+            "all_consistent": False,
+            "failing": [[bad_seed, bad_n]],
+        }
+
     def test_corpus_parallel_matches_serial(self, capsys):
         base = ["corpus", "--seed", "3", "--count", "6", "--max-blowups", "5"]
         _, serial, _ = run_lines(capsys, base)

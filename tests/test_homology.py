@@ -225,3 +225,14 @@ class TestVerify:
         for seed in range(10):
             report = verify(random_fan(seed, seed % 6))
             assert report.orientable_fast == report.orientable_homology
+
+    @pytest.mark.parametrize("d", range(32, 321, 32))
+    def test_large_fans_match_the_closed_form(self, d):
+        # Every blow-up makes the surface nonorientable: a connect sum of
+        # d - 2 projective planes, so b = (1, d - 3, 0) with torsion (2).
+        fan = random_fan(d, d - random_fan(d, 0).d)
+        assert fan.d == d
+        report = verify(fan)
+        assert report.profile == HomologyProfile(1, d - 3, 0, (2,))
+        assert report.computed == SurfaceType(False, d - 2)
+        assert report.all_consistent

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realtoric import (
@@ -19,8 +19,11 @@ from realtoric import (
     build_real_complex,
     corpus_fans,
     invariant_factors,
+    mat_mul,
+    random_fan,
     smith_normal_form,
 )
+from realtoric import intmat
 from realtoric.rng import SplitMix64
 
 
@@ -176,6 +179,29 @@ class TestSmithExamples:
             smith_normal_form([[1, 2], [3]])
 
 
+NON_INTEGERS = [2.5, 3.0, 1e30, "3", Fraction(1, 2), Fraction(4, 1), None]
+
+
+class TestIntegerEntries:
+    @pytest.mark.parametrize("x", NON_INTEGERS, ids=repr)
+    def test_smith_refuses_non_integer(self, x):
+        with pytest.raises(ValueError, match=r"entry \(1, 0\) is .*not an integer"):
+            smith_normal_form([[1, 2], [x, 4]])
+
+    @pytest.mark.parametrize("x", NON_INTEGERS, ids=repr)
+    def test_mat_mul_refuses_non_integer(self, x):
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is .*not an integer"):
+            mat_mul([[1, x]], [[2], [3]])
+        with pytest.raises(ValueError, match=r"entry \(1, 0\) is .*not an integer"):
+            mat_mul([[1, 1]], [[2], [x]])
+
+    def test_integer_types_pass(self):
+        assert smith_normal_form([[True, False], [False, True]]).diag == (1, 1)
+        assert smith_normal_form([[10**40, 0], [0, 6]]).diag == (2, 3 * 10**40)
+        product = mat_mul([[True, 2]], [[3], [False]])
+        assert product == ((3,),) and type(product[0][0]) is int
+
+
 class TestAgainstOracles:
     def test_seeded_sample_against_both_oracles(self):
         rng = SplitMix64(777)
@@ -191,6 +217,68 @@ class TestAgainstOracles:
 
     def test_invariant_factors_helper(self):
         assert invariant_factors([[4, 0], [0, 6]]) == (2, 12)
+
+
+def unit_heavy_matrices():
+    """Matrices like boundary matrices: mostly 0 and +-1, with a few 2s and 3s.
+
+    A column is either incidence-like (one +1 and one -1, as in the
+    vertex-edge boundary), a single nonzero entry, or zero. With single
+    entries of +-1 and +-2 alone the divisibility patch never runs on such
+    matrices, so the single entries include 3s as well.
+    """
+
+    @st.composite
+    def build(draw):
+        m = draw(st.integers(1, 7))
+        n = draw(st.integers(1, 7))
+        a = [[0] * n for _ in range(m)]
+        for j in range(n):
+            kind = draw(st.sampled_from(["incidence", "single", "zero"]))
+            if kind == "incidence" and m >= 2:
+                head, tail = draw(
+                    st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)
+                )
+                a[head][j], a[tail][j] = 1, -1
+            elif kind == "single":
+                i = draw(st.integers(0, m - 1))
+                a[i][j] = draw(st.sampled_from([1, -1, 1, -1, 2, -2, 3, -3]))
+        return a
+
+    return build()
+
+
+@given(a=unit_heavy_matrices())
+# After the unit pivot, [[2, 0], [0, 3]] is left and needs the patch.
+@example(a=[[1, 0, 0], [-1, 2, 0], [0, 0, 3]])
+@settings(max_examples=200, deadline=None)
+def test_property_unit_heavy_against_elementary_oracle(a):
+    snf = smith_normal_form(a)
+    assert_smith_invariants(a, snf)
+    assert snf.diag == oracle_elementary_factors(a)
+    assert snf.rank == rank_over_rationals(a)
+
+
+def fan_with_rays(seed, d):
+    """``random_fan(seed, n)`` with ``n`` chosen so that it has ``d`` rays."""
+    return random_fan(seed, d - random_fan(seed, 0).d)
+
+
+def test_vertex_edge_boundary_takes_linear_steps(monkeypatch):
+    # One helper call per nonzero entry eliminated: d - 1 rows and about
+    # 3d columns on the d x 2d matrix. The dense scheme made d^2/2 + 3d^2/2.
+    calls = {"_row_combine": 0, "_col_combine": 0}
+    for name in calls:
+
+        def counted(*args, name=name, helper=getattr(intmat, name)):
+            calls[name] += 1
+            return helper(*args)
+
+        monkeypatch.setattr(intmat, name, counted)
+    d = 192
+    c = build_real_complex(fan_with_rays(8503, d))
+    assert smith_normal_form(c.boundary_matrix_1()).diag == (1,) * (d - 1)
+    assert sum(calls.values()) <= 4 * d
 
 
 def sympy_factors(a):
@@ -216,6 +304,12 @@ class TestAgainstSympy:
             c = build_real_complex(fan)
             for a in (c.boundary_matrix_1(), c.boundary_matrix_2()):
                 assert invariant_factors(a) == sympy_factors(a)
+
+    @pytest.mark.parametrize("d", [64, 128, 192])
+    def test_boundary_matrices_of_a_large_fan(self, d):
+        c = build_real_complex(fan_with_rays(d, d))
+        for a in (c.boundary_matrix_1(), c.boundary_matrix_2()):
+            assert invariant_factors(a) == sympy_factors(a)
 
 
 @given(
