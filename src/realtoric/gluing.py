@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import IndexOutOfRange, PolygonFanMismatch
+from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
 from .fan import Fan, Vec, rot90, self_intersections
 from .intmat import Matrix
 from .polytope import LatticePolygon
@@ -126,22 +126,73 @@ class CellComplex:
     edge_labels: tuple[str, ...] = field(default=(), compare=False)
     face_labels: tuple[str, ...] = field(default=(), compare=False)
 
-    def boundary_matrix_1(self) -> Matrix:
-        """Vertices-by-edges boundary: head gets +1, tail gets -1."""
-        rows = [[0] * len(self.edges) for _ in range(self.num_vertices)]
+    def _checked_edges(self) -> tuple[tuple[int, int], ...]:
+        # The edges, once every endpoint is known to be a vertex index.
+        nv = self.num_vertices
         for j, (tail, head) in enumerate(self.edges):
+            if not (0 <= tail < nv and 0 <= head < nv):
+                raise InvalidComplex(
+                    f"edge {j + 1} is {(tail, head)}, with an endpoint "
+                    f"outside 0..{nv - 1}"
+                )
+        return self.edges
+
+    def _checked_faces(self) -> tuple[tuple[int, ...], ...]:
+        # The faces, once every entry is known to name an edge.
+        ne = len(self.edges)
+        for j, word in enumerate(self.faces):
+            for signed in word:
+                if not 0 < abs(signed) <= ne:
+                    raise InvalidComplex(
+                        f"face {j + 1} has entry {signed}, not a signed "
+                        f"edge index in 1..{ne}"
+                    )
+        return self.faces
+
+    def boundary_matrix_1(self) -> Matrix:
+        """Vertices-by-edges boundary: head gets +1, tail gets -1.
+
+        An endpoint outside ``0..num_vertices-1`` is InvalidComplex.
+        """
+        rows = [[0] * len(self.edges) for _ in range(self.num_vertices)]
+        for j, (tail, head) in enumerate(self._checked_edges()):
             rows[head][j] += 1
             rows[tail][j] -= 1
         return tuple(tuple(r) for r in rows)
 
     def boundary_matrix_2(self) -> Matrix:
-        """Edges-by-faces boundary from the signed traversal words."""
+        """Edges-by-faces boundary from the signed traversal words.
+
+        An entry that is 0 or names no edge is InvalidComplex.
+        """
         rows = [[0] * len(self.faces) for _ in range(len(self.edges))]
-        for j, word in enumerate(self.faces):
+        for j, word in enumerate(self._checked_faces()):
             for signed in word:
                 idx = abs(signed) - 1
                 rows[idx][j] += 1 if signed > 0 else -1
         return tuple(tuple(r) for r in rows)
+
+    def check_chain_complex(self) -> None:
+        """Raise InvalidComplex unless the boundary of every face is zero.
+
+        This is ``boundary_matrix_1() @ boundary_matrix_2() == 0``, one
+        column at a time, read straight off the face words without forming
+        either matrix: each signed edge adds +-(head - tail) to a count per
+        vertex, and every count must end at zero. It takes time linear in
+        the total word length. Bad indices are refused as in the builders.
+        """
+        edges = self._checked_edges()
+        for j, word in enumerate(self._checked_faces()):
+            count: dict[int, int] = {}
+            for signed in word:
+                tail, head = edges[abs(signed) - 1]
+                s = 1 if signed > 0 else -1
+                count[head] = count.get(head, 0) + s
+                count[tail] = count.get(tail, 0) - s
+            if any(count.values()):
+                raise InvalidComplex(
+                    f"boundary of a boundary is not zero on face {j + 1}"
+                )
 
 
 def build_real_complex(fan: Fan) -> CellComplex:

@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -705,6 +707,25 @@ def test_every_exported_name_resolves():
         text=True,
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_every_benchmark_trace_target_resolves(monkeypatch):
+    # bench/run.py --trace 1 wraps each "<module>.<function>" named in
+    # bench/spans.py TARGETS, and fails on a name that is gone. The file is
+    # only read: no bytecode is written next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = []
+    for qualname in spans.TARGETS:
+        module, name = qualname.rsplit(".", 1)
+        target = getattr(importlib.import_module(f"realtoric.{module}"), name, None)
+        if not callable(target):
+            missing.append(qualname)
+    assert missing == []
 
 
 # The fan each README example runs on; README calls every fan file fan.json.

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from realtoric import (
     CellComplex,
@@ -18,6 +20,7 @@ from realtoric import (
     euler_from_cells,
     hirzebruch_fan,
     homology,
+    mat_mul,
     orientable_fast,
     predict_theorem,
     projective_plane_fan,
@@ -86,6 +89,64 @@ class TestProfiles:
             c = build_real_complex(random_fan(seed, 5))
             for boundary in [c.boundary_matrix_1(), c.boundary_matrix_2()]:
                 assert smith_normal_form(boundary).rank == rational_rank(boundary)
+
+
+class TestCellIndices:
+    # Python's negative indexing used to read these as other cells.
+    def test_negative_vertex(self):
+        c = CellComplex(2, ((0, -1),), ())
+        for build in (c.boundary_matrix_1, c.check_chain_complex, lambda: homology(c)):
+            with pytest.raises(InvalidComplex, match=r"edge 1 is \(0, -1\)"):
+                build()
+
+    def test_vertex_past_the_last(self):
+        c = CellComplex(2, ((0, 2),), ())
+        for build in (c.boundary_matrix_1, c.check_chain_complex, lambda: homology(c)):
+            with pytest.raises(InvalidComplex, match=r"outside 0\.\.1"):
+                build()
+
+    @pytest.mark.parametrize("entry", [0, 3, -3])
+    def test_face_entry_that_names_no_edge(self, entry):
+        c = CellComplex(2, ((0, 1), (1, 0)), ((entry, 2),))
+        for build in (c.boundary_matrix_2, c.check_chain_complex, lambda: homology(c)):
+            with pytest.raises(InvalidComplex, match=f"face 1 has entry {entry}"):
+                build()
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes on up to 4 vertices and 5 edges, with valid indices.
+
+    A face word is random, so mostly not a cycle, or a random word followed
+    by its reverse with signs flipped, which always has zero boundary.
+    """
+    nv = draw(st.integers(1, 4))
+    ne = draw(st.integers(1, 5))
+    vertex = st.integers(0, nv - 1)
+    edges = tuple((draw(vertex), draw(vertex)) for _ in range(ne))
+    signed = st.integers(1, ne).flatmap(lambda k: st.sampled_from([k, -k]))
+    faces = []
+    for _ in range(draw(st.integers(0, 3))):
+        word = draw(st.lists(signed, max_size=5))
+        if draw(st.booleans()):
+            word += [-x for x in reversed(word)]
+        faces.append(tuple(word))
+    return CellComplex(nv, edges, tuple(faces))
+
+
+@given(c=small_complexes())
+@example(c=CellComplex(2, ((0, 1), (1, 0)), ((1, 2),)))
+@example(c=CellComplex(2, ((0, 1), (1, 0)), ((1, 2), (1, -2))))
+# Each face has a nonzero boundary, but the two boundaries cancel.
+@example(c=CellComplex(2, ((0, 1),), ((1,), (-1,))))
+@settings(max_examples=300, deadline=None)
+def test_boundary_check_agrees_with_the_matrix_product(c):
+    product = mat_mul(c.boundary_matrix_1(), c.boundary_matrix_2())
+    if any(x for row in product for x in row):
+        with pytest.raises(InvalidComplex, match="boundary of a boundary"):
+            homology(c)
+    else:
+        homology(c)
 
 
 class TestEuler:
@@ -226,7 +287,7 @@ class TestVerify:
             report = verify(random_fan(seed, seed % 6))
             assert report.orientable_fast == report.orientable_homology
 
-    @pytest.mark.parametrize("d", range(32, 321, 32))
+    @pytest.mark.parametrize("d", [*range(32, 321, 32), 512, 1004])
     def test_large_fans_match_the_closed_form(self, d):
         # Every blow-up makes the surface nonorientable: a connect sum of
         # d - 2 projective planes, so b = (1, d - 3, 0) with torsion (2).

@@ -259,6 +259,49 @@ def test_property_unit_heavy_against_elementary_oracle(a):
     assert snf.rank == rank_over_rationals(a)
 
 
+def revisit_matrices():
+    """Matrices whose first row has no unit until the second row's pivot.
+
+    Row 0 is ``[c, c*y + s, ...]`` and row 1 is ``[1, y, ...]`` with
+    ``|c|, |y|`` in {2, 3} and ``s = +-1``, and no other unit in either row.
+    Row 0 is looked at first and has no unit; eliminating the unit of
+    row 1 turns its second entry into ``s``, a unit in a row already
+    visited. Further columns and rows are random and small.
+    """
+
+    @st.composite
+    def build(draw):
+        non_units = st.sampled_from([0, 2, -2, 3, -3])
+        c = draw(st.sampled_from([2, -2, 3, -3]))
+        y = draw(st.sampled_from([2, -2, 3, -3]))
+        s = draw(st.sampled_from([1, -1]))
+        extra = draw(st.integers(0, 3))
+        top = [c, c * y + s] + [draw(non_units) for _ in range(extra)]
+        second = [1, y] + [draw(non_units) for _ in range(extra)]
+        more = draw(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=2 + extra, max_size=2 + extra),
+                max_size=3,
+            )
+        )
+        return [top, second] + more
+
+    return build()
+
+
+@given(a=revisit_matrices())
+@example(a=[[2, 5], [1, 2]])
+@settings(max_examples=200, deadline=None)
+def test_property_unit_created_in_a_visited_row(a):
+    # The first two rows alone are unimodular on their first two columns,
+    # so both units go, the second only if row 0 is looked at again.
+    assert intmat._eliminate_units([row[:] for row in a[:2]], len(a[0])) == (2, [])
+    snf = smith_normal_form(a)
+    assert_smith_invariants(a, snf)
+    assert snf.diag == oracle_elementary_factors(a)
+    assert snf.rank == rank_over_rationals(a)
+
+
 def fan_with_rays(seed, d):
     """``random_fan(seed, n)`` with ``n`` chosen so that it has ``d`` rays."""
     return random_fan(seed, d - random_fan(seed, 0).d)
@@ -279,6 +322,24 @@ def test_vertex_edge_boundary_takes_linear_steps(monkeypatch):
     c = build_real_complex(fan_with_rays(8503, d))
     assert smith_normal_form(c.boundary_matrix_1()).diag == (1,) * (d - 1)
     assert sum(calls.values()) <= 4 * d
+
+
+def test_boundaries_leave_little_for_the_dense_phase(monkeypatch):
+    # Unit elimination removes all of the vertex-edge boundary and leaves
+    # at most the four face columns of the edge-face boundary.
+    seen = []
+
+    def recorded(d, dense=intmat._dense_diag):
+        seen.append([list(row) for row in d])
+        return dense(d)
+
+    monkeypatch.setattr(intmat, "_dense_diag", recorded)
+    d = 192
+    c = build_real_complex(fan_with_rays(8503, d))
+    assert smith_normal_form(c.boundary_matrix_1()).diag == (1,) * (d - 1)
+    assert seen == [[]]
+    assert smith_normal_form(c.boundary_matrix_2()).diag == (1, 1, 1, 2)
+    assert len(seen) == 2 and all(len(row) <= 4 for row in seen[1])
 
 
 def sympy_factors(a):
