@@ -96,10 +96,6 @@ class Fan:
         """Number of rays."""
         return len(self.rays)
 
-    def ray(self, i: int) -> Vec:
-        """Ray generator at cyclic index ``i``."""
-        return self.rays[i % len(self.rays)]
-
 
 def normalize_fan(raw_rays: Iterable[Sequence[int]]) -> Fan:
     """Validate a set of ray generators and put them in canonical order.

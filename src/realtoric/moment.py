@@ -2,28 +2,34 @@
 
 Sign profiles and the weighted-average moment map
 
-    mu(x) = sum_u |x^u| * u / sum_u |x^u|,   u over lattice points of P,
+    mu_A(x) = sum_u |x^u| * u / sum_u |x^u|,   u over a finite set A,
 
-evaluated stably by shifting log-weights before exponentiating. Sample
-points on the four sign components come from the package's seeded
-generator, so every run is reproducible. Log-coordinates lie in
-``[-3, 3]``; the injectivity grid's smallest separation comes from a
-closest-pair sweep in pure Python. The numerics here back up the exact
-combinatorics; nothing downstream consumes these floats.
+evaluated stably by shifting log-weights before exponentiating. The
+checks take A to be the polygon's vertices: by Birch's theorem, mu_A is a
+homeomorphism from the positive orthant onto the interior of P for every
+finite A with conv(A) = P (Sottile, "Toric ideals, real toric varieties,
+and the moment map", 2003; Fulton, Introduction to Toric Varieties, 4.2),
+so the d vertices serve as well as the lattice points, of which there can
+be many more. Sample points on the four sign components come from the
+package's seeded generator, so every run is reproducible; their
+log-coordinates lie in ``[-3, 3]``. The injectivity grid takes
+log-coordinates in ``[-3/W, 3/W]``, where ``W`` is the polygon's larger
+side of its bounding box (at least 1), so that no vertex weight falls
+below ``exp(-6)`` of the largest and the images stay apart however wide
+the polygon is. Its smallest separation comes from a closest-pair sweep
+in pure Python. The numerics here back up the exact combinatorics;
+nothing downstream consumes these floats.
 
 No monomial ``x^u`` is formed as a float: its sign is exactly
-``evaluate(sign_profile(x), u)``, which reads ``u`` only mod 2. The grid
-takes each lattice coordinate times each log-coordinate once, not once
-per cell (``int * float`` converts the int and then multiplies), and
-every sum is one ``math.fsum``, so its images equal ``moment_map``'s.
+``evaluate(sign_profile(x), u)``, which reads ``u`` only mod 2, and it is
+checked on every lattice point of the polygon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul, sub
+from operator import mul
 from typing import Sequence
 
 from .errors import DegenerateWeights
@@ -49,10 +55,11 @@ __all__ = [
 
 TorusPoint = tuple[float, float]
 
-# Half-width of the log-coordinate window for samples and the grid.
+# Half-width of the log-coordinate window for samples; the grid divides it
+# by the polygon's width.
 _RADIUS = 3.0
-# 32 evenly spaced log-coordinates for the injectivity grid. The last is
-# set, not computed, so it is exactly _RADIUS.
+# 32 evenly spaced log-coordinates for the injectivity grid, before that
+# division. The last is set, not computed, so it is exactly _RADIUS.
 _GRID = [-_RADIUS + i * (2.0 * _RADIUS / 31) for i in range(31)] + [_RADIUS]
 
 
@@ -71,26 +78,16 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
     through their absolute values, bit for bit.
     """
     if not points:
-        raise DegenerateWeights("no lattice points to average")
+        raise DegenerateWeights("no points to average")
     if x[0] == 0.0 or x[1] == 0.0:
         raise ValueError("torus points have nonzero coordinates")
     lx = math.log(abs(x[0]))
     ly = math.log(abs(x[1]))
     xs = [u[0] for u in points]
     ys = [u[1] for u in points]
-    return _weighted_mean([a * lx for a in xs], [b * ly for b in ys], xs, ys)
-
-
-def _weighted_mean(
-    px: Sequence[float], py: Sequence[float], xs: Sequence[int], ys: Sequence[int]
-) -> tuple[float, float]:
-    """Moment image of the points ``(xs[k], ys[k])`` with log-weights
-    ``px[k] + py[k]``, the two terms of ``<u, log|x|>``, which callers
-    compute so that the grid can share them between cells.
-    """
-    logs = list(map(add, px, py))
+    logs = [a * lx + b * ly for a, b in points]
     top = max(logs)
-    weights = list(map(math.exp, map(sub, logs, repeat(top))))
+    weights = [math.exp(v - top) for v in logs]
     total = math.fsum(weights)
     if total == 0.0 or not math.isfinite(total):
         raise DegenerateWeights("weights degenerated to zero or infinity")
@@ -163,18 +160,43 @@ def _min_separation(points: Sequence[tuple[float, float]]) -> float:
     return math.sqrt(best)
 
 
-def _grid_images(xs: Sequence[int], ys: Sequence[int]) -> list[tuple[float, float]]:
-    """``moment_map((exp(a), exp(b)), points)`` for ``a``, then ``b``, in
-    ``_GRID``, with each coordinate times each log-coordinate taken once.
+def _axis_table(
+    coords: Sequence[int], width: int
+) -> list[tuple[list[float], list[float]]]:
+    """Per log-coordinate ``g`` of ``_GRID``: the factors
+    ``exp(c * g/width - max)`` over ``coords``, and those times ``coords``.
     """
-    # moment_map takes log|exp(g)|, which need not equal g; keep that
-    # value so the images stay bit-identical.
-    log_grid = [math.log(abs(math.exp(g))) for g in _GRID]
-    py = [[b * lg for b in ys] for lg in log_grid]
+    rows = []
+    for g in _GRID:
+        logs = [c * (g / width) for c in coords]
+        top = max(logs)
+        weights = [math.exp(v - top) for v in logs]
+        rows.append((weights, list(map(mul, weights, coords))))
+    return rows
+
+
+def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
+    """Moment images over ``vertices`` of ``(exp(a/W), exp(b/W))`` for
+    ``a``, then ``b``, in ``_GRID``, where ``W`` is the larger side of the
+    vertices' bounding box, at least 1.
+
+    A vertex's weight is the product of one x-table and one y-table entry.
+    Each factor lies in ``[exp(-3), 1]``, as ``|c * g/W - max| <= 3``, so
+    no weight underflows or dominates however wide the polygon is, and
+    plain sums of the d products agree with ``moment_map``'s per-point
+    form to rounding.
+    """
+    xs = [v[0] for v in vertices]
+    ys = [v[1] for v in vertices]
+    width = max(max(xs) - min(xs), max(ys) - min(ys), 1)
+    columns = _axis_table(ys, width)
     images = []
-    for lg in log_grid:
-        px = [a * lg for a in xs]
-        images.extend(_weighted_mean(px, q, xs, ys) for q in py)
+    for wx, ux in _axis_table(xs, width):
+        for wy, uy in columns:
+            total = sum(map(mul, wx, wy))
+            mx = sum(map(mul, ux, wy))
+            my = sum(map(mul, wx, uy))
+            images.append((mx / total, my / total))
     return images
 
 
@@ -186,25 +208,30 @@ def run_moment_checks(
 ) -> MomentCheckReport:
     """Numeric suite: signs, containment, sign-flip invariance, injectivity.
 
-    For each of the four sign components, ``samples`` seeded points are
-    checked for (a) exact agreement of ``sign(x^u)``, read off the parity
-    of ``u``, with the component's sign vector on every polygon lattice
-    point, (b) the moment image lying inside the polygon up to float
-    slack, and (c) bit-exact equality of the moment image across all four
-    sign flips of the same magnitudes.
+    The moment map here is ``mu_A`` with ``A`` the polygon's vertices,
+    which Birch's theorem makes a homeomorphism onto the interior of the
+    polygon (see the module docstring). For each of the four sign
+    components, ``samples`` seeded points with log-coordinates in
+    ``[-3, 3]`` are checked for (a) exact agreement of ``sign(x^u)``, read
+    off the parity of ``u``, with the component's sign vector on every
+    polygon lattice point, (b) the moment image lying inside the polygon
+    up to float slack, and (c) bit-exact equality of the moment image
+    across all four sign flips of the same magnitudes.
     Separately, a fixed 32 x 32 grid of evenly spaced log-coordinates in
-    ``[-3, 3]`` on the positive component measures the smallest distance
-    between the moment images of two distinct grid points, found by a
-    closest-pair sweep. Raises ValueError when ``samples`` is less than 1.
+    ``[-3/W, 3/W]`` on the positive component, ``W`` the larger side of
+    the polygon's bounding box and at least 1, measures the smallest
+    distance between the moment images of two distinct grid points, found
+    by a closest-pair sweep. Raises ValueError when ``samples`` is less
+    than 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if divisor is None:
         divisor = find_ample(fan)
     polygon = polygon_from_divisor(fan, divisor)
-    points = lattice_points(polygon)
+    vertices = polygon.vertices
     # sign(x^u) = evaluate(sign_profile(x), u) depends on u only mod 2.
-    parities = {(u[0] & 1, u[1] & 1) for u in points}
+    parities = {(u[0] & 1, u[1] & 1) for u in lattice_points(polygon)}
 
     signs_exact = True
     worst_violation = 0.0
@@ -214,15 +241,13 @@ def run_moment_checks(
             profile = sign_profile(x)
             if any(evaluate(profile, c) != evaluate(eps, c) for c in parities):
                 signs_exact = False
-            mu = moment_map(x, points)
+            mu = moment_map(x, vertices)
             worst_violation = max(worst_violation, _max_violation(polygon, mu))
             magnitudes = (abs(x[0]), abs(x[1]))
-            if moment_map(magnitudes, points) != mu:
+            if moment_map(magnitudes, vertices) != mu:
                 translation_exact = False
 
-    xs = [u[0] for u in points]
-    ys = [u[1] for u in points]
-    min_sep = _min_separation(_grid_images(xs, ys))
+    min_sep = _min_separation(_grid_images(vertices))
 
     return MomentCheckReport(
         fan=fan,

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -709,15 +710,20 @@ def test_every_exported_name_resolves():
     assert (result.returncode, result.stderr) == (0, "")
 
 
+def _load_bench_module(name, monkeypatch):
+    # The file is only read: no bytecode is written next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_benchmark_trace_target_resolves(monkeypatch):
     # bench/run.py --trace 1 wraps each "<module>.<function>" named in
-    # bench/spans.py TARGETS, and fails on a name that is gone. The file is
-    # only read: no bytecode is written next to it.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    # bench/spans.py TARGETS, and fails on a name that is gone.
+    spans = _load_bench_module("spans", monkeypatch)
     assert spans.TARGETS
     missing = []
     for qualname in spans.TARGETS:
@@ -726,6 +732,16 @@ def test_every_benchmark_trace_target_resolves(monkeypatch):
         if not callable(target):
             missing.append(qualname)
     assert missing == []
+
+
+def test_polygon_benchmark_accepts_one_block(monkeypatch, tmp_path):
+    # bench/workloads.py Polygon.check reads the moment report's fields and
+    # holds the separation above MOMENT_TOLERANCE; an operation it rejects
+    # makes bench/run.py exit 1.
+    workloads = _load_bench_module("workloads", monkeypatch)
+    polygon = workloads.Polygon(realtoric, 1, tmp_path)
+    for _, fan in itertools.islice(polygon.stream(), polygon.block):
+        polygon.check(fan, polygon.op(fan))
 
 
 # The fan each README example runs on; README calls every fan file fan.json.

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from realtoric import (
     DegenerateWeights,
     SignHom,
     ToricDivisor,
+    corpus_fans,
     corpus_tasks,
     evaluate,
     find_ample,
@@ -186,8 +188,10 @@ def _old_ample(key):
     return ToricDivisor(OLD_AMPLE[key])
 
 
-# min_mu_separation for samples=1, recorded from the numpy all-pairs
-# implementation this sweep replaced, on the divisors of OLD_AMPLE.
+# min_mu_separation for samples=1 on the divisors of OLD_AMPLE, as the
+# grid gave it when it weighted every lattice point on a log window of
+# [-3, 3] (recorded from a numpy all-pairs sweep). Weighting the vertices
+# on [-3/W, 3/W] must separate the images at least as well.
 GOLDEN_SEPARATIONS = [
     ("P2", "0.000752465133860777"),
     ("F0", "0.011616959921737613"),
@@ -204,6 +208,23 @@ GOLDEN_SEPARATIONS = [
 ]
 
 
+# min_mu_separation of the vertex grid, for the same fans and divisors.
+VERTEX_SEPARATIONS = {
+    "P2": "0.0020782728500010144",
+    "F0": "0.01910132755231564",
+    "F1": "0.010158815370130948",
+    "F2": "0.01977474890273436",
+    "F3": "0.015387876987697183",
+    "F4": "0.012495849834314423",
+    "corpus0": "0.12077471315653238",
+    "corpus1": "0.021267807270495594",
+    "corpus2": "0.0020782728500010144",
+    "corpus3": "0.015387876987697183",
+    "corpus4": "0.03776949593682835",
+    "corpus5": "0.05438017218216057",
+}
+
+
 def _golden_fan(name):
     if name == "P2":
         return P2
@@ -213,11 +234,12 @@ def _golden_fan(name):
     return random_fan(seed, n)
 
 
-@pytest.mark.parametrize("name, expected", GOLDEN_SEPARATIONS)
-def test_min_separation_golden(name, expected):
+@pytest.mark.parametrize("name, lattice_separation", GOLDEN_SEPARATIONS)
+def test_min_separation_golden(name, lattice_separation):
     key = name.replace("corpus", "4242:")
     report = run_moment_checks(_golden_fan(name), _old_ample(key), samples=1)
-    assert repr(report.min_mu_separation) == expected
+    assert repr(report.min_mu_separation) == VERTEX_SEPARATIONS[name]
+    assert report.min_mu_separation >= float(lattice_separation)
 
 
 def _brute_force_separation(points):
@@ -256,9 +278,11 @@ def test_min_separation_edge_cases():
 
 
 # (name, max_inequality_violation, min_mu_separation, translation_exact,
-# signs_exact) at samples=16 on the divisors of OLD_AMPLE, recorded before
-# the grid and the sign check shared their per-axis products and powers;
-# corpus fans come from corpus_tasks(5151, 12, 3).
+# signs_exact) at samples=16 on the divisors of OLD_AMPLE, as the checks
+# gave them when they weighted every lattice point (the grid on a log
+# window of [-3, 3]); corpus fans come from corpus_tasks(5151, 12, 3).
+# Weighting the vertices must separate the grid images at least as well
+# and keep the containment slack at the rounding level of these values.
 GOLDEN_REPORTS = [
     ("P2", 0.0, 0.000752465133860777, True, True),
     ("F0", 0.0, 0.011616959921737613, True, True),
@@ -281,28 +305,52 @@ GOLDEN_REPORTS = [
 ]
 
 
+# (max_inequality_violation, min_mu_separation) with vertex weights, for
+# the fans and divisors of GOLDEN_REPORTS.
+VERTEX_REPORTS = {
+    "P2": (0.0, 0.0020782728500010144),
+    "F0": (0.0, 0.01910132755231564),
+    "F1": (0.0, 0.010158815370130948),
+    "F2": (0.0, 0.01977474890273436),
+    "F3": (0.0, 0.015387876987697183),
+    "F4": (0.0, 0.012495849834314423),
+    "corpus0": (0.0, 0.010158815370130948),
+    "corpus1": (3.552713678800501e-15, 0.03866544728217034),
+    "corpus2": (0.0, 0.01977474890273436),
+    "corpus3": (0.0, 0.02676458242339701),
+    "corpus4": (1.7763568394002505e-15, 0.026630714546031043),
+    "corpus5": (0.0, 0.014200457789926372),
+    "corpus6": (0.0, 0.0020782728500010144),
+    "corpus7": (0.0, 0.01977474890273436),
+    "corpus8": (1.4210854715202004e-14, 0.11029185363989175),
+    "corpus9": (0.0, 0.10814690596938509),
+    "corpus10": (1.7763568394002505e-15, 0.026588938966690817),
+    "corpus11": (0.0, 0.0020782728500010144),
+}
+
+
 # The same fields for the default divisor, the one find_ample builds from
 # edge lengths; its coefficients come first.
 GOLDEN_DEFAULT_REPORTS = [
     ("P2", (0, 0, 1), 0.0, 0.0006927576166670079, True, True),
     ("F0", (0, 0, 1, 1), 0.0, 0.009550663776157764, True, True),
-    ("F1", (0, 0, 1, 1), 0.0, 0.0007410487778238069, True, True),
-    ("F2", (0, 0, 1, 1), 0.0, 5.8651234800837666e-05, True, True),
-    ("F3", (0, 0, 1, 1), 0.0, 4.132668744460683e-06, True, True),
-    ("F4", (0, 0, 1, 1), 0.0, 2.683593329555298e-07, True, True),
-    ("corpus0", (0, 0, 1, 1), 0.0, 0.0007410487778238069, True, True),
-    ("corpus1", (0, 0, 1, 3, 3, 4, 2), 0.0, 0.011286804090298596, True, True),
-    ("corpus2", (0, 0, 1, 1), 0.0, 5.8651234800837666e-05, True, True),
-    ("corpus3", (0, 0, 1, 2, 4, 3), 0.0, 0.00965429246054337, True, True),
-    ("corpus4", (0, 0, 1, 2, 2), 0.0, 4.149126621564712e-06, True, True),
-    ("corpus5", (0, 0, 1, 2, 2), 0.0, 0.009654014591647105, True, True),
+    ("F1", (0, 0, 1, 1), 0.0, 0.007736583307018529, True, True),
+    ("F2", (0, 0, 1, 1), 0.0, 0.008923532181183406, True, True),
+    ("F3", (0, 0, 1, 1), 0.0, 0.009175880610333722, True, True),
+    ("F4", (0, 0, 1, 1), 0.0, 0.007698931758330154, True, True),
+    ("corpus0", (0, 0, 1, 1), 0.0, 0.007736583307018529, True, True),
+    ("corpus1", (0, 0, 1, 3, 3, 4, 2), 0.0, 0.02383725958797615, True, True),
+    ("corpus2", (0, 0, 1, 1), 0.0, 0.008923532181183406, True, True),
+    ("corpus3", (0, 0, 1, 2, 4, 3), 0.0, 0.022524901665798337, True, True),
+    ("corpus4", (0, 0, 1, 2, 2), 0.0, 0.016896217497937578, True, True),
+    ("corpus5", (0, 0, 1, 2, 2), 0.0, 0.013257013295810928, True, True),
     ("corpus6", (0, 0, 1), 0.0, 0.0006927576166670079, True, True),
-    ("corpus7", (0, 0, 1, 1), 0.0, 5.8651234800837666e-05, True, True),
-    ("corpus8", (0, 0, 1, 2, 4, 3, 1), 0.0, 2.693411425727896e-07, True, True),
-    ("corpus9", (0, 0, 1, 4, 6, 3, 1), 0.0, 2.6934147808150904e-07, True, True),
-    ("corpus10", (0, 0, 1, 2, 2, 1), 0.0, 0.009674767903759653, True, True),
+    ("corpus7", (0, 0, 1, 1), 0.0, 0.008923532181183406, True, True),
+    ("corpus8", (0, 0, 1, 2, 4, 3, 1), 0.0, 0.01807841414002407, True, True),
+    ("corpus9", (0, 0, 1, 4, 6, 3, 1), 0.0, 0.01599012882656478, True, True),
+    ("corpus10", (0, 0, 1, 2, 2, 1), 0.0, 0.016610559153679726, True, True),
     ("corpus11", (0, 0, 1), 0.0, 0.0006927576166670079, True, True),
-    ("ten-ray", (0, 0, 1, 3, 6, 4, 11, 8, 6, 1), 0.0, 0.009654295874915186, True, True),
+    ("ten-ray", (0, 0, 1, 3, 6, 4, 11, 8, 6, 1), 0.0, 0.02713599476946604, True, True),
 ]
 
 
@@ -330,7 +378,9 @@ def _assert_report(report, violation, separation, translation, signs):
 def _assert_golden_report(name, violation, separation, translation, signs):
     key = name.replace("corpus", "5151:")
     report = run_moment_checks(_report_fan(name), _old_ample(key), samples=16)
-    _assert_report(report, violation, separation, translation, signs)
+    _assert_report(report, *VERTEX_REPORTS[name], translation, signs)
+    assert report.min_mu_separation >= separation
+    assert report.max_inequality_violation <= violation + 1e-13
 
 
 @pytest.mark.parametrize(
@@ -354,12 +404,30 @@ def test_default_report_golden(name, coeffs, violation, separation, translation,
 @pytest.mark.parametrize("a", [300, 400])
 def test_hirzebruch_fans_with_long_edges(a):
     # A float monomial x^u leaves the float range here (x^263 on F_300), so
-    # the signs must come from exponent parity. The grid separation is not
-    # asserted: its float weights saturate, and it is 0.0 from F_11 upwards.
+    # the signs must come from exponent parity.
     report = run_moment_checks(hirzebruch_fan(a), samples=1)
     assert report.divisor.coeffs == (0, 0, 1, 1)
     assert report.signs_exact and report.translation_exact
     assert report.max_inequality_violation == 0.0
+    assert report.min_mu_separation > 1e-9
+
+
+def test_grid_separates_every_hirzebruch_fan():
+    # On a log window of [-3, 3] the grid weights saturated once the
+    # polygon was about 12 wide, and the separation was 0.0 from F_11 up.
+    for a in range(401):
+        report = run_moment_checks(hirzebruch_fan(a), samples=1)
+        assert report.min_mu_separation > 1e-9, a
+
+
+def test_acceptance_corpus_runs_in_seconds():
+    fans = corpus_fans(20260817, 200, 16)
+    start = time.perf_counter()
+    for fan in fans:
+        report = run_moment_checks(fan, samples=16)
+        assert report.max_inequality_violation <= 1e-9
+        assert report.min_mu_separation > 1e-9
+    assert time.perf_counter() - start < 5.0
 
 
 def _reference_moment_map(x, points):
@@ -392,13 +460,22 @@ def test_moment_map_matches_per_point_reference(seed):
 
 @pytest.mark.parametrize("name", ["P2", "F3", "corpus1"])
 def test_grid_images_match_moment_map(name):
+    # The grid sums plain products of per-axis factors, so it agrees with
+    # the per-point fsum form to rounding, not bit for bit. The error is
+    # taken relative to the polygon's width: an image coordinate near 0
+    # is a sum that cancels.
     fan = _golden_fan(name)
-    points = lattice_points(polygon_from_divisor(fan, find_ample(fan)))
-    expected = [
-        moment_map((math.exp(a), math.exp(b)), points) for a in _GRID for b in _GRID
-    ]
-    images = _grid_images([u[0] for u in points], [u[1] for u in points])
-    assert repr(images) == repr(expected)
+    vertices = polygon_from_divisor(fan, find_ample(fan)).vertices
+    width = max(
+        max(v[k] for v in vertices) - min(v[k] for v in vertices) for k in (0, 1)
+    )
+    grid = [math.exp(g / max(width, 1)) for g in _GRID]
+    expected = [_reference_moment_map((a, b), vertices) for a in grid for b in grid]
+    images = _grid_images(vertices)
+    assert len(images) == len(expected) == 1024
+    for got, want in zip(images, expected):
+        for c in (0, 1):
+            assert abs(got[c] - want[c]) <= 1e-12 * width
 
 
 def test_moment_check_runs_on_the_standard_library_alone(tmp_path):
