@@ -42,7 +42,6 @@ __all__ = [
     "SignHom",
     "ALL_SIGN_HOMS",
     "evaluate",
-    "torus_point",
     "GluingRule",
     "CellComplex",
     "NeighborhoodType",
@@ -88,11 +87,6 @@ def evaluate(eps: SignHom, u: Vec) -> int:
     if u[1] % 2:
         out *= eps.s2
     return out
-
-
-def torus_point(eps: SignHom) -> tuple[float, float]:
-    """The distinguished real torus point ``(s1, s2)`` as floats."""
-    return (float(eps.s1), float(eps.s2))
 
 
 class GluingRule(enum.Enum):

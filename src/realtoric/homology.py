@@ -1,8 +1,12 @@
 """Integral homology of the glued complex, and surface classification.
 
-Everything is exact: ranks and torsion come from the invariant factors
-of the integer boundary matrices, and closed-surface recognition goes
-through the standard homology profiles
+Everything is exact. The 1-skeleton is a graph, so the vertex-edge
+boundary ∂1 is its incidence matrix: its rank is the number of vertices
+minus the number of connected components, read off a union-find over the
+edges, and it adds no torsion (an incidence matrix is totally unimodular,
+so every invariant factor is 1 and H0 is free). Only the edge-face
+boundary ∂2 gets a Smith form, for its rank and the torsion of H1.
+Closed-surface recognition goes through the standard homology profiles
 
     orientable genus g:      Z, Z^(2g), Z
     nonorientable genus k:   Z, Z^(k-1) + Z/2, 0
@@ -50,20 +54,48 @@ class HomologyProfile:
         return self.b0 - self.b1 + self.b2
 
 
+def _spanning_forest_size(
+    num_vertices: int, edges: tuple[tuple[int, int], ...]
+) -> int:
+    # rank ∂1: the edges that join two components, by union-find with
+    # path halving. A loop edge or a second edge between the same two
+    # components merges nothing.
+    parent = list(range(num_vertices))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    merges = 0
+    for tail, head in edges:
+        a, b = root(tail), root(head)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
+
+
 def homology(c: CellComplex) -> HomologyProfile:
     """Exact integral homology of a 2-dimensional cell complex.
 
     Validates that the boundary of every face is zero, straight from the
     face words (``CellComplex.check_chain_complex``, linear in their total
     length; no matrix product is formed), and that every index names a
-    cell; raises InvalidComplex otherwise. The ranks and torsion come
-    from the Smith forms of the two boundary matrices.
+    cell; raises InvalidComplex otherwise.
+
+    rank ∂1 is the size of a spanning forest of the 1-skeleton, so
+    ``b0`` is its number of components; H0 is free because ∂1, a graph's
+    incidence matrix, has every invariant factor 1. No ∂1 matrix is
+    built. The rank of ∂2 and the torsion of H1 come from one Smith form,
+    taken on the faces-by-edges transpose of ∂2, which has the same
+    invariant factors.
     """
     c.check_chain_complex()
-    s1 = smith_normal_form(c.boundary_matrix_1())
-    s2 = smith_normal_form(c.boundary_matrix_2())
-    b0 = c.num_vertices - s1.rank
-    b1 = len(c.edges) - s1.rank - s2.rank
+    r1 = _spanning_forest_size(c.num_vertices, c.edges)
+    s2 = smith_normal_form(tuple(zip(*c.boundary_matrix_2())))
+    b0 = c.num_vertices - r1
+    b1 = len(c.edges) - r1 - s2.rank
     b2 = len(c.faces) - s2.rank
     if b0 < 0 or b1 < 0 or b2 < 0:
         raise InvalidComplex("boundary ranks exceed the chain group ranks")

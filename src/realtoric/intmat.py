@@ -10,28 +10,15 @@ The Smith normal form routine returns only the invariant factors, which
 is all that homology reads. Every step it takes is unimodular, so the
 factors are those of the input: a row operation is either a swap, adding
 a multiple of one row to another, or a 2x2 block built from an extended
-gcd (determinant +1), and likewise for columns.
-
-The Smith form runs in two phases. Boundary matrices are almost all
-0 and +-1, so the first phase works on sparse rows and removes unit
-pivots one at a time (unit elimination in the sense of Dumas, Saunders
-and Villard, J. Symbolic Comput. 2001; it is the algebraic form of the
-elementary collapses of Kaczynski, Mischaikow and Mrozek, *Computational
-Homology*, 2004). A unit pivot splits the matrix unimodularly into
-1 (+) its Schur complement, and 1 divides every factor, so each removal
-contributes one factor 1 and leaves the others unchanged. The second
-phase is a dense scheme that runs on whatever nonzero rows and columns
-are left: its pivot search stops at the first unit, only rows and
-columns with a nonzero entry in the pivot column or row are combined,
-and the divisibility patch is skipped behind a unit pivot. On the d x 2d
-vertex-edge boundary of a real toric surface the first phase leaves
-nothing, and on the 2d x 4 edge-face boundary at most 4 columns.
+gcd (determinant +1), and likewise for columns. It is one dense scheme:
+its pivot search stops at the first unit, only rows and columns with a
+nonzero entry in the pivot column or row are combined, and the
+divisibility patch is skipped behind a unit pivot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import index
 from typing import Sequence
 
@@ -150,61 +137,6 @@ def _find_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
     return pivot
 
 
-def _eliminate_units(d: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
-    # Remove unit pivots from the m x n matrix d, one at a time, on sparse
-    # rows. Return how many were removed and the dense matrix of the rows
-    # and columns still holding a nonzero entry, in their original order.
-    #
-    # compress finds the nonzero columns in C; a list, not a range, spares
-    # it making an int for every zero it skips.
-    columns = list(range(n))
-    rows = [{j: r[j] for j in compress(columns, r)} for r in d]
-    cols: list[set[int]] = [set() for _ in range(n)]
-    for i, r in enumerate(rows):
-        for j in r:
-            cols[j].add(i)
-    units = 0
-    todo = list(reversed(range(len(rows))))  # popped in row order
-    while todo:
-        i = todo.pop()
-        r = rows[i]
-        # The sparsest unit column keeps the fill O(1) on the vertex-edge
-        # boundary, whose columns hold two entries each.
-        j = -1
-        for k, x in r.items():
-            if (x == 1 or x == -1) and (j < 0 or len(cols[k]) < len(cols[j])):
-                j = k
-        if j < 0:
-            continue
-        p = r.pop(j)
-        rows[i] = {}
-        units += 1
-        for k in r:
-            cols[k].discard(i)
-        col = cols[j]
-        cols[j] = set()
-        col.discard(i)
-        # Clear column j below and above the pivot; p is its own inverse.
-        # Column j then holds only the pivot, so column steps would clear
-        # the rest of row i without touching another row: both are dropped.
-        for o in col:
-            ro = rows[o]
-            f = ro.pop(j) * p
-            for k, x in r.items():
-                y = ro.get(k, 0) - f * x
-                if y:
-                    if k not in ro:
-                        cols[k].add(o)
-                    ro[k] = y
-                elif k in ro:
-                    del ro[k]
-                    cols[k].discard(o)
-            todo.append(o)
-    keep = [j for j in range(n) if cols[j]]
-    rest = [[r.get(j, 0) for j in keep] for r in rows if r]
-    return units, rest
-
-
 def _dense_diag(d: list[list[int]]) -> tuple[int, ...]:
     # The nonzero invariant factors of d by the dense scheme, in place.
     m = len(d)
@@ -254,42 +186,20 @@ def _dense_diag(d: list[list[int]]) -> tuple[int, ...]:
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     """Smith normal form, diagonal only.
 
-    Two phases. The first converts the rows to sparse dicts and removes
-    unit pivots one at a time: for an entry p = +-1 at (i, j), every other
-    row o with an entry in column j becomes row_o - (row_o[j] * p) * row_i,
-    then row i and column j are dropped and the factor 1 is counted. Among
-    a row's units it takes the column with the fewest entries, and a row
-    that an elimination changed is looked at again.
+    Pivoting picks the entry of smallest absolute value in the remaining
+    submatrix (the first one in row-major order, stopping at a unit),
+    clears its row and column with gcd steps, combining only rows and
+    columns with a nonzero entry in the pivot column or row, then patches
+    any divisibility failure (adding the offending row to the pivot row;
+    skipped behind a unit pivot) and repeats. Handles empty and all-zero
+    matrices; a ragged matrix or a non-integer entry is a ValueError.
 
-    The factors cannot change: each step is unimodular and splits the
-    matrix into 1 (+) its Schur complement, and 1 divides everything, so
-    the factors are one 1 per removed pivot followed by those of what is
-    left.
-
-    The second phase runs the dense scheme on the rows and columns that
-    still hold a nonzero entry. Pivoting picks the entry of smallest
-    absolute value in the remaining submatrix (the first one in row-major
-    order, stopping at a unit), clears its row and column with gcd steps,
-    combining only rows and columns with a nonzero entry in the pivot
-    column or row, then patches any divisibility failure (adding the
-    offending row to the pivot row; skipped behind a unit pivot) and
-    repeats. Handles empty and all-zero matrices; a non-integer entry is
-    a ValueError.
-
-    The vertex-edge boundary of a real toric surface with d rays is d x 2d
-    with one +1 and one -1 per column: the first phase removes d - 1 units
-    with O(1) fill each and leaves nothing for the second. Apart from the
-    O(d^2) reading of the dense input, which runs in C, the form costs
-    O(d).
+    The transposed edge-face boundary of a real toric surface with d rays
+    is 4 x 2d with entries 0 and +-1: it has at most four pivots, and a
+    unit pivot costs O(d).
     """
     d = _int_rows(a)
     n = len(d[0]) if d else 0
     if any(len(row) != n for row in d):
         raise ValueError("ragged matrix")
-    units, rest = _eliminate_units(d, n)
-    return SmithForm(diag=(1,) * units + _dense_diag(rest))
-
-
-def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The nonzero diagonal of the Smith normal form."""
-    return smith_normal_form(a).diag
+    return SmithForm(diag=_dense_diag(d))

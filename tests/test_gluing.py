@@ -1,7 +1,5 @@
 """Sign vectors, the glued complex, and the two identification rules."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +23,9 @@ from realtoric import (
     polygon_from_divisor,
     projective_plane_fan,
     random_fan,
-    torus_point,
     translate_divisor,
     tubular_neighborhood,
 )
-from realtoric.moment import sign_profile
 
 P2 = projective_plane_fan()
 
@@ -74,18 +70,6 @@ class TestSignHom:
         eps = SignHom(-1, -1)
         for a in range(6):
             assert evaluate(eps, (a, 1)) == (-1) ** (a + 1)
-
-    def test_torus_point_signs(self):
-        for eps in ALL_SIGN_HOMS:
-            assert sign_profile(torus_point(eps)) == eps
-
-    def test_torus_point_characters(self):
-        for eps in ALL_SIGN_HOMS:
-            t = torus_point(eps)
-            for u in [(1, 0), (0, 1), (3, -2), (-1, -1), (2, 2)]:
-                sign = evaluate(sign_profile(t), u)
-                assert sign == math.copysign(1.0, t[0] ** u[0] * t[1] ** u[1])
-                assert sign == evaluate(eps, u)
 
 
 @given(

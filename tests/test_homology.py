@@ -21,11 +21,13 @@ from realtoric import (
     hirzebruch_fan,
     homology,
     mat_mul,
+    normalize_fan,
     orientable_fast,
     predict_theorem,
     projective_plane_fan,
     random_fan,
     report_to_json,
+    smith_normal_form,
     verify,
 )
 
@@ -83,8 +85,6 @@ class TestProfiles:
             homology(broken)
 
     def test_smith_rank_matches_rational_rank(self):
-        from realtoric import smith_normal_form
-
         for seed in range(5):
             c = build_real_complex(random_fan(seed, 5))
             for boundary in [c.boundary_matrix_1(), c.boundary_matrix_2()]:
@@ -139,14 +139,24 @@ def small_complexes(draw):
 @example(c=CellComplex(2, ((0, 1), (1, 0)), ((1, 2), (1, -2))))
 # Each face has a nonzero boundary, but the two boundaries cancel.
 @example(c=CellComplex(2, ((0, 1),), ((1,), (-1,))))
+# Two components, {0, 1} and {2}, and a loop at 2 that bounds the face.
+@example(c=CellComplex(3, ((0, 1), (2, 2)), ((2,),)))
 @settings(max_examples=300, deadline=None)
 def test_boundary_check_agrees_with_the_matrix_product(c):
-    product = mat_mul(c.boundary_matrix_1(), c.boundary_matrix_2())
+    d1, d2 = c.boundary_matrix_1(), c.boundary_matrix_2()
+    product = mat_mul(d1, d2)
     if any(x for row in product for x in row):
         with pytest.raises(InvalidComplex, match="boundary of a boundary"):
             homology(c)
     else:
-        homology(c)
+        s1, s2 = smith_normal_form(d1), smith_normal_form(d2)
+        assert set(s1.diag) <= {1}
+        assert homology(c) == HomologyProfile(
+            c.num_vertices - s1.rank,
+            len(c.edges) - s1.rank - s2.rank,
+            len(c.faces) - s2.rank,
+            tuple(x for x in s2.diag if x > 1),
+        )
 
 
 class TestEuler:
@@ -296,4 +306,16 @@ class TestVerify:
         report = verify(fan)
         assert report.profile == HomologyProfile(1, d - 3, 0, (2,))
         assert report.computed == SurfaceType(False, d - 2)
+        assert report.all_consistent
+
+    def test_ten_thousand_rays(self):
+        # A fan of 10,004 rays built directly: random_fan's blow-ups would
+        # take minutes at this size, and verify itself is linear in d.
+        fan = normalize_fan(
+            [(1, j) for j in range(10_001)] + [(0, 1), (-1, 0), (0, -1)]
+        )
+        assert fan.d == 10_004
+        report = verify(fan)
+        assert report.profile == HomologyProfile(1, 10_001, 0, (2,))
+        assert report.computed == SurfaceType(False, 10_002)
         assert report.all_consistent

@@ -6,6 +6,7 @@ determinants by recursive cofactor expansion; the third is sympy's
 ``invariant_factors``. None shares code with the library routine.
 """
 
+import importlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -15,15 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realtoric import (
+    CellComplex,
+    HomologyProfile,
     SmithForm,
     build_real_complex,
     corpus_fans,
-    invariant_factors,
+    homology,
     mat_mul,
     random_fan,
     smith_normal_form,
 )
-from realtoric import intmat
 from realtoric.rng import SplitMix64
 
 
@@ -215,9 +217,6 @@ class TestAgainstOracles:
             assert snf.diag == oracle_minor_gcd_factors(a)
             assert snf.rank == rank_over_rationals(a)
 
-    def test_invariant_factors_helper(self):
-        assert invariant_factors([[4, 0], [0, 6]]) == (2, 12)
-
 
 def unit_heavy_matrices():
     """Matrices like boundary matrices: mostly 0 and +-1, with a few 2s and 3s.
@@ -264,9 +263,9 @@ def revisit_matrices():
 
     Row 0 is ``[c, c*y + s, ...]`` and row 1 is ``[1, y, ...]`` with
     ``|c|, |y|`` in {2, 3} and ``s = +-1``, and no other unit in either row.
-    Row 0 is looked at first and has no unit; eliminating the unit of
-    row 1 turns its second entry into ``s``, a unit in a row already
-    visited. Further columns and rows are random and small.
+    Clearing column 0 with the unit of row 1 turns the second entry of
+    row 0 into ``s``, a unit that was not there before. Further columns
+    and rows are random and small.
     """
 
     @st.composite
@@ -293,9 +292,6 @@ def revisit_matrices():
 @example(a=[[2, 5], [1, 2]])
 @settings(max_examples=200, deadline=None)
 def test_property_unit_created_in_a_visited_row(a):
-    # The first two rows alone are unimodular on their first two columns,
-    # so both units go, the second only if row 0 is looked at again.
-    assert intmat._eliminate_units([row[:] for row in a[:2]], len(a[0])) == (2, [])
     snf = smith_normal_form(a)
     assert_smith_invariants(a, snf)
     assert snf.diag == oracle_elementary_factors(a)
@@ -307,40 +303,25 @@ def fan_with_rays(seed, d):
     return random_fan(seed, d - random_fan(seed, 0).d)
 
 
-def test_vertex_edge_boundary_takes_linear_steps(monkeypatch):
-    # Unit elimination on the sparse rows takes every pivot of the d x 2d
-    # matrix, so the dense phase, the only caller of the row and column
-    # helpers, gets nothing to combine.
-    calls = {"_row_combine": 0, "_col_combine": 0}
-    for name in calls:
+def test_homology_takes_one_smith_form_and_no_vertex_edge_matrix(monkeypatch):
+    # rank ∂1 comes from the graph's components: building ∂1 is an error,
+    # and the one Smith form left is on ∂2 or its transpose, 4 faces wide.
+    homology_module = importlib.import_module("realtoric.homology")
+    shapes = []
 
-        def counted(*args, name=name, helper=getattr(intmat, name)):
-            calls[name] += 1
-            return helper(*args)
+    def recorded(a, snf=homology_module.smith_normal_form):
+        shapes.append((len(a), len(a[0]) if a else 0))
+        return snf(a)
 
-        monkeypatch.setattr(intmat, name, counted)
+    def refused(self):
+        raise AssertionError("homology built the vertex-edge boundary")
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", recorded)
+    monkeypatch.setattr(CellComplex, "boundary_matrix_1", refused)
     d = 192
     c = build_real_complex(fan_with_rays(8503, d))
-    assert smith_normal_form(c.boundary_matrix_1()).diag == (1,) * (d - 1)
-    assert calls == {"_row_combine": 0, "_col_combine": 0}
-
-
-def test_boundaries_leave_little_for_the_dense_phase(monkeypatch):
-    # Unit elimination removes all of the vertex-edge boundary and leaves
-    # at most the four face columns of the edge-face boundary.
-    seen = []
-
-    def recorded(d, dense=intmat._dense_diag):
-        seen.append([list(row) for row in d])
-        return dense(d)
-
-    monkeypatch.setattr(intmat, "_dense_diag", recorded)
-    d = 192
-    c = build_real_complex(fan_with_rays(8503, d))
-    assert smith_normal_form(c.boundary_matrix_1()).diag == (1,) * (d - 1)
-    assert seen == [[]]
-    assert smith_normal_form(c.boundary_matrix_2()).diag == (1, 1, 1, 2)
-    assert len(seen) == 2 and all(len(row) <= 4 for row in seen[1])
+    assert homology(c) == HomologyProfile(1, 189, 0, (2,))
+    assert len(shapes) == 1 and 4 in shapes[0]
 
 
 def sympy_factors(a):
@@ -358,20 +339,28 @@ class TestAgainstSympy:
             m = rng.below(6) + 1
             n = rng.below(6) + 1
             a = [[rng.below(21) - 10 for _ in range(n)] for _ in range(m)]
-            assert invariant_factors(a) == sympy_factors(a)
+            assert smith_normal_form(a).diag == sympy_factors(a)
 
     def test_boundary_matrices_of_the_acceptance_corpus(self):
         # the 200-fan corpus of acceptance criterion 2
         for fan in corpus_fans(20260817, 200, 16):
             c = build_real_complex(fan)
-            for a in (c.boundary_matrix_1(), c.boundary_matrix_2()):
-                assert invariant_factors(a) == sympy_factors(a)
+            d1, d2 = c.boundary_matrix_1(), c.boundary_matrix_2()
+            f1, f2 = sympy_factors(d1), sympy_factors(d2)
+            assert smith_normal_form(d1).diag == f1
+            assert smith_normal_form(d2).diag == f2
+            assert homology(c) == HomologyProfile(
+                c.num_vertices - len(f1),
+                len(c.edges) - len(f1) - len(f2),
+                len(c.faces) - len(f2),
+                tuple(x for x in f2 if x > 1),
+            )
 
     @pytest.mark.parametrize("d", [64, 128, 192])
     def test_boundary_matrices_of_a_large_fan(self, d):
         c = build_real_complex(fan_with_rays(d, d))
         for a in (c.boundary_matrix_1(), c.boundary_matrix_2()):
-            assert invariant_factors(a) == sympy_factors(a)
+            assert smith_normal_form(a).diag == sympy_factors(a)
 
 
 @given(
