@@ -30,9 +30,8 @@ from .fan import (
     self_intersections,
 )
 from .gluing import (
-    GluingRule,
+    build_affine_span_complex,
     build_real_complex,
-    build_real_complex_from_polytope,
     complex_to_dot,
     complex_to_json,
 )
@@ -130,15 +129,17 @@ def _cmd_surgery(args) -> int:
 
 def _cmd_complex(args) -> int:
     fan = _load_fan(args.fan)
-    rule = GluingRule(args.rule)
-    if args.divisor is None:
-        if rule is GluingRule.AFFINE_SPAN:
-            raise _CliError("--rule affine requires --divisor")
-        complex_ = build_real_complex(fan)
-    else:
+    polygon = None
+    if args.divisor is not None:
+        # Checked under either rule, though only the affine rule reads it.
         divisor = divisor_from_json(_load_json(args.divisor))
         polygon = polygon_from_divisor(fan, divisor)
-        complex_ = build_real_complex_from_polytope(fan, polygon, rule)
+    if args.rule == "parallel":
+        complex_ = build_real_complex(fan)
+    elif polygon is None:
+        raise _CliError("--rule affine requires --divisor")
+    else:
+        complex_ = build_affine_span_complex(fan, polygon)
     if args.format == "dot":
         sys.stdout.write(complex_to_dot(complex_))
     else:
@@ -149,21 +150,14 @@ def _cmd_complex(args) -> int:
 def _cmd_gkz_demo(args) -> int:
     fan = _load_fan(args.fan)
     divisor = find_ample(fan)
-    polygon = polygon_from_divisor(fan, divisor)
-    parallel = build_real_complex_from_polytope(
-        fan, polygon, GluingRule.PARALLEL_SUBGROUP
-    )
-    affine = build_real_complex_from_polytope(fan, polygon, GluingRule.AFFINE_SPAN)
-    chi_parallel = euler_from_cells(parallel)
-    chi_affine = euler_from_cells(affine)
-    agree = parallel == affine
+    parallel = build_real_complex(fan)
+    affine = build_affine_span_complex(fan, polygon_from_divisor(fan, divisor))
     _emit(
         {
             "divisor": divisor_to_json(divisor)["coeffs"],
-            "chi_parallel": chi_parallel,
-            "chi_affine": chi_affine,
-            "parallel_matches_combinatorial": parallel == build_real_complex(fan),
-            "verdict": "rules agree" if agree else "rules disagree",
+            "chi_parallel": euler_from_cells(parallel),
+            "chi_affine": euler_from_cells(affine),
+            "verdict": "rules agree" if parallel == affine else "rules disagree",
         }
     )
     return 0

@@ -100,13 +100,17 @@ class Fan:
 def normalize_fan(raw_rays: Iterable[Sequence[int]]) -> Fan:
     """Validate a set of ray generators and put them in canonical order.
 
-    Input order is arbitrary. Raises NonPrimitiveRay, DuplicateRay,
-    NotComplete, or NotSmooth (checked in that order). ``d >= 3`` is part
-    of completeness.
+    Input order is arbitrary. Raises InvalidInput for an entry that is not
+    a pair of integers, then NonPrimitiveRay, DuplicateRay, NotComplete,
+    or NotSmooth (checked in that order). ``d >= 3`` is part of
+    completeness.
     """
     rays: list[Vec] = []
     for raw in raw_rays:
-        entries = tuple(raw)
+        try:
+            entries = tuple(raw)
+        except TypeError:  # not iterable, such as a bare integer or null
+            entries = ()
         if len(entries) != 2 or any(
             isinstance(c, bool) or not isinstance(c, int) for c in entries
         ):
@@ -216,6 +220,8 @@ def cyclically_equal(a: Sequence[int], b: Sequence[int], reversal: bool = True) 
     if len(a) != len(b):
         return False
     target = tuple(a)
+    if not target:
+        return True
     for _, view in _cyclic_views(b, False):
         if view == target:
             return True

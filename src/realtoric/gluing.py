@@ -9,23 +9,19 @@ boundary faces. A sign vector acts on a character ``u = (u1, u2)`` by
 
 which depends only on ``u mod 2``.
 
-Two gluing rules are implemented:
+The correct rule glues two copies along a face when their sign vectors
+agree on the subgroup of characters parallel to that face. For an edge
+with outward ray ``v`` this subgroup is generated by the quarter-turn
+``rot90(v)``; for a vertex it is the whole character lattice, so all four
+copies meet at every vertex. The rule never reads the divisor, so the
+complex has one construction, :func:`build_real_complex`, straight from
+the fan: ``d`` vertices, ``2d`` edges (two parallel classes per fan ray),
+and the four polygon faces.
 
-* ``PARALLEL_SUBGROUP`` (the correct one): two copies are glued along a
-  face when their sign vectors agree on the subgroup of characters
-  parallel to that face. For an edge with outward ray ``v`` this subgroup
-  is generated by the quarter-turn ``rot90(v)``; for a vertex it is the
-  whole character lattice, so all four copies meet at every vertex.
-* ``AFFINE_SPAN`` (a known-wrong variant kept for demonstration): the
-  copies must also agree on the lattice points of the face's affine span,
-  which drags the divisor's offsets into the answer and breaks
-  translation invariance.
-
-Under the correct rule the complex does not depend on the divisor at all,
-so it has one construction, :func:`build_real_complex`, straight from the
-fan: ``d`` vertices, ``2d`` edges (two parallel classes per fan ray), and
-the four polygon faces. The class-merging builder in
-:func:`build_real_complex_from_polytope` serves only the affine demo.
+:func:`build_affine_span_complex` is a known-wrong variant kept for
+demonstration: the copies must also agree on the lattice points of the
+face's affine span, which drags the divisor's offsets into the answer and
+breaks translation invariance.
 """
 
 from __future__ import annotations
@@ -42,11 +38,10 @@ __all__ = [
     "SignHom",
     "ALL_SIGN_HOMS",
     "evaluate",
-    "GluingRule",
     "CellComplex",
     "NeighborhoodType",
     "build_real_complex",
-    "build_real_complex_from_polytope",
+    "build_affine_span_complex",
     "tubular_neighborhood",
     "complex_to_json",
     "complex_to_dot",
@@ -87,13 +82,6 @@ def evaluate(eps: SignHom, u: Vec) -> int:
     if u[1] % 2:
         out *= eps.s2
     return out
-
-
-class GluingRule(enum.Enum):
-    """Which face-identification rule to use when gluing the four copies."""
-
-    PARALLEL_SUBGROUP = "parallel"
-    AFFINE_SPAN = "affine"
 
 
 class NeighborhoodType(enum.Enum):
@@ -238,24 +226,16 @@ def _classes(keys: dict[SignHom, object]) -> list[tuple[SignHom, ...]]:
     return out
 
 
-def build_real_complex_from_polytope(
-    fan: Fan, polygon: LatticePolygon, rule: GluingRule
-) -> CellComplex:
-    """Glue the four polygon copies under the requested rule.
+def build_affine_span_complex(fan: Fan, polygon: LatticePolygon) -> CellComplex:
+    """Glue the four polygon copies under the affine-span rule.
 
-    The parallel-subgroup rule never looks at the polygon beyond checking
-    its fan, so ``PARALLEL_SUBGROUP`` returns :func:`build_real_complex`
-    itself, for every ample divisor. ``AFFINE_SPAN`` merges the copies
-    class by class: they must also agree at a lattice point of each face's
-    affine span, so the result depends on where the polygon sits in the
-    lattice.
+    The copies are merged class by class: beyond the parallel subgroup,
+    they must also agree at a lattice point of each face's affine span, so
+    the result depends on where the polygon sits in the lattice. Raises
+    PolygonFanMismatch when the polygon was built over another fan.
     """
     if polygon.fan != fan:
         raise PolygonFanMismatch("polygon was built over a different fan")
-    if rule is GluingRule.PARALLEL_SUBGROUP:
-        return build_real_complex(fan)
-    if rule is not GluingRule.AFFINE_SPAN:
-        raise ValueError(f"unknown gluing rule {rule!r}")
     d = fan.d
     verts = polygon.vertices
 

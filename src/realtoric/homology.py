@@ -11,9 +11,10 @@ Closed-surface recognition goes through the standard homology profiles
     orientable genus g:      Z, Z^(2g), Z
     nonorientable genus k:   Z, Z^(k-1) + Z/2, 0
 
-The report also compares the cell count ``V - E + F`` with the closed form
-``4 - d``. That is an identity of how the complex is built (``d``, ``2d``
-and ``4`` cells), not an independent check of the Euler characteristic.
+``verify`` compares the classified homology with the type predicted from
+the fan, and the parity rule for orientability with ``b2 == 1``. The
+complex has ``d``, ``2d`` and ``4`` cells by construction, so its Euler
+characteristic ``4 - d`` is not compared with anything.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "VerificationReport",
     "homology",
     "euler_from_cells",
-    "euler_formula",
     "classify_surface",
     "predict_theorem",
     "orientable_fast",
@@ -106,17 +106,6 @@ def homology(c: CellComplex) -> HomologyProfile:
 def euler_from_cells(c: CellComplex) -> int:
     """Alternating cell count ``V - E + F``."""
     return c.num_vertices - len(c.edges) + len(c.faces)
-
-
-def euler_formula(fan: Fan) -> int:
-    """Closed form from the cone counts alone.
-
-    The glued complex has ``4`` faces for the single zero cone, ``2d``
-    edges for the ``d`` rays, and ``d`` vertices for the ``d`` top cones,
-    so the characteristic is ``4 - 2d + d = 4 - d``.
-    """
-    d = fan.d
-    return 4 * 1 - 2 * d + d
 
 
 @dataclass(frozen=True)
@@ -198,8 +187,6 @@ class VerificationReport:
     predicted: SurfaceType
     computed: SurfaceType
     profile: HomologyProfile
-    chi_cells: int
-    chi_formula: int
     orientable_fast: bool
     orientable_homology: bool
     all_consistent: bool
@@ -209,32 +196,22 @@ def verify(fan: Fan) -> VerificationReport:
     """Run the whole pipeline on one fan and compare every view.
 
     Consistency means: the homology classification equals the predicted
-    type, the two Euler counts agree, and the parity shortcut for
-    orientability agrees with ``b2 == 1``.
+    type, and the parity shortcut for orientability agrees with
+    ``b2 == 1``.
     """
-    complex_ = build_real_complex(fan)
-    profile = homology(complex_)
+    profile = homology(build_real_complex(fan))
     computed = classify_surface(profile)
     predicted = predict_theorem(fan)
-    chi_cells = euler_from_cells(complex_)
-    chi_formula = euler_formula(fan)
     fast = orientable_fast(fan)
     by_homology = profile.b2 == 1
-    consistent = (
-        computed == predicted
-        and chi_cells == chi_formula
-        and fast == by_homology
-    )
     return VerificationReport(
         fan=fan,
         predicted=predicted,
         computed=computed,
         profile=profile,
-        chi_cells=chi_cells,
-        chi_formula=chi_formula,
         orientable_fast=fast,
         orientable_homology=by_homology,
-        all_consistent=consistent,
+        all_consistent=computed == predicted and fast == by_homology,
     )
 
 
@@ -245,8 +222,6 @@ def report_to_json(report: VerificationReport) -> dict:
         "d": report.fan.d,
         "predicted": str(report.predicted),
         "computed": str(report.computed),
-        "chi_cells": report.chi_cells,
-        "chi_formula": report.chi_formula,
         "orientable_fast": report.orientable_fast,
         "betti": [report.profile.b0, report.profile.b1, report.profile.b2],
         "torsion": list(report.profile.torsion),

@@ -21,8 +21,12 @@ in pure Python. The numerics here back up the exact combinatorics;
 nothing downstream consumes these floats.
 
 No monomial ``x^u`` is formed as a float: its sign is exactly
-``evaluate(sign_profile(x), u)``, which reads ``u`` only mod 2, and it is
-checked on every lattice point of the polygon.
+``evaluate(sign_profile(x), u)``, which reads ``u`` only mod 2. So the
+signs agree with a component's sign vector on every lattice point of the
+polygon exactly when the sample's sign profile is that vector: a corner
+``w`` and its two edge steps ``e1``, ``e2`` (a lattice basis) give the
+parity classes of ``w``, ``w + e1`` and ``w + e2``, and no character of
+``(Z/2)^2`` other than the trivial one is 1 on all three.
 """
 
 from __future__ import annotations
@@ -34,15 +38,9 @@ from typing import Sequence
 
 from .errors import DegenerateWeights
 from .fan import Fan, Vec
-from .gluing import ALL_SIGN_HOMS, SignHom, evaluate
+from .gluing import ALL_SIGN_HOMS, SignHom
 from .rng import SplitMix64
-from .polytope import (
-    LatticePolygon,
-    ToricDivisor,
-    find_ample,
-    lattice_points,
-    polygon_from_divisor,
-)
+from .polytope import LatticePolygon, ToricDivisor, find_ample, polygon_from_divisor
 
 __all__ = [
     "TorusPoint",
@@ -212,11 +210,12 @@ def run_moment_checks(
     which Birch's theorem makes a homeomorphism onto the interior of the
     polygon (see the module docstring). For each of the four sign
     components, ``samples`` seeded points with log-coordinates in
-    ``[-3, 3]`` are checked for (a) exact agreement of ``sign(x^u)``, read
-    off the parity of ``u``, with the component's sign vector on every
-    polygon lattice point, (b) the moment image lying inside the polygon
-    up to float slack, and (c) bit-exact equality of the moment image
-    across all four sign flips of the same magnitudes.
+    ``[-3, 3]`` are checked for (a) a sign profile equal to the
+    component's sign vector, which makes ``sign(x^u)`` agree with it on
+    every polygon lattice point (see the module docstring), (b) the moment
+    image lying inside the polygon up to float slack, and (c) bit-exact
+    equality of the moment image across all four sign flips of the same
+    magnitudes.
     Separately, a fixed 32 x 32 grid of evenly spaced log-coordinates in
     ``[-3/W, 3/W]`` on the positive component, ``W`` the larger side of
     the polygon's bounding box and at least 1, measures the smallest
@@ -230,16 +229,13 @@ def run_moment_checks(
         divisor = find_ample(fan)
     polygon = polygon_from_divisor(fan, divisor)
     vertices = polygon.vertices
-    # sign(x^u) = evaluate(sign_profile(x), u) depends on u only mod 2.
-    parities = {(u[0] & 1, u[1] & 1) for u in lattice_points(polygon)}
 
     signs_exact = True
     worst_violation = 0.0
     translation_exact = True
     for k, eps in enumerate(ALL_SIGN_HOMS):
         for x in sample_T_epsilon(eps, seed + k, samples):
-            profile = sign_profile(x)
-            if any(evaluate(profile, c) != evaluate(eps, c) for c in parities):
+            if sign_profile(x) != eps:
                 signs_exact = False
             mu = moment_map(x, vertices)
             worst_violation = max(worst_violation, _max_violation(polygon, mu))

@@ -14,14 +14,13 @@ from math import gcd
 import pytest
 
 from realtoric import (
-    GluingRule,
     SurfaceType,
     ToricDivisor,
     apply_map,
     blow_down,
     blow_up,
+    build_affine_span_complex,
     build_real_complex,
-    build_real_complex_from_polytope,
     classify_surface,
     corpus_fans,
     cyclically_equal,
@@ -132,8 +131,8 @@ def test_criterion_2_corpus_verification(corpus):
         report = verify(fan)
         assert report.all_consistent
         assert report.computed == report.predicted
-        assert report.chi_cells == report.chi_formula == 4 - fan.d
         assert report.orientable_fast == (report.profile.b2 == 1)
+        assert report.profile.euler_characteristic == 4 - fan.d
         c = build_real_complex(fan)
         assert (c.num_vertices, len(c.edges), len(c.faces)) == (fan.d, 2 * fan.d, 4)
     assert time.perf_counter() - start < 30.0
@@ -256,10 +255,8 @@ def test_criterion_5_structural_identities(corpus):
 def test_criterion_6_gkz_demo():
     # the triangle with unit offsets separates the two rules
     poly = polygon_from_divisor(P2, ToricDivisor((1, 1, 1)))
-    parallel = build_real_complex_from_polytope(
-        P2, poly, GluingRule.PARALLEL_SUBGROUP
-    )
-    affine = build_real_complex_from_polytope(P2, poly, GluingRule.AFFINE_SPAN)
+    parallel = build_real_complex(P2)
+    affine = build_affine_span_complex(P2, poly)
     assert euler_from_cells(parallel) == 1
     assert euler_from_cells(affine) == -2
     assert parallel != affine
@@ -268,9 +265,7 @@ def test_criterion_6_gkz_demo():
     div = find_ample(P2)
     assert div.coeffs == (0, 0, 1)
     unit_triangle = polygon_from_divisor(P2, div)
-    affine = build_real_complex_from_polytope(
-        P2, unit_triangle, GluingRule.AFFINE_SPAN
-    )
+    affine = build_affine_span_complex(P2, unit_triangle)
     assert (affine.num_vertices, len(affine.edges), len(affine.faces)) == (5, 8, 4)
     assert euler_from_cells(affine) == 1
     assert affine != parallel
@@ -279,25 +274,18 @@ def test_criterion_6_gkz_demo():
     f0 = hirzebruch_fan(0)
     unit = polygon_from_divisor(f0, ToricDivisor((0, 0, 1, 1)))
     symmetric = polygon_from_divisor(f0, ToricDivisor((1, 1, 1, 1)))
-    assert build_real_complex_from_polytope(
-        f0, unit, GluingRule.AFFINE_SPAN
-    ) != build_real_complex_from_polytope(f0, symmetric, GluingRule.AFFINE_SPAN)
+    assert build_affine_span_complex(f0, unit) != build_affine_span_complex(
+        f0, symmetric
+    )
 
-    # the correct rule is divisor-independent on every fan tried
+    # the correct rule reads no divisor; the wrong one agrees with it where
+    # its keys reduce to the parallel ones, with every corner in 2Z^2
     for fan in BASE_FANS + [random_fan(17, 3), random_fan(23, 5)]:
         reference = build_real_complex(fan)
-        base_div = find_ample(fan)
-        for div in [
-            base_div,
-            ToricDivisor(tuple(3 * b for b in base_div.coeffs)),
-            translate_divisor(fan, base_div, (2, 1)),
-            translate_divisor(fan, base_div, (-1, -1)),
-        ]:
+        doubled = ToricDivisor(tuple(2 * b for b in find_ample(fan).coeffs))
+        for div in [doubled, translate_divisor(fan, doubled, (2, -4))]:
             poly = polygon_from_divisor(fan, div)
-            built = build_real_complex_from_polytope(
-                fan, poly, GluingRule.PARALLEL_SUBGROUP
-            )
-            assert built == reference
+            assert build_affine_span_complex(fan, poly) == reference
 
 
 @criterion(7, "moment-map numeric suite")

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import realtoric
@@ -84,7 +84,7 @@ class TestClassifyAndPredict:
         assert code == 0
         report = json.loads(out)
         assert report["computed"] == "RP²"
-        assert report["chi_cells"] == 1
+        assert report["betti"] == [1, 0, 0]
         assert report["all_consistent"] is True
 
     def test_predict_even_four_ray_fan(self, capsys, write):
@@ -280,7 +280,6 @@ class TestDemosAndBulk:
         obj = json.loads(out)
         assert obj["chi_parallel"] == 1
         assert obj["chi_affine"] == -2
-        assert obj["parallel_matches_combinatorial"] is True
         assert obj["verdict"] == "rules disagree"
 
     def test_gkz_demo_default_divisor(self, capsys, write):
@@ -291,7 +290,6 @@ class TestDemosAndBulk:
             "divisor": [0, 0, 1],
             "chi_parallel": 1,
             "chi_affine": 1,
-            "parallel_matches_combinatorial": True,
             "verdict": "rules disagree",
         }
 
@@ -512,7 +510,7 @@ digraph real_complex {
 P2_GKZ = (
     '{"divisor": [1, 1, 1], '
     '"chi_parallel": 1, "chi_affine": -2, '
-    '"parallel_matches_combinatorial": true, "verdict": "rules disagree"}\n'
+    '"verdict": "rules disagree"}\n'
 )
 FIVE_COMPLEX_JSON = (
     '{"vertices": 5, "edges": [[4, 0], [4, 0], [0, 1], [0, 1], [1, 2], '
@@ -605,17 +603,17 @@ digraph real_complex {
 FIVE_GKZ = (
     '{"divisor": [4, 6, 9, 4, 4], '
     '"chi_parallel": -1, "chi_affine": -1, '
-    '"parallel_matches_combinatorial": true, "verdict": "rules disagree"}\n'
+    '"verdict": "rules disagree"}\n'
 )
 P2_GKZ_DEFAULT = (
     '{"divisor": [0, 0, 1], '
     '"chi_parallel": 1, "chi_affine": 1, '
-    '"parallel_matches_combinatorial": true, "verdict": "rules disagree"}\n'
+    '"verdict": "rules disagree"}\n'
 )
 FIVE_GKZ_DEFAULT = (
     '{"divisor": [0, 0, 1, 2, 2], '
     '"chi_parallel": -1, "chi_affine": -1, '
-    '"parallel_matches_combinatorial": true, "verdict": "rules disagree"}\n'
+    '"verdict": "rules disagree"}\n'
 )
 
 FIVE_AMPLE = [4, 6, 9, 4, 4]  # find_ample's divisor before edge lengths
@@ -745,11 +743,20 @@ def test_polygon_benchmark_accepts_one_block(monkeypatch, tmp_path):
 
 
 # The fan each README example runs on; README calls every fan file fan.json.
-README_FANS = {"ample": F4_RAYS, "gkz-demo": P2_RAYS, "moment-check": P2_RAYS}
+README_FANS = {
+    "validate": P2_RAYS,
+    "classify": P2_RAYS,
+    "selfint": F4_RAYS,
+    "ample": F4_RAYS,
+    "complex": P2_RAYS,
+    "gkz-demo": P2_RAYS,
+    "moment-check": P2_RAYS,
+}
 
 
 def _readme_examples():
     # (argv after the fan file, printed JSON) for each README_FANS command
+    # that README shows with its output
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8"
     ).splitlines()
@@ -762,7 +769,8 @@ def _readme_examples():
             if not following.strip() or following.startswith(("$", "```")):
                 break
             output.append(following)
-        yield words[2], words[4:], "\n".join(output)
+        if output:
+            yield words[2], words[4:], "\n".join(output)
 
 
 README_EXAMPLES = list(_readme_examples())
@@ -814,14 +822,24 @@ def test_fuzz_moment_check_answers_every_valid_fan(fuzz_file, fan):
 
 
 # Arbitrary integer pairs are almost never a fan, so valid fans, in any
-# ray order, are drawn too.
+# ray order, are drawn too, and so are entries that are no pair at all.
 COORDS = st.integers(-3, 3) | st.integers()
-RAY_LISTS = st.lists(st.tuples(COORDS, COORDS), max_size=8) | VALID_FANS.flatmap(
-    lambda fan: st.permutations(fan_to_json(fan)["rays"])
+MALFORMED_RAYS = st.one_of(
+    st.integers(),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(COORDS, min_size=1, max_size=1),
+    st.lists(COORDS, min_size=3, max_size=3),
+)
+RAY_LISTS = st.one_of(
+    st.lists(st.tuples(COORDS, COORDS), max_size=8),
+    st.lists(st.tuples(COORDS, COORDS) | MALFORMED_RAYS, max_size=8),
+    VALID_FANS.flatmap(lambda fan: st.permutations(fan_to_json(fan)["rays"])),
 )
 
 
 @given(command=st.sampled_from(["validate", "classify"]), rays=RAY_LISTS)
+@example(command="classify", rays=[5, [0, 1], [-1, -1]])
 @settings(max_examples=150, deadline=None)
 def test_fuzz_fan_commands_answer_or_refuse(fuzz_file, command, rays):
     fuzz_file.write_text(json.dumps({"rays": rays}))

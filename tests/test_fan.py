@@ -141,6 +141,8 @@ class TestApplyMap:
         mirrored = self_intersections(image)
         assert cyclically_equal(seq, mirrored)
         assert cyclically_equal(seq, tuple(reversed(mirrored)), reversal=False)
+        assert cyclically_equal((), ())
+        assert cyclically_equal((), (), reversal=False)
 
 
 def _random_unimodular(rng: SplitMix64):

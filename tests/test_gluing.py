@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 
 from realtoric import (
     ALL_SIGN_HOMS,
-    GluingRule,
     IndexOutOfRange,
     NeighborhoodType,
     PolygonFanMismatch,
     SignHom,
     ToricDivisor,
     blow_up,
+    build_affine_span_complex,
     build_real_complex,
-    build_real_complex_from_polytope,
     complex_to_dot,
     complex_to_json,
     evaluate,
@@ -132,23 +131,6 @@ class TestCombinatorialComplex:
 
 
 class TestPolytopeBuilders:
-    def test_parallel_rule_matches_combinatorial_builder(self):
-        for seed in range(6):
-            fan = random_fan(seed, 3)
-            reference = build_real_complex(fan)
-            div = find_ample(fan)
-            for candidate in [
-                div,
-                ToricDivisor(tuple(2 * b for b in div.coeffs)),
-                translate_divisor(fan, div, (1, 1)),
-                translate_divisor(fan, div, (-2, 3)),
-            ]:
-                poly = polygon_from_divisor(fan, candidate)
-                built = build_real_complex_from_polytope(
-                    fan, poly, GluingRule.PARALLEL_SUBGROUP
-                )
-                assert built == reference
-
     def test_affine_rule_on_even_corners_matches_combinatorial_builder(self):
         # With every corner in 2Z^2 the affine-span keys reduce to the
         # parallel ones, so the class merger must reproduce the direct
@@ -159,24 +141,20 @@ class TestPolytopeBuilders:
             doubled = ToricDivisor(tuple(2 * b for b in div.coeffs))
             poly = polygon_from_divisor(fan, doubled)
             assert all(x % 2 == 0 and y % 2 == 0 for x, y in poly.vertices)
-            built = build_real_complex_from_polytope(
-                fan, poly, GluingRule.AFFINE_SPAN
-            )
+            built = build_affine_span_complex(fan, poly)
             assert built == build_real_complex(fan)
 
     def test_affine_rule_underglues_the_triangle(self):
         poly = polygon_from_divisor(P2, ToricDivisor((1, 1, 1)))
-        c = build_real_complex_from_polytope(P2, poly, GluingRule.AFFINE_SPAN)
+        c = build_affine_span_complex(P2, poly)
         assert (c.num_vertices, len(c.edges), len(c.faces)) == (6, 12, 4)
 
     def test_affine_rule_depends_on_polygon_position(self):
         fan = hirzebruch_fan(0)
         unit = polygon_from_divisor(fan, ToricDivisor((0, 0, 1, 1)))
         symmetric = polygon_from_divisor(fan, ToricDivisor((1, 1, 1, 1)))
-        a_unit = build_real_complex_from_polytope(fan, unit, GluingRule.AFFINE_SPAN)
-        a_sym = build_real_complex_from_polytope(
-            fan, symmetric, GluingRule.AFFINE_SPAN
-        )
+        a_unit = build_affine_span_complex(fan, unit)
+        a_sym = build_affine_span_complex(fan, symmetric)
         assert a_unit != a_sym
         assert (a_unit.num_vertices, len(a_unit.edges)) == (7, 12)
         assert (a_sym.num_vertices, len(a_sym.edges)) == (8, 16)
@@ -185,32 +163,22 @@ class TestPolytopeBuilders:
         fan = hirzebruch_fan(0)
         div = ToricDivisor((1, 1, 1, 1))
         moved = translate_divisor(fan, div, (1, 1))
-        a = build_real_complex_from_polytope(
-            fan, polygon_from_divisor(fan, div), GluingRule.AFFINE_SPAN
-        )
-        b = build_real_complex_from_polytope(
-            fan, polygon_from_divisor(fan, moved), GluingRule.AFFINE_SPAN
-        )
+        a = build_affine_span_complex(fan, polygon_from_divisor(fan, div))
+        b = build_affine_span_complex(fan, polygon_from_divisor(fan, moved))
         assert a != b
 
     def test_affine_rule_invariant_under_even_translation(self):
         fan = hirzebruch_fan(0)
         div = ToricDivisor((1, 1, 1, 1))
         moved = translate_divisor(fan, div, (2, -4))
-        a = build_real_complex_from_polytope(
-            fan, polygon_from_divisor(fan, div), GluingRule.AFFINE_SPAN
-        )
-        b = build_real_complex_from_polytope(
-            fan, polygon_from_divisor(fan, moved), GluingRule.AFFINE_SPAN
-        )
+        a = build_affine_span_complex(fan, polygon_from_divisor(fan, div))
+        b = build_affine_span_complex(fan, polygon_from_divisor(fan, moved))
         assert a == b
 
     def test_fan_mismatch_rejected(self):
         poly = polygon_from_divisor(P2, ToricDivisor((1, 1, 1)))
         with pytest.raises(PolygonFanMismatch):
-            build_real_complex_from_polytope(
-                hirzebruch_fan(0), poly, GluingRule.PARALLEL_SUBGROUP
-            )
+            build_affine_span_complex(hirzebruch_fan(0), poly)
 
 
 class TestTubularNeighborhood:

@@ -16,7 +16,6 @@ from realtoric import (
     blow_up,
     build_real_complex,
     classify_surface,
-    euler_formula,
     euler_from_cells,
     hirzebruch_fan,
     homology,
@@ -71,9 +70,9 @@ class TestProfiles:
         assert h.torsion == (2,)
 
     def test_euler_agreement(self):
-        h = homology(build_real_complex(random_fan(4, 6)))
         fan = random_fan(4, 6)
-        assert h.euler_characteristic == euler_formula(fan)
+        h = homology(build_real_complex(fan))
+        assert h.euler_characteristic == 4 - fan.d
 
     def test_rejects_non_chain_complex(self):
         broken = CellComplex(
@@ -160,15 +159,11 @@ def test_boundary_check_agrees_with_the_matrix_product(c):
 
 
 class TestEuler:
-    def test_formula_values(self):
-        assert euler_formula(P2) == 1
-        assert euler_formula(hirzebruch_fan(0)) == 0
-        assert euler_formula(random_fan(2, 5)) == 4 - random_fan(2, 5).d
-
     def test_cells_match_formula(self):
+        # d vertices, 2d edges and 4 faces
         for seed in range(8):
             fan = random_fan(seed, seed % 5)
-            assert euler_from_cells(build_real_complex(fan)) == euler_formula(fan)
+            assert euler_from_cells(build_real_complex(fan)) == 4 - fan.d
 
 
 class TestClassify:
@@ -269,7 +264,6 @@ class TestVerify:
             report = verify(fan)
             assert report.all_consistent
             assert report.computed == report.predicted
-            assert report.chi_cells == report.chi_formula
 
     def test_report_json_schema(self):
         obj = report_to_json(verify(P2))
@@ -278,8 +272,6 @@ class TestVerify:
             "d",
             "predicted",
             "computed",
-            "chi_cells",
-            "chi_formula",
             "orientable_fast",
             "betti",
             "torsion",

@@ -401,15 +401,31 @@ def test_default_report_golden(name, coeffs, violation, separation, translation,
     _assert_report(report, violation, separation, translation, signs)
 
 
-@pytest.mark.parametrize("a", [300, 400])
+@pytest.mark.parametrize("a", [300, 400, 10**12])
 def test_hirzebruch_fans_with_long_edges(a):
     # A float monomial x^u leaves the float range here (x^263 on F_300), so
-    # the signs must come from exponent parity.
+    # no monomial may be formed; and F_(10^12) has about 5e11 lattice
+    # points, so the checks may read only the d vertices.
+    start = time.perf_counter()
     report = run_moment_checks(hirzebruch_fan(a), samples=1)
+    assert time.perf_counter() - start < 0.5
     assert report.divisor.coeffs == (0, 0, 1, 1)
     assert report.signs_exact and report.translation_exact
     assert report.max_inequality_violation == 0.0
     assert report.min_mu_separation > 1e-9
+
+
+def test_checks_list_no_lattice_points(monkeypatch):
+    # The sign check needs no lattice points: a sample's sign profile
+    # fixes sign(x^u) on all of them (see the module docstring).
+    import realtoric.moment as moment
+
+    def refuse(polygon):
+        raise AssertionError("run_moment_checks listed the lattice points")
+
+    monkeypatch.setattr(moment, "lattice_points", refuse, raising=False)
+    report = run_moment_checks(hirzebruch_fan(3), samples=4)
+    assert report.signs_exact and report.translation_exact
 
 
 def test_grid_separates_every_hirzebruch_fan():
