@@ -6,165 +6,24 @@ the answer against the parity prediction read off the fan. A small
 floating-point module ties the combinatorics back to moment-map numerics.
 """
 
-from .corpus import corpus_fans, corpus_tasks
-from .errors import (
-    DegenerateWeights,
-    DuplicateRay,
-    IndexOutOfRange,
-    InvalidComplex,
-    InvalidInput,
-    LengthMismatch,
-    NonPrimitiveRay,
-    NotAClosedSurfaceProfile,
-    NotAmple,
-    NotComplete,
-    NotExceptional,
-    NotSmooth,
-    NotUnimodular,
-    PolygonFanMismatch,
-    TooFewRays,
-    ToricError,
+from . import corpus, errors, fan, gluing, homology, intmat, moment, polytope, rng
+
+# The package API is the union of the modules' lists. It is read before the
+# star imports, as ``from .homology import *`` rebinds ``homology`` here.
+__all__ = sorted(
+    name
+    for module in (corpus, errors, fan, gluing, homology, intmat, moment, polytope, rng)
+    for name in module.__all__
 )
-from .fan import (
-    BlowDownStep,
-    Fan,
-    apply_map,
-    blow_down,
-    blow_up,
-    cyclically_equal,
-    fan_from_json,
-    fan_to_json,
-    fans_isomorphic,
-    hirzebruch_fan,
-    minimal_model,
-    normalize_fan,
-    projective_plane_fan,
-    random_fan,
-    reconstruct_fan,
-    self_intersections,
-)
-from .gluing import (
-    ALL_SIGN_HOMS,
-    CellComplex,
-    NeighborhoodType,
-    SignHom,
-    build_affine_span_complex,
-    build_real_complex,
-    complex_to_dot,
-    complex_to_json,
-    evaluate,
-    tubular_neighborhood,
-)
-from .homology import (
-    HomologyProfile,
-    SurfaceType,
-    VerificationReport,
-    classify_surface,
-    euler_from_cells,
-    homology,
-    orientable_fast,
-    predict_theorem,
-    report_to_json,
-    verify,
-)
-from .intmat import SmithForm, mat_mul, smith_normal_form
-from .moment import (
-    MomentCheckReport,
-    moment_map,
-    run_moment_checks,
-    sample_T_epsilon,
-    sign_profile,
-)
-from .polytope import (
-    LatticePolygon,
-    ToricDivisor,
-    divisor_from_json,
-    divisor_to_json,
-    find_ample,
-    intersection_numbers,
-    is_ample,
-    lattice_points,
-    polygon_from_divisor,
-    polygon_to_json,
-    translate_divisor,
-)
-from .rng import SplitMix64
+
+from .corpus import *
+from .errors import *
+from .fan import *
+from .gluing import *
+from .homology import *
+from .intmat import *
+from .moment import *
+from .polytope import *
+from .rng import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_SIGN_HOMS",
-    "BlowDownStep",
-    "CellComplex",
-    "DegenerateWeights",
-    "DuplicateRay",
-    "Fan",
-    "HomologyProfile",
-    "IndexOutOfRange",
-    "InvalidComplex",
-    "InvalidInput",
-    "LatticePolygon",
-    "LengthMismatch",
-    "MomentCheckReport",
-    "NeighborhoodType",
-    "NonPrimitiveRay",
-    "NotAClosedSurfaceProfile",
-    "NotAmple",
-    "NotComplete",
-    "NotExceptional",
-    "NotSmooth",
-    "NotUnimodular",
-    "PolygonFanMismatch",
-    "SignHom",
-    "SmithForm",
-    "SplitMix64",
-    "SurfaceType",
-    "TooFewRays",
-    "ToricDivisor",
-    "ToricError",
-    "VerificationReport",
-    "apply_map",
-    "blow_down",
-    "blow_up",
-    "build_affine_span_complex",
-    "build_real_complex",
-    "classify_surface",
-    "complex_to_dot",
-    "complex_to_json",
-    "corpus_fans",
-    "corpus_tasks",
-    "cyclically_equal",
-    "divisor_from_json",
-    "divisor_to_json",
-    "euler_from_cells",
-    "evaluate",
-    "fan_from_json",
-    "fan_to_json",
-    "fans_isomorphic",
-    "find_ample",
-    "hirzebruch_fan",
-    "homology",
-    "intersection_numbers",
-    "is_ample",
-    "lattice_points",
-    "mat_mul",
-    "minimal_model",
-    "moment_map",
-    "normalize_fan",
-    "orientable_fast",
-    "polygon_from_divisor",
-    "polygon_to_json",
-    "predict_theorem",
-    "projective_plane_fan",
-    "random_fan",
-    "reconstruct_fan",
-    "report_to_json",
-    "run_moment_checks",
-    "sample_T_epsilon",
-    "self_intersections",
-    "sign_profile",
-    "smith_normal_form",
-    "translate_divisor",
-    "tubular_neighborhood",
-    "verify",
-]

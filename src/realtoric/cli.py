@@ -69,6 +69,8 @@ def _load_json(path: str) -> object:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInput(f"{path} nests too deeply to parse") from exc
 
 
 def _load_fan(path: str) -> Fan:

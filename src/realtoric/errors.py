@@ -5,6 +5,25 @@ carries a stable ``code`` string that the command line interface reports
 verbatim, so scripted callers can match on it.
 """
 
+__all__ = [
+    "ToricError",
+    "InvalidInput",
+    "NonPrimitiveRay",
+    "DuplicateRay",
+    "NotComplete",
+    "NotSmooth",
+    "NotUnimodular",
+    "IndexOutOfRange",
+    "TooFewRays",
+    "NotExceptional",
+    "LengthMismatch",
+    "NotAmple",
+    "PolygonFanMismatch",
+    "InvalidComplex",
+    "NotAClosedSurfaceProfile",
+    "DegenerateWeights",
+]
+
 
 class ToricError(Exception):
     """Base class for all input and validation errors in this package."""

@@ -41,6 +41,25 @@ from .errors import (
 )
 from .rng import SplitMix64
 
+__all__ = [
+    "Fan",
+    "normalize_fan",
+    "fan_to_json",
+    "fan_from_json",
+    "self_intersections",
+    "apply_map",
+    "cyclically_equal",
+    "fans_isomorphic",
+    "reconstruct_fan",
+    "projective_plane_fan",
+    "hirzebruch_fan",
+    "blow_up",
+    "blow_down",
+    "BlowDownStep",
+    "minimal_model",
+    "random_fan",
+]
+
 Vec = tuple[int, int]
 # A 2x2 integer matrix given by rows; it acts on column vectors.
 Mat2 = tuple[tuple[int, int], tuple[int, int]]

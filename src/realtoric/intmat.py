@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
+__all__ = ["SmithForm", "mat_mul", "smith_normal_form"]
+
 Matrix = tuple[tuple[int, ...], ...]
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -43,7 +44,6 @@ from .rng import SplitMix64
 from .polytope import LatticePolygon, ToricDivisor, find_ample, polygon_from_divisor
 
 __all__ = [
-    "TorusPoint",
     "sign_profile",
     "moment_map",
     "sample_T_epsilon",
@@ -59,6 +59,9 @@ _RADIUS = 3.0
 # 32 evenly spaced log-coordinates for the injectivity grid, before that
 # division. The last is set, not computed, so it is exactly _RADIUS.
 _GRID = [-_RADIUS + i * (2.0 * _RADIUS / 31) for i in range(31)] + [_RADIUS]
+# Ray, offset and vertex coordinates below this bound convert to floats, and
+# sums of up to 2**23 of them stay finite.
+_COORD_BOUND = 2**1000
 
 
 def sign_profile(x: TorusPoint) -> SignHom:
@@ -221,7 +224,8 @@ def run_moment_checks(
     the polygon's bounding box and at least 1, measures the smallest
     distance between the moment images of two distinct grid points, found
     by a closest-pair sweep. Raises ValueError when ``samples`` is less
-    than 1.
+    than 1 or a ray, offset or vertex coordinate is 2**1000 or more in
+    absolute value.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -229,6 +233,11 @@ def run_moment_checks(
         divisor = find_ample(fan)
     polygon = polygon_from_divisor(fan, divisor)
     vertices = polygon.vertices
+    entries = chain(polygon.offsets, *polygon.fan.rays, *vertices)
+    if max(map(abs, entries)) >= _COORD_BOUND:
+        raise ValueError(
+            "polygon offsets and coordinates must be below 2**1000 in absolute value"
+        )
 
     signs_exact = True
     worst_violation = 0.0

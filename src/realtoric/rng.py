@@ -13,6 +13,8 @@ Derived draws: ``below(n)`` is ``output mod n`` and ``uniform()`` is
 ``(output >> 11) * 2**-53``, a float in ``[0, 1)``.
 """
 
+__all__ = ["SplitMix64"]
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process."""
 
+import ast
 import contextlib
 import dataclasses
 import importlib
@@ -28,6 +29,13 @@ F4_RAYS = {"rays": [[1, 0], [0, 1], [-1, 4], [0, -1]]}
 F300_RAYS = {"rays": [[1, 0], [0, 1], [-1, 300], [0, -1]]}
 BAD_RAYS = {"rays": [[1, 0], [0, 1], [-1, -2]]}
 FIVE_RAYS = {"rays": [[1, 0], [1, 1], [1, 2], [0, 1], [-1, -1]]}
+
+
+def wedge_rays(n):
+    # A smooth fan whose default polygon has a corner at about (2n, -1).
+    return {"rays": [[1, 0], [n, 1], [n - 1, 1], [-1, 0], [0, -1]]}
+
+
 MOMENT_CHECK_KEYS = [
     "fan",
     "divisor",
@@ -76,6 +84,24 @@ class TestValidate:
         code, _, err = run_lines(capsys, ["validate", str(path)])
         assert code == 1
         assert json.loads(err)["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "{deep}"], ["complex", "{fan}", "--divisor", "{deep}"]],
+        ids=["fan-file", "divisor-file"],
+    )
+    def test_deeply_nested_file(self, capsys, write, tmp_path, argv):
+        # json.load recurses once per bracket and runs out of stack.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        fan = write("fan.json", P2_RAYS)
+        argv = [arg.format(deep=deep, fan=fan) for arg in argv]
+        code, out, err = run_lines(capsys, argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "InvalidInput",
+            "detail": f"{deep} nests too deeply to parse",
+        }
 
 
 class TestClassifyAndPredict:
@@ -419,6 +445,32 @@ class TestDemosAndBulk:
         assert obj["divisor"] == [0, 0, 1, 1]
         assert obj["translation_exact"] is True
 
+    def test_moment_check_rejects_coordinates_past_the_float_range(
+        self, capsys, write
+    ):
+        fan = write("fan.json", wedge_rays(10**400))
+        code, out, err = run_lines(capsys, ["moment-check", fan, "--samples", "4"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "InvalidInput",
+            "detail": "polygon offsets and coordinates must be below 2**1000 "
+            "in absolute value",
+        }
+
+    def test_moment_check_near_the_float_range(self, capsys, write):
+        rays = wedge_rays(10**300)
+        fan = write("fan.json", rays)
+        code, out, err = run_lines(capsys, ["moment-check", fan, "--samples", "4"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "fan": rays["rays"],
+            "divisor": [0, 0, 1, 2, 1],
+            "samples": 4,
+            "max_inequality_violation": 0.0,
+            "translation_exact": True,
+            "min_mu_separation": 0.0,
+        }
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_moment_check_rejects_sample_counts_below_one(self, capsys, write, samples):
         code, out, err = run_lines(
@@ -695,10 +747,34 @@ def test_import_does_not_load_the_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+def _top_level_names(path):
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in realtoric.__all__ if not hasattr(realtoric, name)]
     assert missing == []
     src = Path(__file__).resolve().parents[1] / "src"
+    # Each library module lists only names it defines itself, and the
+    # package exports exactly the union of those lists.
+    exported = []
+    for path in sorted((src / "realtoric").glob("*.py")):
+        if path.stem in ("__init__", "cli"):
+            continue
+        # import_module, since realtoric.homology is the function
+        module = importlib.import_module(f"realtoric.{path.stem}")
+        assert hasattr(module, "__all__"), path.stem
+        assert set(module.__all__) <= _top_level_names(path), path.stem
+        exported += module.__all__
+    assert len(exported) == len(set(exported))
+    assert realtoric.__all__ == sorted(exported)
     result = subprocess.run(
         [sys.executable, "-c", "from realtoric import *"],
         env={**os.environ, "PYTHONPATH": str(src)},
