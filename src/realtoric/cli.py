@@ -4,9 +4,10 @@ Every subcommand reads fan (and divisor) JSON files, prints deterministic
 output to standard out, and uses four exit codes: 0 for success, 1 for
 any input or validation problem (reported as an ``{"error", "detail"}``
 object on standard error), 2 when a verification run finds an
-inconsistency between the computed and predicted answers, and 3 for an
-internal error (reported as an ``{"error": "Internal", "stage",
-"detail"}`` object on standard error).
+inconsistency between the computed and predicted answers (a glued
+complex that is not a closed surface counts, with ``"computed": null``),
+and 3 for an internal error (reported as an ``{"error": "Internal",
+"stage", "detail"}`` object on standard error).
 """
 
 from __future__ import annotations

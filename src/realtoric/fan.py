@@ -49,8 +49,6 @@ __all__ = [
     "self_intersections",
     "apply_map",
     "cyclically_equal",
-    "fans_isomorphic",
-    "reconstruct_fan",
     "projective_plane_fan",
     "hirzebruch_fan",
     "blow_up",
@@ -224,107 +222,17 @@ def apply_map(fan: Fan, m: Mat2) -> Fan:
     return normalize_fan([(a * x + b * y, c * x + e * y) for x, y in fan.rays])
 
 
-def _cyclic_views(seq: Sequence[int], reverse: bool) -> Iterable[tuple[int, tuple[int, ...]]]:
-    d = len(seq)
-    base = tuple(seq)
-    for j in range(d):
-        if reverse:
-            yield j, tuple(base[(j - i) % d] for i in range(d))
-        else:
-            yield j, tuple(base[(j + i) % d] for i in range(d))
-
-
 def cyclically_equal(a: Sequence[int], b: Sequence[int], reversal: bool = True) -> bool:
     """True when two cyclic sequences agree up to rotation (and reversal)."""
     if len(a) != len(b):
         return False
-    target = tuple(a)
-    if not target:
+    target, base = tuple(a), tuple(b)
+    d = len(target)
+    if not d:
         return True
-    for _, view in _cyclic_views(b, False):
-        if view == target:
-            return True
-    if reversal:
-        for _, view in _cyclic_views(b, True):
-            if view == target:
-                return True
-    return False
-
-
-def _solve_map(src0: Vec, src1: Vec, dst0: Vec, dst1: Vec) -> Mat2:
-    # The source pair is adjacent, so the column matrix [src0 src1] has
-    # determinant 1 and an integer inverse.
-    inv = ((src1[1], -src1[0]), (-src0[1], src0[0]))
-    g = ((dst0[0], dst1[0]), (dst0[1], dst1[1]))
-    return (
-        (g[0][0] * inv[0][0] + g[0][1] * inv[1][0],
-         g[0][0] * inv[0][1] + g[0][1] * inv[1][1]),
-        (g[1][0] * inv[0][0] + g[1][1] * inv[1][0],
-         g[1][0] * inv[0][1] + g[1][1] * inv[1][1]),
-    )
-
-
-def fans_isomorphic(f: Fan, g: Fan) -> bool:
-    """Whether some unimodular lattice map carries ``f`` onto ``g``.
-
-    Matching is driven by the cyclic self-intersection sequences (rotations
-    for orientation-preserving maps, reversals for orientation-reversing
-    ones). Every sequence match is then certified by building the explicit
-    map from one adjacent ray pair and checking it carries every ray of
-    ``f`` to the matched ray of ``g``.
-    """
-    if f.d != g.d:
-        return False
-    sf = self_intersections(f)
-    sg = self_intersections(g)
-    d = f.d
-    certified = False
-    for reverse in (False, True):
-        for j, view in _cyclic_views(sg, reverse):
-            if view != sf:
-                continue
-            if reverse:
-                dst0, dst1 = g.rays[j], g.rays[(j - 1) % d]
-            else:
-                dst0, dst1 = g.rays[j], g.rays[(j + 1) % d]
-            m = _solve_map(f.rays[0], f.rays[1], dst0, dst1)
-            ok = all(
-                (
-                    m[0][0] * vx + m[0][1] * vy,
-                    m[1][0] * vx + m[1][1] * vy,
-                )
-                == g.rays[(j - i) % d if reverse else (j + i) % d]
-                for i, (vx, vy) in enumerate(f.rays)
-            )
-            if not ok:
-                raise RuntimeError(
-                    "self-intersection sequences matched but the induced "
-                    "map failed to carry the rays across"
-                )
-            certified = True
-    return certified
-
-
-def reconstruct_fan(seq: Sequence[int]) -> Fan:
-    """Rebuild a fan from a cyclic self-intersection sequence.
-
-    Starts from the adjacent pair ``(1, 0), (0, 1)`` and unrolls the
-    recurrence ``v[i+1] = -seq[i] * v[i] - v[i-1]``. Raises the usual
-    validation errors if the sequence does not close up into a valid fan.
-    """
-    d = len(seq)
-    if d < 3:
-        raise NotComplete("need at least 3 self-intersection numbers")
-    rays: list[Vec] = [(1, 0), (0, 1)]
-    for i in range(1, d - 1):
-        a = seq[i]
-        vx, vy = rays[i]
-        px, py = rays[i - 1]
-        rays.append((-a * vx - px, -a * vy - py))
-    fan = normalize_fan(rays)
-    if not cyclically_equal(self_intersections(fan), tuple(seq)):
-        raise RuntimeError("reconstruction did not reproduce the sequence")
-    return fan
+    # The rotations of b are the length-d windows of b twice over.
+    views = [base * 2, base[::-1] * 2] if reversal else [base * 2]
+    return any(view[j:j + d] == target for view in views for j in range(d))
 
 
 def projective_plane_fan() -> Fan:

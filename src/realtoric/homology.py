@@ -12,7 +12,8 @@ Closed-surface recognition goes through the standard homology profiles
     nonorientable genus k:   Z, Z^(k-1) + Z/2, 0
 
 ``verify`` compares the classified homology with the type predicted from
-the fan, and the parity rule for orientability with ``b2 == 1``. The
+the fan, and the parity rule for orientability with ``b2 == 1``; a
+profile that is no closed surface fails the comparison. The
 complex has ``d``, ``2d`` and ``4`` cells by construction, so its Euler
 characteristic ``4 - d`` is not compared with anything.
 """
@@ -181,11 +182,14 @@ def orientable_fast(fan: Fan) -> bool:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Everything computed for one fan, plus the cross-check verdict."""
+    """Everything computed for one fan, plus the cross-check verdict.
+
+    ``computed`` is None when the homology is no closed surface's.
+    """
 
     fan: Fan
     predicted: SurfaceType
-    computed: SurfaceType
+    computed: SurfaceType | None
     profile: HomologyProfile
     orientable_fast: bool
     orientable_homology: bool
@@ -197,10 +201,15 @@ def verify(fan: Fan) -> VerificationReport:
 
     Consistency means: the homology classification equals the predicted
     type, and the parity shortcut for orientability agrees with
-    ``b2 == 1``.
+    ``b2 == 1``. The fan is valid, so a complex whose homology is not a
+    closed surface's is a fault of the construction, not of the input: it
+    gives ``computed=None`` and an inconsistent report, not an error.
     """
     profile = homology(build_real_complex(fan))
-    computed = classify_surface(profile)
+    try:
+        computed = classify_surface(profile)
+    except NotAClosedSurfaceProfile:
+        computed = None
     predicted = predict_theorem(fan)
     fast = orientable_fast(fan)
     by_homology = profile.b2 == 1
@@ -221,7 +230,7 @@ def report_to_json(report: VerificationReport) -> dict:
         "fan": fan_to_json(report.fan)["rays"],
         "d": report.fan.d,
         "predicted": str(report.predicted),
-        "computed": str(report.computed),
+        "computed": None if report.computed is None else str(report.computed),
         "orientable_fast": report.orientable_fast,
         "betti": [report.profile.b0, report.profile.b1, report.profile.b2],
         "torsion": list(report.profile.torsion),

@@ -30,7 +30,6 @@ __all__ = [
     "translate_divisor",
     "divisor_to_json",
     "divisor_from_json",
-    "polygon_to_json",
 ]
 
 
@@ -198,10 +197,3 @@ def divisor_from_json(obj: object) -> ToricDivisor:
     ):
         raise InvalidInput('"coeffs" must be a list of integers')
     return ToricDivisor(tuple(coeffs))
-
-
-def polygon_to_json(polygon: LatticePolygon) -> dict:
-    return {
-        "vertices": [list(w) for w in polygon.vertices],
-        "offsets": list(polygon.offsets),
-    }

@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -782,6 +783,34 @@ def test_every_exported_name_resolves():
         text=True,
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def _unused_exports(root, names):
+    # A name is used when it appears as a whole word on some line of the
+    # library, the benchmark, the README or the acceptance suite, other
+    # than its own def or class line and its __all__ entry.
+    paths = [
+        *sorted((root / "src" / "realtoric").glob("*.py")),
+        *sorted((root / "bench").glob("*.py")),
+        root / "README.md",
+        root / "tests" / "test_acceptance.py",
+    ]
+    lines = [
+        line for path in paths for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    unused = []
+    for name in names:
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf'\s*((def|class) {name}\b|"{name}",$)')
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    return unused
+
+
+def test_every_exported_name_has_a_use():
+    # Public surface that only its own unit tests call is dead weight.
+    root = Path(__file__).resolve().parents[1]
+    assert _unused_exports(root, realtoric.__all__) == []
 
 
 def _load_bench_module(name, monkeypatch):

@@ -20,7 +20,6 @@ from realtoric import (
     lattice_points,
     normalize_fan,
     polygon_from_divisor,
-    polygon_to_json,
     projective_plane_fan,
     random_fan,
     translate_divisor,
@@ -292,11 +291,3 @@ class TestJson:
             divisor_from_json({"coeffs": [1, "2"]})
         with pytest.raises(InvalidInput):
             divisor_from_json([1, 2])
-
-    def test_polygon_json_fields(self):
-        poly = polygon_from_divisor(P2, ToricDivisor((1, 1, 1)))
-        obj = polygon_to_json(poly)
-        assert obj == {
-            "vertices": [[-1, -1], [2, -1], [-1, 2]],
-            "offsets": [1, 1, 1],
-        }
