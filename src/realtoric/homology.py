@@ -5,7 +5,8 @@ boundary ∂1 is its incidence matrix: its rank is the number of vertices
 minus the number of connected components, read off a union-find over the
 edges, and it adds no torsion (an incidence matrix is totally unimodular,
 so every invariant factor is 1 and H0 is free). Only the edge-face
-boundary ∂2 gets a Smith form, for its rank and the torsion of H1.
+boundary ∂2 gets a Smith form, for its rank and the torsion of H1, on
+its distinct columns up to sign: 4 or 6 on the real complex at any d.
 Closed-surface recognition goes through the standard homology profiles
 
     orientable genus g:      Z, Z^(2g), Z
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from .errors import InvalidComplex, NotAClosedSurfaceProfile
 from .fan import Fan, fan_to_json, self_intersections
 from .gluing import CellComplex, build_real_complex
-from .intmat import smith_normal_form
+from .intmat import Matrix, smith_normal_form
 
 __all__ = [
     "HomologyProfile",
@@ -77,6 +78,20 @@ def _spanning_forest_size(
     return merges
 
 
+def _distinct_columns(c: CellComplex) -> Matrix:
+    # The faces-by-edges transpose of ∂2 from the face words, with one copy
+    # of each distinct nonzero column, signed so that its first nonzero
+    # entry is positive, in sorted order. Dropping a zero column or a repeat
+    # up to sign is unimodular, so the invariant factors are unchanged.
+    rows = [[0] * len(c.edges) for _ in c.faces]
+    for row, word in zip(rows, c.faces):
+        for signed in word:
+            row[abs(signed) - 1] += 1 if signed > 0 else -1
+    distinct = {max(col, tuple(-x for x in col)) for col in set(zip(*rows))}
+    distinct.discard((0,) * len(c.faces))
+    return tuple(zip(*sorted(distinct)))
+
+
 def homology(c: CellComplex) -> HomologyProfile:
     """Exact integral homology of a 2-dimensional cell complex.
 
@@ -89,12 +104,13 @@ def homology(c: CellComplex) -> HomologyProfile:
     ``b0`` is its number of components; H0 is free because ∂1, a graph's
     incidence matrix, has every invariant factor 1. No ∂1 matrix is
     built. The rank of ∂2 and the torsion of H1 come from one Smith form,
-    taken on the faces-by-edges transpose of ∂2, which has the same
+    taken on the faces-by-edges transpose of ∂2 (read off the face words,
+    with zero columns and repeats up to sign dropped), which has the same
     invariant factors.
     """
     c.check_chain_complex()
     r1 = _spanning_forest_size(c.num_vertices, c.edges)
-    s2 = smith_normal_form(tuple(zip(*c.boundary_matrix_2())))
+    s2 = smith_normal_form(_distinct_columns(c))
     b0 = c.num_vertices - r1
     b1 = len(c.edges) - r1 - s2.rank
     b2 = len(c.faces) - s2.rank
@@ -203,9 +219,13 @@ def verify(fan: Fan) -> VerificationReport:
     type, and the parity shortcut for orientability agrees with
     ``b2 == 1``. The fan is valid, so a complex whose homology is not a
     closed surface's is a fault of the construction, not of the input: it
-    gives ``computed=None`` and an inconsistent report, not an error.
+    gives ``computed=None`` and an inconsistent report, not an error; an
+    InvalidComplex from its own complex is re-raised as a RuntimeError.
     """
-    profile = homology(build_real_complex(fan))
+    try:
+        profile = homology(build_real_complex(fan))
+    except InvalidComplex as exc:
+        raise RuntimeError(f"the glued complex is invalid: {exc}") from exc
     try:
         computed = classify_surface(profile)
     except NotAClosedSurfaceProfile:

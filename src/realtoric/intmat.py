@@ -196,9 +196,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     skipped behind a unit pivot) and repeats. Handles empty and all-zero
     matrices; a ragged matrix or a non-integer entry is a ValueError.
 
-    The transposed edge-face boundary of a real toric surface with d rays
-    is 4 x 2d with entries 0 and +-1: it has at most four pivots, and a
-    unit pivot costs O(d).
+    ``homology`` passes it the distinct columns of the faces-by-edges
+    boundary of a real toric surface: 4 x 4 or 4 x 6, entries 0 and +-1,
+    whatever the number of rays d, so each call takes constant time.
     """
     d = _int_rows(a)
     n = len(d[0]) if d else 0

@@ -1,5 +1,6 @@
 """Homology profiles, surface recognition, and the verification pipeline."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -14,14 +15,18 @@ from realtoric import (
     SurfaceType,
     apply_map,
     blow_up,
+    build_affine_span_complex,
     build_real_complex,
     classify_surface,
+    corpus_fans,
     euler_from_cells,
+    find_ample,
     hirzebruch_fan,
     homology,
     mat_mul,
     normalize_fan,
     orientable_fast,
+    polygon_from_divisor,
     predict_theorem,
     projective_plane_fan,
     random_fan,
@@ -156,6 +161,145 @@ def test_boundary_check_agrees_with_the_matrix_product(c):
             len(c.faces) - s2.rank,
             tuple(x for x in s2.diag if x > 1),
         )
+
+
+def components(c):
+    # The connected components of the 1-skeleton, by depth-first search.
+    neighbours = [[] for _ in range(c.num_vertices)]
+    for tail, head in c.edges:
+        neighbours[tail].append(head)
+        neighbours[head].append(tail)
+    seen = [False] * c.num_vertices
+    count = 0
+    for start in range(c.num_vertices):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
+
+
+def full_smith_profile(c):
+    """The homology of ``c`` from a Smith form of all the columns of ∂2's
+    transpose, zero and repeated ones included, and rank ∂1 from the
+    components of the 1-skeleton."""
+    r1 = c.num_vertices - components(c)
+    s2 = smith_normal_form(tuple(zip(*c.boundary_matrix_2())))
+    return HomologyProfile(
+        c.num_vertices - r1,
+        len(c.edges) - r1 - s2.rank,
+        len(c.faces) - s2.rank,
+        tuple(x for x in s2.diag if x > 1),
+    )
+
+
+def ladder_fan(d):
+    # d rays, built directly: random_fan is quadratic in its blow-ups.
+    return normalize_fan([(1, j) for j in range(d - 3)] + [(0, 1), (-1, 0), (0, -1)])
+
+
+# The one-vertex cell structures of three closed surfaces, with their
+# homology: every edge is a loop, and the one face reads the usual word.
+HAND_BUILT = {
+    "RP2": (CellComplex(1, ((0, 0),), ((1, 1),)), HomologyProfile(1, 0, 0, (2,))),
+    "Klein bottle": (
+        CellComplex(1, ((0, 0), (0, 0)), ((1, 2, -1, 2),)),
+        HomologyProfile(1, 1, 0, (2,)),
+    ),
+    "torus": (
+        CellComplex(1, ((0, 0), (0, 0)), ((1, 2, -1, -2),)),
+        HomologyProfile(1, 2, 1, ()),
+    ),
+}
+
+# The acceptance corpus, F_0 ... F_60 and the projective plane.
+ORACLE_FANS = (
+    corpus_fans(20260817, 200, 16) + [hirzebruch_fan(a) for a in range(61)] + [P2]
+)
+
+
+class TestAgainstTheFullSmithForm:
+    # homology factors only the distinct columns of ∂2's transpose, up to
+    # sign; the oracle factors all of them.
+    def test_real_complexes(self):
+        for fan in ORACLE_FANS:
+            c = build_real_complex(fan)
+            assert homology(c) == full_smith_profile(c), fan
+
+    @pytest.mark.parametrize("d", [4, 5, 8, 16, 64, 128, 192, 512, 1004, 1504])
+    def test_d_sweep(self, d):
+        fans = [ladder_fan(d)]
+        if d <= 192:
+            fans.append(random_fan(d, d - random_fan(d, 0).d))
+        for fan in fans:
+            assert fan.d == d
+            c = build_real_complex(fan)
+            assert homology(c) == full_smith_profile(c), fan
+
+    def test_affine_span_complexes(self):
+        for fan in ORACLE_FANS:
+            c = build_affine_span_complex(fan, polygon_from_divisor(fan, find_ample(fan)))
+            assert homology(c) == full_smith_profile(c), fan
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_surfaces(self, name):
+        c, profile = HAND_BUILT[name]
+        assert homology(c) == full_smith_profile(c) == profile
+
+
+def loop_complex(num_faces, columns):
+    """One vertex, a loop per column, and a face per row: face ``i`` runs
+    ``|a|`` times around loop ``j``, forwards when ``a = columns[j][i]`` is
+    positive, so the faces-by-edges transpose of ∂2 has these columns."""
+    faces = tuple(
+        tuple(
+            (j + 1 if a > 0 else -(j + 1))
+            for j, column in enumerate(columns)
+            for a in [column[i]] * abs(column[i])
+        )
+        for i in range(num_faces)
+    )
+    return CellComplex(1, ((0, 0),) * len(columns), faces)
+
+
+@st.composite
+def repeated_columns(draw):
+    """Up to 4 rows, and columns drawn from up to 3 base columns, each
+    maybe negated or repeated, mixed with zero columns."""
+    num_rows = draw(st.integers(0, 4))
+    column = st.tuples(*[st.integers(-3, 3)] * num_rows)
+    base = draw(st.lists(column, min_size=1, max_size=3)) + [(0,) * num_rows]
+    picks = st.tuples(st.sampled_from(base), st.sampled_from([1, -1]))
+    columns = [
+        tuple(sign * x for x in col) for col, sign in draw(st.lists(picks, max_size=8))
+    ]
+    return num_rows, columns
+
+
+@given(shape=repeated_columns())
+@example(shape=(0, []))
+@example(shape=(3, []))
+@example(shape=(2, [(0, 0), (0, 0)]))
+@example(shape=(2, [(1, -2), (-1, 2), (1, -2), (0, 0), (2, 2)]))
+@example(shape=(1, [(2,), (-2,)]))
+@settings(max_examples=300, deadline=None)
+def test_dropping_zero_and_repeated_columns_keeps_the_smith_form(shape):
+    num_rows, columns = shape
+    full = tuple(zip(*columns)) if columns else ((),) * num_rows
+    c = loop_complex(num_rows, columns)
+    assert c.boundary_matrix_2() == tuple(columns)
+    reduced = importlib.import_module("realtoric.homology")._distinct_columns(c)
+    kept = list(zip(*reduced))
+    assert all(any(col) for col in kept)
+    assert len({frozenset((col, tuple(-x for x in col))) for col in kept}) == len(kept)
+    assert smith_normal_form(reduced).diag == smith_normal_form(full).diag
+    assert homology(c) == full_smith_profile(c)
 
 
 class TestEuler:

@@ -23,6 +23,7 @@ from realtoric import (
     corpus_fans,
     homology,
     mat_mul,
+    normalize_fan,
     random_fan,
     smith_normal_form,
 )
@@ -304,8 +305,10 @@ def fan_with_rays(seed, d):
 
 
 def test_homology_takes_one_smith_form_and_no_vertex_edge_matrix(monkeypatch):
-    # rank ∂1 comes from the graph's components: building ∂1 is an error,
-    # and the one Smith form left is on ∂2 or its transpose, 4 faces wide.
+    # rank ∂1 comes from the graph's components and ∂2 is read off the face
+    # words: building either boundary matrix is an error. The one Smith form
+    # left is on the distinct columns of ∂2's transpose: 4 faces by at most
+    # 6 columns, whatever d is.
     homology_module = importlib.import_module("realtoric.homology")
     shapes = []
 
@@ -314,14 +317,22 @@ def test_homology_takes_one_smith_form_and_no_vertex_edge_matrix(monkeypatch):
         return snf(a)
 
     def refused(self):
-        raise AssertionError("homology built the vertex-edge boundary")
+        raise AssertionError("homology built a boundary matrix")
 
     monkeypatch.setattr(homology_module, "smith_normal_form", recorded)
     monkeypatch.setattr(CellComplex, "boundary_matrix_1", refused)
-    d = 192
-    c = build_real_complex(fan_with_rays(8503, d))
-    assert homology(c) == HomologyProfile(1, 189, 0, (2,))
-    assert len(shapes) == 1 and 4 in shapes[0]
+    monkeypatch.setattr(CellComplex, "boundary_matrix_2", refused)
+    # random_fan is quadratic in its blow-ups, so the largest fan is built
+    # from its rays.
+    ladder = [(1, j) for j in range(1501)] + [(0, 1), (-1, 0), (0, -1)]
+    for fan in (fan_with_rays(8503, 64), fan_with_rays(8503, 192), normalize_fan(ladder)):
+        shapes.clear()
+        d = fan.d
+        assert homology(build_real_complex(fan)) == HomologyProfile(1, d - 3, 0, (2,))
+        assert len(shapes) == 1, d
+        rows, columns = shapes[0]
+        assert rows == 4 and columns <= 6, (d, shapes)
+    assert d == 1504
 
 
 def sympy_factors(a):

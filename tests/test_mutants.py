@@ -5,7 +5,8 @@ wraps one function where its caller looks it up. ``verify`` reads its
 helpers from the module ``realtoric.homology``, which is reached through
 ``sys.modules``: the package attribute of that name is the function
 ``homology`` (``from .homology import *`` rebinds it), so a patch through
-the package would change nothing.
+the package would change nothing. ``realtoric.moment`` is reached the same
+way, for uniformity.
 """
 
 import dataclasses
@@ -16,16 +17,22 @@ import pytest
 
 import realtoric.cli as cli
 from realtoric import (
+    InvalidComplex,
     SurfaceType,
     blow_up,
+    build_real_complex,
     fan_to_json,
     hirzebruch_fan,
+    homology,
     projective_plane_fan,
     random_fan,
+    run_moment_checks,
     verify,
 )
+from test_homology import HAND_BUILT, full_smith_profile
 
 HOMOLOGY = sys.modules["realtoric.homology"]
+MOMENT = sys.modules["realtoric.moment"]
 
 P2 = projective_plane_fan()
 FANS = [
@@ -62,17 +69,43 @@ def _genus_plus_one(fn):
     return mutant
 
 
-# name -> (function in realtoric.homology, wrapper that breaks it)
+def _every_edge_a_merge(fn):
+    # rank ∂1 as if no edge closed a cycle: b0 = V - E goes negative.
+    return lambda num_vertices, edges: len(edges)
+
+
+def _unit_grid_width(fn):
+    # The grid's log window is no longer scaled by the polygon's width: the
+    # same as ``width = 1`` in ``_grid_images``, its only caller.
+    return lambda coords, width: fn(coords, 1)
+
+
+def _last_column_dropped(fn):
+    return lambda c: tuple(row[:-1] for row in fn(c))
+
+
+# name -> (module, function in it, wrapper that breaks it)
 MUTANTS = {
-    "edge-class-swap": ("build_real_complex", _swap_edge_classes),
-    "orientable-fast-negated": ("orientable_fast", _negated),
-    "predict-theorem-genus-plus-one": ("predict_theorem", _genus_plus_one),
+    "edge-class-swap": (HOMOLOGY, "build_real_complex", _swap_edge_classes),
+    "orientable-fast-negated": (HOMOLOGY, "orientable_fast", _negated),
+    "predict-theorem-genus-plus-one": (HOMOLOGY, "predict_theorem", _genus_plus_one),
+    "spanning-forest-every-edge": (HOMOLOGY, "_spanning_forest_size", _every_edge_a_merge),
+    "grid-width-one": (MOMENT, "_axis_table", _unit_grid_width),
+    "last-distinct-column-dropped": (HOMOLOGY, "_distinct_columns", _last_column_dropped),
 }
+
+# The mutants that verify's own comparisons catch; each of the others has a
+# test of its own below.
+CAUGHT_BY_VERIFY = [
+    "edge-class-swap",
+    "orientable-fast-negated",
+    "predict-theorem-genus-plus-one",
+]
 
 
 def _apply(monkeypatch, name):
-    target, wrap = MUTANTS[name]
-    monkeypatch.setattr(HOMOLOGY, target, wrap(getattr(HOMOLOGY, target)))
+    module, target, wrap = MUTANTS[name]
+    monkeypatch.setattr(module, target, wrap(getattr(module, target)))
 
 
 def _run(capsys, argv):
@@ -85,21 +118,26 @@ def test_fans_are_consistent_without_a_mutant():
     assert all(verify(fan).all_consistent for fan in FANS)
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
+@pytest.mark.parametrize("name", CAUGHT_BY_VERIFY)
 def test_verify_catches_mutant(monkeypatch, name):
     _apply(monkeypatch, name)
     assert not any(verify(fan).all_consistent for fan in FANS)
+
+
+def _fan_files(tmp_path):
+    for k, fan in enumerate(FANS):
+        path = tmp_path / f"fan{k}.json"
+        path.write_text(json.dumps(fan_to_json(fan)))
+        yield fan, str(path)
 
 
 def test_edge_class_swap_exits_2_with_computed_null(monkeypatch, capsys, tmp_path):
     # The fans are valid, so a complex that is not a closed surface is a
     # fault of the program: never exit 1, which means bad input.
     _apply(monkeypatch, "edge-class-swap")
-    for k, fan in enumerate(FANS):
-        path = tmp_path / f"fan{k}.json"
-        path.write_text(json.dumps(fan_to_json(fan)))
+    for fan, path in _fan_files(tmp_path):
         for command, want in (("verify", 2), ("classify", 0)):
-            code, lines, err = _run(capsys, [command, str(path)])
+            code, lines, err = _run(capsys, [command, path])
             assert (code, err) == (want, ""), (command, fan)
             assert len(lines) == 1
             assert lines[0]["computed"] is None
@@ -111,3 +149,49 @@ def test_edge_class_swap_exits_2_with_computed_null(monkeypatch, capsys, tmp_pat
     assert summary["consistent"] == 0
     assert len(summary["failing"]) == 3
     assert all(line["computed"] is None for line in lines[:-1])
+
+
+def test_spanning_forest_mutant_exits_3(monkeypatch, capsys, tmp_path):
+    # homology refuses verify's own complex as InvalidComplex. The fan is
+    # valid, so that is an internal error, never exit 1, which means bad
+    # input; homology on a complex the caller built still refuses it.
+    _apply(monkeypatch, "spanning-forest-every-edge")
+    for fan, path in _fan_files(tmp_path):
+        with pytest.raises(InvalidComplex, match="boundary ranks"):
+            homology(build_real_complex(fan))
+        for command in ("verify", "classify"):
+            assert cli.run([command, path]) == 3, (command, fan)
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err) == {
+                "error": "Internal",
+                "stage": command,
+                "detail": "RuntimeError: the glued complex is invalid: "
+                "boundary ranks exceed the chain group ranks",
+            }
+    assert cli.run(["corpus", "--seed", "7", "--count", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["stage"] == "corpus"
+
+
+def test_grid_width_mutant_fails_the_separation_gate(monkeypatch):
+    # A few fans of tests/test_moment.py's F_0 ... F_400 gate, which asks
+    # for a separation above 1e-9 on every one.
+    fans = [hirzebruch_fan(a) for a in (0, 11, 40, 400)]
+    assert all(run_moment_checks(f, samples=1).min_mu_separation > 1e-9 for f in fans)
+    _apply(monkeypatch, "grid-width-one")
+    assert not all(
+        run_moment_checks(f, samples=1).min_mu_separation > 1e-9 for f in fans
+    )
+
+
+def test_dropped_column_mutant_fails_the_oracle(monkeypatch):
+    # Every real complex keeps its invariant factors without any one of
+    # its distinct columns (4 or 6 of them, the incidence patterns of a
+    # 4-cycle and of K4), so only a complex with a column of 2s shows the
+    # loss: the hand-built RP2 and Klein bottle of tests/test_homology.py.
+    assert all(homology(c) == full_smith_profile(c) for c, _ in HAND_BUILT.values())
+    _apply(monkeypatch, "last-distinct-column-dropped")
+    caught = [n for n, (c, _) in HAND_BUILT.items() if homology(c) != full_smith_profile(c)]
+    assert sorted(caught) == ["Klein bottle", "RP2"]
