@@ -139,10 +139,6 @@ class SurfaceType:
         if not self.orientable and self.genus < 1:
             raise ValueError("nonorientable genus must be >= 1")
 
-    @property
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus if self.orientable else 2 - self.genus
-
     def __str__(self) -> str:
         if self.orientable:
             if self.genus == 0:

@@ -7,13 +7,14 @@ string, a ``Fraction``) is refused with a ``ValueError`` that names the
 entry, rather than truncated.
 
 The Smith normal form routine returns only the invariant factors, which
-is all that homology reads. Every step it takes is unimodular, so the
-factors are those of the input: a row operation is either a swap, adding
-a multiple of one row to another, or a 2x2 block built from an extended
-gcd (determinant +1), and likewise for columns. It is one dense scheme:
-its pivot search stops at the first unit, only rows and columns with a
-nonzero entry in the pivot column or row are combined, and the
-divisibility patch is skipped behind a unit pivot.
+is all that homology reads. It is the textbook reduction by division with
+remainder (M. Newman, *Integral Matrices*, 1972, ch. II): take an entry of
+least absolute value as the pivot, subtract multiples of its row and column
+from the others, and pick a new, smaller pivot while a remainder is left.
+Every step is a swap or adds a multiple of one row (column) to another, so
+it is unimodular and the factors are those of the input; they are unique,
+so any such reduction gives the same answer. The pivot search stops at the
+first unit, and the divisibility patch is skipped behind a unit pivot.
 """
 
 from __future__ import annotations
@@ -57,21 +58,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     )
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return ``(g, x, y)`` with ``g = gcd(a, b) >= 0`` and ``x*a + y*b = g``."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """The invariant factors of an integer matrix.
@@ -86,40 +72,6 @@ class SmithForm:
     @property
     def rank(self) -> int:
         return len(self.diag)
-
-
-def _row_combine(d: list[list[int]], t: int, i: int) -> None:
-    # Reduce d[i][t] against the pivot d[t][t] with one unimodular 2x2 block.
-    a, b = d[t][t], d[i][t]
-    if b == 0:
-        return
-    if a != 0 and b % a == 0:
-        q = b // a
-        d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-        return
-    g, x, y = _egcd(a, b)
-    p, q = -(b // g), a // g
-    d[t], d[i] = (
-        [x * rt + y * ri for rt, ri in zip(d[t], d[i])],
-        [p * rt + q * ri for rt, ri in zip(d[t], d[i])],
-    )
-
-
-def _col_combine(d: list[list[int]], t: int, j: int) -> None:
-    a, b = d[t][t], d[t][j]
-    if b == 0:
-        return
-    if a != 0 and b % a == 0:
-        q = b // a
-        for row in d:
-            row[j] -= q * row[t]
-        return
-    g, x, y = _egcd(a, b)
-    p, q = -(b // g), a // g
-    for row in d:
-        ct, cj = row[t], row[j]
-        row[t] = x * ct + y * cj
-        row[j] = p * ct + q * cj
 
 
 def _find_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -140,7 +92,7 @@ def _find_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
 
 
 def _dense_diag(d: list[list[int]]) -> tuple[int, ...]:
-    # The nonzero invariant factors of d by the dense scheme, in place.
+    # The nonzero invariant factors of d by division steps, in place.
     m = len(d)
     n = len(d[0]) if m else 0
     t = 0
@@ -155,29 +107,28 @@ def _dense_diag(d: list[list[int]]) -> tuple[int, ...]:
             for row in d:
                 row[t], row[pj] = row[pj], row[t]
 
-        while True:
-            for i in [i for i in range(t + 1, m) if d[i][t]]:
-                _row_combine(d, t, i)
-            for j in [j for j in range(t + 1, n) if d[t][j]]:
-                _col_combine(d, t, j)
-            if any(d[i][t] for i in range(t + 1, m)):
+        top = d[t]
+        g = top[t]
+        for i in range(t + 1, m):
+            q = d[i][t] // g
+            if q:
+                d[i] = [x - q * y for x, y in zip(d[i], top)]
+        for j in range(t + 1, n):
+            q = top[j] // g
+            if q:
+                for row in d:
+                    row[j] -= q * row[t]
+        # A remainder is smaller than |g|: pivot on the least entry again.
+        if any(top[t + 1 :]) or any(row[t] for row in d[t + 1 :]):
+            continue
+        if g not in (1, -1):
+            offender = next(
+                (i for i in range(t + 1, m) if any(x % g for x in d[i][t + 1 :])),
+                None,
+            )
+            if offender is not None:
+                d[t] = [x + y for x, y in zip(top, d[offender])]
                 continue
-            if any(d[t][j] for j in range(t + 1, n)):
-                continue
-            g = d[t][t]
-            if g in (1, -1):
-                break
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % g != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            d[t] = [x + y for x, y in zip(d[t], d[offender])]
         t += 1
 
     # The loop stops at the first all-zero submatrix, so the nonzero
@@ -189,12 +140,14 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     """Smith normal form, diagonal only.
 
     Pivoting picks the entry of smallest absolute value in the remaining
-    submatrix (the first one in row-major order, stopping at a unit),
-    clears its row and column with gcd steps, combining only rows and
-    columns with a nonzero entry in the pivot column or row, then patches
-    any divisibility failure (adding the offending row to the pivot row;
-    skipped behind a unit pivot) and repeats. Handles empty and all-zero
-    matrices; a ragged matrix or a non-integer entry is a ValueError.
+    submatrix (the first one in row-major order, stopping at a unit) and
+    subtracts its row and column, times the floor quotient, from every row
+    and column with a nonzero quotient. A remainder left in the pivot row
+    or column is smaller than the pivot, so searching again terminates.
+    Once both are clear, a divisibility failure is patched by adding the
+    offending row to the pivot row (skipped behind a unit pivot), and the
+    search starts again. Handles empty and all-zero matrices; a ragged
+    matrix or a non-integer entry is a ValueError.
 
     ``homology`` passes it the distinct columns of the faces-by-edges
     boundary of a real toric surface: 4 x 4 or 4 x 6, entries 0 and +-1,

@@ -785,6 +785,32 @@ def test_every_exported_name_resolves():
     assert (result.returncode, result.stderr) == (0, "")
 
 
+# Scripted callers match on these codes, so a renamed class is a changed code.
+ERROR_CODES = {
+    "ToricError": "Error",
+    "InvalidInput": "InvalidInput",
+    "NonPrimitiveRay": "NonPrimitiveRay",
+    "DuplicateRay": "DuplicateRay",
+    "NotComplete": "NotComplete",
+    "NotSmooth": "NotSmooth",
+    "NotUnimodular": "NotUnimodular",
+    "IndexOutOfRange": "IndexOutOfRange",
+    "TooFewRays": "TooFewRays",
+    "NotExceptional": "NotExceptional",
+    "LengthMismatch": "LengthMismatch",
+    "NotAmple": "NotAmple",
+    "PolygonFanMismatch": "PolygonFanMismatch",
+    "InvalidComplex": "InvalidComplex",
+    "NotAClosedSurfaceProfile": "NotAClosedSurfaceProfile",
+    "DegenerateWeights": "DegenerateWeights",
+}
+
+
+def test_every_error_code_is_pinned():
+    errors = realtoric.errors
+    assert {name: getattr(errors, name).code for name in errors.__all__} == ERROR_CODES
+
+
 def _unused_exports(root, names):
     # A name is used when it appears as a whole word on some line of the
     # library, the benchmark, the README or the acceptance suite, other

@@ -363,10 +363,6 @@ class TestClassify:
         assert str(SurfaceType(False, 2)) == "Klein bottle"
         assert str(SurfaceType(False, 5)) == "connect sum of 5 copies of RP²"
 
-    def test_euler_characteristic_property(self):
-        assert SurfaceType(True, 1).euler_characteristic == 0
-        assert SurfaceType(False, 4).euler_characteristic == -2
-
     def test_genus_validation(self):
         with pytest.raises(ValueError):
             SurfaceType(orientable=False, genus=0)

@@ -134,6 +134,13 @@ def rank_over_rationals(a):
     return rank
 
 
+def sympy_factors(a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as reference
+
+    return tuple(abs(int(x)) for x in reference(sympy.Matrix(a)) if x != 0)
+
+
 def assert_smith_invariants(a, snf: SmithForm):
     assert all(x > 0 for x in snf.diag)
     for x, y in zip(snf.diag, snf.diag[1:]):
@@ -256,6 +263,7 @@ def test_property_unit_heavy_against_elementary_oracle(a):
     snf = smith_normal_form(a)
     assert_smith_invariants(a, snf)
     assert snf.diag == oracle_elementary_factors(a)
+    assert snf.diag == sympy_factors(a)
     assert snf.rank == rank_over_rationals(a)
 
 
@@ -296,6 +304,7 @@ def test_property_unit_created_in_a_visited_row(a):
     snf = smith_normal_form(a)
     assert_smith_invariants(a, snf)
     assert snf.diag == oracle_elementary_factors(a)
+    assert snf.diag == sympy_factors(a)
     assert snf.rank == rank_over_rationals(a)
 
 
@@ -333,13 +342,6 @@ def test_homology_takes_one_smith_form_and_no_vertex_edge_matrix(monkeypatch):
         rows, columns = shapes[0]
         assert rows == 4 and columns <= 6, (d, shapes)
     assert d == 1504
-
-
-def sympy_factors(a):
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors as reference
-
-    return tuple(abs(int(x)) for x in reference(sympy.Matrix(a)) if x != 0)
 
 
 class TestAgainstSympy:
@@ -388,3 +390,32 @@ def test_property_smith_against_elementary_oracle(rows, cols, data):
     snf = smith_normal_form(a)
     assert_smith_invariants(a, snf)
     assert snf.diag == oracle_elementary_factors(a)
+    assert snf.diag == sympy_factors(a)
+
+
+@given(
+    a=st.integers(1, 4).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.integers(-10**6, 10**6), min_size=rows, max_size=rows),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_property_large_entries_against_minor_gcd_oracle(a):
+    # Entries this large leave a remainder on most division steps, so each
+    # pivot takes several rounds of the search.
+    snf = smith_normal_form(a)
+    assert_smith_invariants(a, snf)
+    assert snf.diag == oracle_minor_gcd_factors(a)
+
+
+def test_consecutive_fibonacci_numbers():
+    # [[F91, F90], [F90, F89]] has determinant (-1)^90 = 1 (Cassini). Its
+    # quotients are all 1, Euclid's worst case (Lamé), so every division
+    # step leaves a remainder and the pivot search runs again.
+    fib = [0, 1]
+    while len(fib) < 92:
+        fib.append(fib[-1] + fib[-2])
+    assert smith_normal_form([[fib[91], fib[90]], [fib[90], fib[89]]]).diag == (1, 1)
