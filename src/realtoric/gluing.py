@@ -9,25 +9,27 @@ boundary faces. A sign vector acts on a character ``u = (u1, u2)`` by
 
 which depends only on ``u mod 2``.
 
-The correct rule glues two copies along a face when their sign vectors
-agree on the subgroup of characters parallel to that face. For an edge
-with outward ray ``v`` this subgroup is generated by the quarter-turn
-``rot90(v)``; for a vertex it is the whole character lattice, so all four
-copies meet at every vertex. The rule never reads the divisor, so the
-complex has one construction, :func:`build_real_complex`, straight from
-the fan: ``d`` vertices, ``2d`` edges (two parallel classes per fan ray),
-and the four polygon faces.
+Two copies are glued along a face when their sign vectors agree on the
+characters parallel to that face. Read mod 2, that is a grouping of the
+four copies: along the edge on ray ``v`` they are grouped by their value
+on ``rot90(v)``, and at a vertex, whose only parallel character is zero,
+nothing separates them, so all four meet. The rule never reads the
+divisor: :func:`build_real_complex` builds ``d`` vertices, ``2d`` edges
+(two classes per ray) and the four faces straight from the fan.
 
 :func:`build_affine_span_complex` is a known-wrong variant kept for
-demonstration: the copies must also agree on the lattice points of the
-face's affine span, which drags the divisor's offsets into the answer and
-breaks translation invariance.
+demonstration: the same rule plus one anchor, a lattice point of each
+face (the polygon corner), on which the copies must also agree. That
+drags the divisor's offsets into the answer and breaks translation
+invariance. Both are one construction; the parallel rule is the affine
+one anchored at the origin.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
 from .fan import Fan, Vec, rot90, self_intersections
@@ -97,16 +99,12 @@ class CellComplex:
 
     Edges are pairs ``(tail, head)`` of vertex indices. Faces are tuples
     of signed 1-based edge indices in traversal order (positive means the
-    edge is traversed tail to head). Labels are documentation only and do
-    not take part in equality.
+    edge is traversed tail to head).
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     faces: tuple[tuple[int, ...], ...]
-    vertex_labels: tuple[str, ...] = field(default=(), compare=False)
-    edge_labels: tuple[str, ...] = field(default=(), compare=False)
-    face_labels: tuple[str, ...] = field(default=(), compare=False)
 
     def _checked_edges(self) -> tuple[tuple[int, int], ...]:
         # The edges, once every endpoint is known to be a vertex index.
@@ -177,6 +175,60 @@ class CellComplex:
                 )
 
 
+def _parity(u: Vec) -> Vec:
+    return (u[0] % 2, u[1] % 2)
+
+
+def _grouping(key) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Each copy's class under ``key``, and the first copy of each class;
+    # classes are numbered as they first appear in the fixed sign order.
+    keys = [key(eps) for eps in ALL_SIGN_HOMS]
+    first = [keys.index(k) for k in keys]
+    reps = sorted(set(first))
+    return tuple(reps.index(f) for f in first), tuple(reps)
+
+
+_PARITIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+# Groupings keyed by parity: at a corner by the anchor, along a ray by the
+# quarter-turn of the ray (never even, the ray being primitive) and the
+# anchor.
+_CORNER_CLASSES = {a: _grouping(lambda eps: evaluate(eps, a)) for a in _PARITIES}
+_EDGE_CLASSES = {
+    (u, a): _grouping(lambda eps: (evaluate(eps, u), evaluate(eps, a)))
+    for u in _PARITIES[1:]
+    for a in _PARITIES
+}
+
+
+def _glue(fan: Fan, anchors: Sequence[Vec]) -> CellComplex:
+    # Corner i joins rays i and i+1 and anchors[i] lies on it. The vertex
+    # classes come corner by corner, and the edge classes ray by ray; edge
+    # i runs from corner i-1 to corner i. The anchors of consecutive
+    # corners are equal or differ by a multiple of the ray's quarter-turn,
+    # so an edge class lies in one class at each of its ends, and its
+    # first copy finds them.
+    corners = [_CORNER_CLASSES[_parity(a)] for a in anchors]
+    first_vertex = []
+    num_vertices = 0
+    for _, reps in corners:
+        first_vertex.append(num_vertices)
+        num_vertices += len(reps)
+    edges: list[tuple[int, int]] = []
+    words: list[list[int]] = [[] for _ in ALL_SIGN_HOMS]
+    for i, v in enumerate(fan.rays):
+        classes, reps = _EDGE_CLASSES[_parity(rot90(v)), _parity(anchors[i])]
+        tails, heads = corners[i - 1][0], corners[i][0]
+        base = len(edges) + 1
+        for k in reps:
+            edges.append(
+                (first_vertex[i - 1] + tails[k], first_vertex[i] + heads[k])
+            )
+        for word, c in zip(words, classes):
+            word.append(base + c)
+    return CellComplex(num_vertices, tuple(edges), tuple(map(tuple, words)))
+
+
 def build_real_complex(fan: Fan) -> CellComplex:
     """Glued complex under the parallel-subgroup rule, divisor-free.
 
@@ -186,119 +238,20 @@ def build_real_complex(fan: Fan) -> CellComplex:
     Edge ``(i, s)`` runs from the vertex of cone ``i-1`` to that of cone
     ``i``. Faces: the four copies in the fixed sign order ``++ +- -+ --``.
     """
-    d = fan.d
-    edges = []
-    edge_labels = []
-    for i in range(d):
-        for s in (1, -1):
-            edges.append(((i - 1) % d, i))
-            edge_labels.append(f"({i},{'+' if s == 1 else '-'})")
-    faces = []
-    face_labels = []
-    for eps in ALL_SIGN_HOMS:
-        word = []
-        for i in range(d):
-            s = evaluate(eps, rot90(fan.rays[i]))
-            idx = 2 * i + (0 if s == 1 else 1)
-            word.append(idx + 1)
-        faces.append(tuple(word))
-        face_labels.append(f"P[{eps}]")
-    return CellComplex(
-        num_vertices=d,
-        edges=tuple(edges),
-        faces=tuple(faces),
-        vertex_labels=tuple(f"w{i}" for i in range(d)),
-        edge_labels=tuple(edge_labels),
-        face_labels=tuple(face_labels),
-    )
-
-
-def _classes(keys: dict[SignHom, object]) -> list[tuple[SignHom, ...]]:
-    # Group the four sign vectors by key, ordered by first appearance in
-    # the fixed sign order.
-    out: list[tuple[SignHom, ...]] = []
-    seen: list[object] = []
-    for eps in ALL_SIGN_HOMS:
-        k = keys[eps]
-        if k not in seen:
-            seen.append(k)
-            out.append(tuple(e for e in ALL_SIGN_HOMS if keys[e] == k))
-    return out
+    return _glue(fan, ((0, 0),) * fan.d)
 
 
 def build_affine_span_complex(fan: Fan, polygon: LatticePolygon) -> CellComplex:
     """Glue the four polygon copies under the affine-span rule.
 
-    The copies are merged class by class: beyond the parallel subgroup,
-    they must also agree at a lattice point of each face's affine span, so
-    the result depends on where the polygon sits in the lattice. Raises
-    PolygonFanMismatch when the polygon was built over another fan.
+    Beyond the parallel subgroup, the copies must also agree at a lattice
+    point of each face, the polygon corner, so the result depends on where
+    the polygon sits in the lattice. Raises PolygonFanMismatch when the
+    polygon was built over another fan.
     """
     if polygon.fan != fan:
         raise PolygonFanMismatch("polygon was built over a different fan")
-    d = fan.d
-    verts = polygon.vertices
-
-    # Vertex classes. verts[i] is the corner between rays i and i+1; the
-    # copies that agree on the corner itself are merged.
-    vertex_class_of: dict[tuple[int, SignHom], int] = {}
-    vertex_labels = []
-    for i in range(d):
-        keys = {eps: evaluate(eps, verts[i]) for eps in ALL_SIGN_HOMS}
-        for members in _classes(keys):
-            index = len(vertex_labels)
-            for eps in members:
-                vertex_class_of[(i, eps)] = index
-            if len(members) == 4:
-                vertex_labels.append(f"w{i}")
-            else:
-                vertex_labels.append(f"w{i}[{','.join(map(str, members))}]")
-
-    # Edge classes. Edge i lies on the boundary line of ray i and joins
-    # the corners i-1 and i; its parallel subgroup is generated by the
-    # quarter-turn of the ray, and verts[i] serves as a lattice point of
-    # its affine span.
-    edge_class_of: dict[tuple[int, SignHom], int] = {}
-    edges = []
-    edge_labels = []
-    for i in range(d):
-        u = rot90(fan.rays[i])
-        keys = {
-            eps: (evaluate(eps, u), evaluate(eps, verts[i]))
-            for eps in ALL_SIGN_HOMS
-        }
-        for members in _classes(keys):
-            index = len(edges)
-            for eps in members:
-                edge_class_of[(i, eps)] = index
-            endpoints = {
-                (
-                    vertex_class_of[((i - 1) % d, eps)],
-                    vertex_class_of[(i, eps)],
-                )
-                for eps in members
-            }
-            if len(endpoints) != 1:
-                raise RuntimeError(
-                    "edge identification would tear its endpoints apart"
-                )
-            edges.append(next(iter(endpoints)))
-            edge_labels.append(f"E{i}[{','.join(map(str, members))}]")
-
-    faces = []
-    face_labels = []
-    for eps in ALL_SIGN_HOMS:
-        faces.append(tuple(edge_class_of[(i, eps)] + 1 for i in range(d)))
-        face_labels.append(f"P[{eps}]")
-
-    return CellComplex(
-        num_vertices=len(vertex_labels),
-        edges=tuple(edges),
-        faces=tuple(faces),
-        vertex_labels=tuple(vertex_labels),
-        edge_labels=tuple(edge_labels),
-        face_labels=tuple(face_labels),
-    )
+    return _glue(fan, polygon.vertices)
 
 
 def tubular_neighborhood(fan: Fan, i: int) -> NeighborhoodType:
@@ -323,13 +276,37 @@ def complex_to_json(c: CellComplex) -> dict:
 
 
 def complex_to_dot(c: CellComplex) -> str:
-    """Graphviz digraph of the 1-skeleton with edge-class labels."""
+    """Graphviz digraph of the 1-skeleton, each cell labelled by its copies.
+
+    Face ``k`` is the copy ``ALL_SIGN_HOMS[k]``, and its ``i``-th edge lies
+    on ray ``i`` and ends at corner ``i``. So an edge is ``E{i}[copies]``
+    and a vertex ``w{i}[copies]``, or ``w{i}`` where all four copies meet.
+    A cell in no face keeps ``v{i}`` or ``e{j}``. A face entry that names
+    no edge is InvalidComplex.
+    """
+    # (kind, index) -> (position i, copies), where kind "w" is a vertex
+    # and "E" an edge.
+    seen: dict[tuple[str, int], tuple[int, list[SignHom]]] = {}
+    for eps, word in zip(ALL_SIGN_HOMS, c._checked_faces()):
+        for i, signed in enumerate(word):
+            j = abs(signed) - 1
+            for cell in (("E", j), ("w", c.edges[j][1])):
+                members = seen.setdefault(cell, (i, []))[1]
+                if eps not in members:
+                    members.append(eps)
+
+    def label(kind: str, n: int, default: str) -> str:
+        if (kind, n) not in seen:
+            return default
+        i, members = seen[kind, n]
+        if kind == "w" and len(members) == 4:
+            return f"w{i}"
+        return f"{kind}{i}[{','.join(map(str, members))}]"
+
     lines = ["digraph real_complex {"]
-    for i in range(c.num_vertices):
-        label = c.vertex_labels[i] if i < len(c.vertex_labels) else f"v{i}"
-        lines.append(f'  v{i} [label="{label}"];')
+    for v in range(c.num_vertices):
+        lines.append(f'  v{v} [label="{label("w", v, f"v{v}")}"];')
     for j, (tail, head) in enumerate(c.edges):
-        label = c.edge_labels[j] if j < len(c.edge_labels) else f"e{j}"
-        lines.append(f'  v{tail} -> v{head} [label="{label}"];')
+        lines.append(f'  v{tail} -> v{head} [label="{label("E", j, f"e{j}")}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

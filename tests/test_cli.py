@@ -500,12 +500,12 @@ digraph real_complex {
   v0 [label="w0"];
   v1 [label="w1"];
   v2 [label="w2"];
-  v2 -> v0 [label="(0,+)"];
-  v2 -> v0 [label="(0,-)"];
-  v0 -> v1 [label="(1,+)"];
-  v0 -> v1 [label="(1,-)"];
-  v1 -> v2 [label="(2,+)"];
-  v1 -> v2 [label="(2,-)"];
+  v2 -> v0 [label="E0[++,-+]"];
+  v2 -> v0 [label="E0[+-,--]"];
+  v0 -> v1 [label="E1[++,+-]"];
+  v0 -> v1 [label="E1[-+,--]"];
+  v1 -> v2 [label="E2[++,--]"];
+  v1 -> v2 [label="E2[+-,-+]"];
 }
 """
 P2_AFFINE_111_JSON = (
@@ -577,16 +577,16 @@ digraph real_complex {
   v2 [label="w2"];
   v3 [label="w3"];
   v4 [label="w4"];
-  v4 -> v0 [label="(0,+)"];
-  v4 -> v0 [label="(0,-)"];
-  v0 -> v1 [label="(1,+)"];
-  v0 -> v1 [label="(1,-)"];
-  v1 -> v2 [label="(2,+)"];
-  v1 -> v2 [label="(2,-)"];
-  v2 -> v3 [label="(3,+)"];
-  v2 -> v3 [label="(3,-)"];
-  v3 -> v4 [label="(4,+)"];
-  v3 -> v4 [label="(4,-)"];
+  v4 -> v0 [label="E0[++,-+]"];
+  v4 -> v0 [label="E0[+-,--]"];
+  v0 -> v1 [label="E1[++,--]"];
+  v0 -> v1 [label="E1[+-,-+]"];
+  v1 -> v2 [label="E2[++,-+]"];
+  v1 -> v2 [label="E2[+-,--]"];
+  v2 -> v3 [label="E3[++,+-]"];
+  v2 -> v3 [label="E3[-+,--]"];
+  v3 -> v4 [label="E4[++,--]"];
+  v3 -> v4 [label="E4[+-,-+]"];
 }
 """
 FIVE_AFFINE_AMPLE_JSON = (

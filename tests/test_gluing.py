@@ -1,12 +1,16 @@
 """Sign vectors, the glued complex, and the two identification rules."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realtoric import (
     ALL_SIGN_HOMS,
+    CellComplex,
     IndexOutOfRange,
+    InvalidComplex,
     NeighborhoodType,
     PolygonFanMismatch,
     SignHom,
@@ -16,6 +20,7 @@ from realtoric import (
     build_real_complex,
     complex_to_dot,
     complex_to_json,
+    corpus_fans,
     evaluate,
     find_ample,
     hirzebruch_fan,
@@ -25,6 +30,7 @@ from realtoric import (
     translate_divisor,
     tubular_neighborhood,
 )
+from test_homology import HAND_BUILT
 
 P2 = projective_plane_fan()
 
@@ -132,9 +138,9 @@ class TestCombinatorialComplex:
 
 class TestPolytopeBuilders:
     def test_affine_rule_on_even_corners_matches_combinatorial_builder(self):
-        # With every corner in 2Z^2 the affine-span keys reduce to the
-        # parallel ones, so the class merger must reproduce the direct
-        # builder: numbering, endpoints and face words.
+        # With every corner in 2Z^2 the anchors read as the origin, so the
+        # affine rule must reproduce the parallel one: numbering, endpoints
+        # and face words.
         for s in range(40):
             fan = random_fan(s, s % 6)
             div = find_ample(fan)
@@ -174,6 +180,29 @@ class TestPolytopeBuilders:
         a = build_affine_span_complex(fan, polygon_from_divisor(fan, div))
         b = build_affine_span_complex(fan, polygon_from_divisor(fan, moved))
         assert a == b
+
+    def test_rule_by_definition(self):
+        # Copies k and k' share their i-th face entry exactly when they
+        # agree on the quarter-turn of ray i and on corner i, and their
+        # i-th edges share a head exactly when they agree on corner i. The
+        # anchors are the origin and the ample polygon moved by each parity.
+        fans = corpus_fans(20260817, 200, 16) + [hirzebruch_fan(a) for a in range(21)]
+        pairs = list(itertools.combinations(enumerate(ALL_SIGN_HOMS), 2))
+        for fan in fans:
+            glued = [([(0, 0)] * fan.d, build_real_complex(fan))]
+            div = find_ample(fan)
+            for u in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                poly = polygon_from_divisor(fan, translate_divisor(fan, div, u))
+                glued.append((poly.vertices, build_affine_span_complex(fan, poly)))
+            for anchors, c in glued:
+                for i, (x, y) in enumerate(fan.rays):
+                    for (k, e), (m, f) in pairs:
+                        corner = evaluate(e, anchors[i]) == evaluate(f, anchors[i])
+                        edge = corner and evaluate(e, (-y, x)) == evaluate(f, (-y, x))
+                        a, b = c.faces[k][i], c.faces[m][i]
+                        assert (a == b) == edge, (fan, anchors, i, k, m)
+                        heads = c.edges[a - 1][1], c.edges[b - 1][1]
+                        assert (heads[0] == heads[1]) == corner, (fan, anchors, i, k, m)
 
     def test_fan_mismatch_rejected(self):
         poly = polygon_from_divisor(P2, ToricDivisor((1, 1, 1)))
@@ -226,5 +255,12 @@ class TestExport:
     def test_dot_output(self):
         text = complex_to_dot(build_real_complex(blow_up(P2, 1)))
         assert text.startswith("digraph")
-        assert '"(0,+)"' in text and '"(3,-)"' in text
+        assert '"E0[++,-+]"' in text and '"E3[+-,-+]"' in text
         assert text.count("->") == 8
+
+    def test_dot_of_a_hand_built_complex(self):
+        text = complex_to_dot(HAND_BUILT["RP2"][0])
+        assert text.startswith("digraph")
+        assert text.count("->") == 1
+        with pytest.raises(InvalidComplex):
+            complex_to_dot(CellComplex(1, ((0, 0),), ((2,),)))

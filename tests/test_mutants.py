@@ -1,12 +1,13 @@
-"""Named mutants: each breaks one function, and some check must catch it.
+"""Named mutants: each breaks one function or table, and some check must
+catch it.
 
 A mutant that survives points at a check that cannot fail. Each mutant
-wraps one function where its caller looks it up. ``verify`` reads its
-helpers from the module ``realtoric.homology``, which is reached through
-``sys.modules``: the package attribute of that name is the function
+wraps one function or table where its caller looks it up. ``verify`` reads
+its helpers from the module ``realtoric.homology``, which is reached
+through ``sys.modules``: the package attribute of that name is the function
 ``homology`` (``from .homology import *`` rebinds it), so a patch through
-the package would change nothing. ``realtoric.moment`` is reached the same
-way, for uniformity.
+the package would change nothing. ``realtoric.gluing`` and
+``realtoric.moment`` are reached the same way, for uniformity.
 """
 
 import dataclasses
@@ -31,6 +32,7 @@ from realtoric import (
 )
 from test_homology import HAND_BUILT, full_smith_profile
 
+GLUING = sys.modules["realtoric.gluing"]
 HOMOLOGY = sys.modules["realtoric.homology"]
 MOMENT = sys.modules["realtoric.moment"]
 
@@ -55,6 +57,13 @@ def _swap_edge_classes(build):
         return dataclasses.replace(c, faces=(word,) + c.faces[1:])
 
     return mutant
+
+
+def _anchor_only(table):
+    # Each ray's copies grouped by the anchor alone, as at a corner: the
+    # ray's quarter-turn no longer splits them, so under the parallel rule
+    # all four copies share one edge per ray.
+    return {(u, a): GLUING._CORNER_CLASSES[a] for u, a in table}
 
 
 def _negated(fn):
@@ -84,9 +93,10 @@ def _last_column_dropped(fn):
     return lambda c: tuple(row[:-1] for row in fn(c))
 
 
-# name -> (module, function in it, wrapper that breaks it)
+# name -> (module, function or table in it, wrapper that breaks it)
 MUTANTS = {
     "edge-class-swap": (HOMOLOGY, "build_real_complex", _swap_edge_classes),
+    "edge-key-without-ray": (GLUING, "_EDGE_CLASSES", _anchor_only),
     "orientable-fast-negated": (HOMOLOGY, "orientable_fast", _negated),
     "predict-theorem-genus-plus-one": (HOMOLOGY, "predict_theorem", _genus_plus_one),
     "spanning-forest-every-edge": (HOMOLOGY, "_spanning_forest_size", _every_edge_a_merge),
@@ -98,6 +108,7 @@ MUTANTS = {
 # test of its own below.
 CAUGHT_BY_VERIFY = [
     "edge-class-swap",
+    "edge-key-without-ray",
     "orientable-fast-negated",
     "predict-theorem-genus-plus-one",
 ]
