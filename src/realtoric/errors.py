@@ -79,7 +79,7 @@ class NotAmple(ToricError):
 
 
 class PolygonFanMismatch(ToricError):
-    """A polygon built over a different fan than the one supplied."""
+    """A polygon that does not fit the fan supplied."""
 
 
 class InvalidComplex(ToricError):

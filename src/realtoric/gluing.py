@@ -202,12 +202,14 @@ _EDGE_CLASSES = {
 
 
 def _glue(fan: Fan, anchors: Sequence[Vec]) -> CellComplex:
-    # Corner i joins rays i and i+1 and anchors[i] lies on it. The vertex
-    # classes come corner by corner, and the edge classes ray by ray; edge
-    # i runs from corner i-1 to corner i. The anchors of consecutive
-    # corners are equal or differ by a multiple of the ray's quarter-turn,
-    # so an edge class lies in one class at each of its ends, and its
-    # first copy finds them.
+    # The layout both builders share, and complex_to_dot reads back. Corner
+    # i joins rays i and i+1, anchors[i] lies on it, and its vertex classes
+    # are numbered in one block, corner by corner. The edge classes of ray
+    # i follow ray by ray, each running from corner i-1 to corner i. Face k
+    # is the copy ALL_SIGN_HOMS[k], and its i-th entry is its class on ray
+    # i, always positive. Consecutive anchors differ by a multiple of the
+    # ray's quarter-turn, so an edge class lies in one class at each end,
+    # and its first copy finds them.
     corners = [_CORNER_CLASSES[_parity(a)] for a in anchors]
     first_vertex = []
     num_vertices = 0
@@ -232,11 +234,9 @@ def _glue(fan: Fan, anchors: Sequence[Vec]) -> CellComplex:
 def build_real_complex(fan: Fan) -> CellComplex:
     """Glued complex under the parallel-subgroup rule, divisor-free.
 
-    Vertices: one per 2-dimensional cone (all four copies meet there).
-    Edges: two per ray, indexed ``2*i`` for the class where the glued sign
-    vectors evaluate ``+1`` on ``rot90(v[i])`` and ``2*i + 1`` for ``-1``.
-    Edge ``(i, s)`` runs from the vertex of cone ``i-1`` to that of cone
-    ``i``. Faces: the four copies in the fixed sign order ``++ +- -+ --``.
+    All four copies meet at each corner, and along each ray they split in
+    two by their value on the ray's quarter-turn: ``d`` vertices, ``2d``
+    edges and four faces, numbered as laid out in ``_glue``.
     """
     return _glue(fan, ((0, 0),) * fan.d)
 
@@ -246,12 +246,17 @@ def build_affine_span_complex(fan: Fan, polygon: LatticePolygon) -> CellComplex:
 
     Beyond the parallel subgroup, the copies must also agree at a lattice
     point of each face, the polygon corner, so the result depends on where
-    the polygon sits in the lattice. Raises PolygonFanMismatch when the
-    polygon was built over another fan.
+    the polygon sits in the lattice. Raises PolygonFanMismatch unless the
+    polygon was built over this fan with edge ``i`` perpendicular to ray
+    ``i``, as ``polygon_from_divisor`` builds it.
     """
-    if polygon.fan != fan:
-        raise PolygonFanMismatch("polygon was built over a different fan")
-    return _glue(fan, polygon.vertices)
+    w = polygon.vertices
+    if polygon.fan != fan or len(w) != fan.d or any(
+        (b[0] - a[0]) * v[0] + (b[1] - a[1]) * v[1]
+        for a, b, v in zip(w[-1:] + w[:-1], w, fan.rays)
+    ):
+        raise PolygonFanMismatch("polygon does not fit this fan")
+    return _glue(fan, w)
 
 
 def tubular_neighborhood(fan: Fan, i: int) -> NeighborhoodType:
@@ -275,38 +280,52 @@ def complex_to_json(c: CellComplex) -> dict:
     }
 
 
-def complex_to_dot(c: CellComplex) -> str:
-    """Graphviz digraph of the 1-skeleton, each cell labelled by its copies.
-
-    Face ``k`` is the copy ``ALL_SIGN_HOMS[k]``, and its ``i``-th edge lies
-    on ray ``i`` and ends at corner ``i``. So an edge is ``E{i}[copies]``
-    and a vertex ``w{i}[copies]``, or ``w{i}`` where all four copies meet.
-    A cell in no face keeps ``v{i}`` or ``e{j}``. A face entry that names
-    no edge is InvalidComplex.
-    """
-    # (kind, index) -> (position i, copies), where kind "w" is a vertex
-    # and "E" an edge.
+def _copy_labels(c: CellComplex) -> dict[tuple[str, int], str]:
+    # Labels by copies, keyed ("w", vertex) or ("E", edge), when the
+    # complex follows the builders' layout (see _glue): four faces of equal
+    # length, each a closed walk of positive entries, whose i-th edge and
+    # its head appear at position i only. Empty for any other complex.
+    edges, faces = c._checked_edges(), c._checked_faces()
+    if len(faces) != len(ALL_SIGN_HOMS) or len({len(w) for w in faces}) != 1:
+        return {}
+    if any(s < 0 for w in faces for s in w):
+        return {}
     seen: dict[tuple[str, int], tuple[int, list[SignHom]]] = {}
-    for eps, word in zip(ALL_SIGN_HOMS, c._checked_faces()):
-        for i, signed in enumerate(word):
-            j = abs(signed) - 1
-            for cell in (("E", j), ("w", c.edges[j][1])):
-                members = seen.setdefault(cell, (i, []))[1]
-                if eps not in members:
-                    members.append(eps)
+    for eps, word in zip(ALL_SIGN_HOMS, faces):
+        for i, j in enumerate(word):
+            tail, head = edges[j - 1]
+            if tail != edges[word[i - 1] - 1][1]:
+                return {}
+            for cell in (("E", j - 1), ("w", head)):
+                pos, members = seen.setdefault(cell, (i, []))
+                if pos != i:
+                    return {}
+                members.append(eps)
+    return {
+        (kind, n): f"w{i}"
+        if kind == "w" and len(members) == len(ALL_SIGN_HOMS)
+        else f"{kind}{i}[{','.join(map(str, members))}]"
+        for (kind, n), (i, members) in seen.items()
+    }
 
-    def label(kind: str, n: int, default: str) -> str:
-        if (kind, n) not in seen:
-            return default
-        i, members = seen[kind, n]
-        if kind == "w" and len(members) == 4:
-            return f"w{i}"
-        return f"{kind}{i}[{','.join(map(str, members))}]"
 
+def complex_to_dot(c: CellComplex) -> str:
+    """Graphviz digraph of the 1-skeleton.
+
+    On a complex laid out as the builders make it (see ``_glue``), each
+    cell is labelled by the copies that meet there: an edge on ray ``i`` is
+    ``E{i}[copies]``, and a vertex at corner ``i`` is ``w{i}[copies]``, or
+    ``w{i}`` where all four copies meet. Any other complex, and a cell in
+    no face, keeps ``v{n}`` and ``e{j}``. An edge endpoint that names no
+    vertex, or a face entry that names no edge, is InvalidComplex.
+    """
+    labels = _copy_labels(c)
     lines = ["digraph real_complex {"]
     for v in range(c.num_vertices):
-        lines.append(f'  v{v} [label="{label("w", v, f"v{v}")}"];')
+        lines.append(f'  v{v} [label="{labels.get(("w", v), f"v{v}")}"];')
     for j, (tail, head) in enumerate(c.edges):
-        lines.append(f'  v{tail} -> v{head} [label="{label("E", j, f"e{j}")}"];')
+        lines.append(
+            f'  v{tail} -> v{head} [label="{labels.get(("E", j), f"e{j}")}"];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

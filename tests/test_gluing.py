@@ -11,6 +11,7 @@ from realtoric import (
     CellComplex,
     IndexOutOfRange,
     InvalidComplex,
+    LatticePolygon,
     NeighborhoodType,
     PolygonFanMismatch,
     SignHom,
@@ -208,6 +209,14 @@ class TestPolytopeBuilders:
         poly = polygon_from_divisor(P2, ToricDivisor((1, 1, 1)))
         with pytest.raises(PolygonFanMismatch):
             build_affine_span_complex(hirzebruch_fan(0), poly)
+        # A hand-built polygon over the right fan must still have one
+        # corner per cone, with edge i perpendicular to ray i.
+        w = poly.vertices
+        moved = (w[0], (w[1][0] + 1, w[1][1]), w[2])
+        for vertices in (w + ((0, 0),), w[:2], moved):
+            bad = LatticePolygon(fan=P2, offsets=poly.offsets, vertices=vertices)
+            with pytest.raises(PolygonFanMismatch):
+                build_affine_span_complex(P2, bad)
 
 
 class TestTubularNeighborhood:
@@ -259,8 +268,24 @@ class TestExport:
         assert text.count("->") == 8
 
     def test_dot_of_a_hand_built_complex(self):
-        text = complex_to_dot(HAND_BUILT["RP2"][0])
-        assert text.startswith("digraph")
-        assert text.count("->") == 1
+        # Not in the builders' layout, so no cell is labelled by copies.
+        assert complex_to_dot(HAND_BUILT["RP2"][0]) == (
+            "digraph real_complex {\n"
+            '  v0 [label="v0"];\n'
+            '  v0 -> v0 [label="e0"];\n'
+            "}\n"
+        )
         with pytest.raises(InvalidComplex):
             complex_to_dot(CellComplex(1, ((0, 0),), ((2,),)))
+        with pytest.raises(InvalidComplex):
+            complex_to_dot(CellComplex(1, ((0, 1),), ()))
+
+    def test_dot_labels_only_the_builders_layout(self):
+        # The parallel complex of P2 with one face word reversed is still a
+        # chain complex, but its faces no longer read ray by ray.
+        c = build_real_complex(P2)
+        reversed_0 = tuple(-s for s in c.faces[0][::-1])
+        flipped = CellComplex(c.num_vertices, c.edges, (reversed_0,) + c.faces[1:])
+        flipped.check_chain_complex()
+        text = complex_to_dot(flipped)
+        assert "[" not in text.replace("[label", "") and '"e5"' in text
