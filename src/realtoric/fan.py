@@ -17,16 +17,15 @@ counterclockwise starting from the positive x-axis:
 
 All arithmetic is on Python integers, so nothing here ever rounds.
 Construct :class:`Fan` values through :func:`normalize_fan` (or the
-surgery functions, which re-normalize); the dataclass itself does not
-re-validate.
+surgery functions, which re-normalize); the record itself, a NamedTuple,
+does not re-validate.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateRay,
@@ -102,8 +101,7 @@ def _ccw_cmp(u: Vec, v: Vec) -> int:
     return -1 if c > 0 else 1
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """A complete smooth fan, canonically ordered. Build via normalize_fan."""
 
     rays: tuple[Vec, ...]
@@ -273,8 +271,7 @@ def blow_down(fan: Fan, i: int) -> Fan:
     return normalize_fan(rays)
 
 
-@dataclass(frozen=True)
-class BlowDownStep:
+class BlowDownStep(NamedTuple):
     """One contraction: the removed ray and its neighbors at removal time."""
 
     ray: Vec

@@ -28,8 +28,7 @@ one anchored at the origin.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
 from .fan import Fan, Vec, rot90, self_intersections
@@ -50,19 +49,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class SignHom:
-    """A homomorphism from the character lattice to ``{+1, -1}``.
-
-    Determined by its values ``s1`` on ``(1, 0)`` and ``s2`` on ``(0, 1)``.
-    """
-
+class _Signs(NamedTuple):
     s1: int
     s2: int
 
-    def __post_init__(self):
-        if self.s1 not in (1, -1) or self.s2 not in (1, -1):
+
+class SignHom(_Signs):
+    """A homomorphism from the character lattice to ``{+1, -1}``.
+
+    Determined by its values ``s1`` on ``(1, 0)`` and ``s2`` on ``(0, 1)``,
+    each +1 or -1, else ValueError (``_replace`` and ``_make`` skip that
+    check, as ``tuple.__new__`` does). Ordered as the pair ``(s1, s2)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, s1: int, s2: int):
+        if s1 not in (1, -1) or s2 not in (1, -1):
             raise ValueError("sign values must be +1 or -1")
+        return super().__new__(cls, s1, s2)
 
     def __str__(self) -> str:
         return ("+" if self.s1 == 1 else "-") + ("+" if self.s2 == 1 else "-")
@@ -93,8 +98,7 @@ class NeighborhoodType(enum.Enum):
     MOEBIUS_BAND = "moebius-band"
 
 
-@dataclass(frozen=True)
-class CellComplex:
+class CellComplex(NamedTuple):
     """A 2-dimensional cell complex with oriented edges and faces.
 
     Edges are pairs ``(tail, head)`` of vertex indices. Faces are tuples

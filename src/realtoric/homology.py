@@ -21,7 +21,7 @@ characteristic ``4 - d`` is not compared with anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidComplex, NotAClosedSurfaceProfile
 from .fan import Fan, fan_to_json, self_intersections
@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Betti numbers plus the torsion invariant factors of degree 1."""
 
     b0: int
@@ -125,19 +124,27 @@ def euler_from_cells(c: CellComplex) -> int:
     return c.num_vertices - len(c.edges) + len(c.faces)
 
 
-@dataclass(frozen=True)
-class SurfaceType:
-    """A closed connected surface: orientable of genus ``g >= 0``, or a
-    connect sum of ``genus >= 1`` projective planes."""
-
+class _Surface(NamedTuple):
     orientable: bool
     genus: int
 
-    def __post_init__(self):
-        if self.orientable and self.genus < 0:
+
+class SurfaceType(_Surface):
+    """A closed connected surface: orientable of genus ``g >= 0``, or a
+    connect sum of ``genus >= 1`` projective planes.
+
+    Any other genus is a ValueError; ``_replace`` and ``_make`` skip that
+    check, as ``tuple.__new__`` does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, orientable: bool, genus: int):
+        if orientable and genus < 0:
             raise ValueError("orientable genus must be >= 0")
-        if not self.orientable and self.genus < 1:
+        if not orientable and genus < 1:
             raise ValueError("nonorientable genus must be >= 1")
+        return super().__new__(cls, orientable, genus)
 
     def __str__(self) -> str:
         if self.orientable:
@@ -192,8 +199,7 @@ def orientable_fast(fan: Fan) -> bool:
     return all(a % 2 == 0 for a in self_intersections(fan))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Everything computed for one fan, plus the cross-check verdict.
 
     ``computed`` is None when the homology is no closed surface's.

@@ -19,9 +19,8 @@ first unit, and the divisibility patch is skipped behind a unit pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = ["SmithForm", "mat_mul", "smith_normal_form"]
 
@@ -58,8 +57,7 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """The invariant factors of an integer matrix.
 
     ``diag`` holds only the nonzero diagonal entries of the Smith normal

@@ -32,10 +32,9 @@ parity classes of ``w``, ``w + e1`` and ``w + e2``, and no character of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateWeights
 from .fan import Fan, Vec
@@ -112,8 +111,7 @@ def sample_T_epsilon(eps: SignHom, seed: int, n: int) -> list[TorusPoint]:
     return out
 
 
-@dataclass(frozen=True)
-class MomentCheckReport:
+class MomentCheckReport(NamedTuple):
     """Aggregated results of the numeric suite for one fan and divisor."""
 
     fan: Fan

@@ -13,8 +13,7 @@ of the two incident equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidInput, LengthMismatch, NotAmple
 from .fan import Fan, Vec, det2, self_intersections
@@ -33,15 +32,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
+class ToricDivisor(NamedTuple):
     """Integer coefficients, one per ray, in the fan's canonical ray order."""
 
     coeffs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(NamedTuple):
     """Polygon of an ample divisor: defining offsets plus integer vertices.
 
     ``vertices[i]`` lies on the boundary lines of rays ``i`` and ``i+1``,

@@ -2,7 +2,6 @@
 
 import ast
 import contextlib
-import dataclasses
 import importlib
 import importlib.util
 import io
@@ -127,7 +126,7 @@ class TestClassifyAndPredict:
     def test_verify_exit_two_on_mismatch(self, capsys, write, monkeypatch):
         # force an inconsistent report through the wiring
         def broken_verify(fan):
-            return dataclasses.replace(verify(fan), all_consistent=False)
+            return verify(fan)._replace(all_consistent=False)
 
         monkeypatch.setattr(cli, "verify", broken_verify)
         code, out, _ = run_lines(capsys, ["verify", write("fan.json", P2_RAYS)])
@@ -136,7 +135,7 @@ class TestClassifyAndPredict:
 
     def test_classify_exit_zero_on_mismatch(self, capsys, write, monkeypatch):
         def broken_verify(fan):
-            return dataclasses.replace(verify(fan), all_consistent=False)
+            return verify(fan)._replace(all_consistent=False)
 
         monkeypatch.setattr(cli, "verify", broken_verify)
         code, out, _ = run_lines(capsys, ["classify", write("fan.json", P2_RAYS)])
@@ -169,7 +168,7 @@ class TestInternalErrors:
         real = cli.run_moment_checks
 
         def unsound_checks(fan, **kwargs):
-            return dataclasses.replace(real(fan, **kwargs), signs_exact=False)
+            return real(fan, **kwargs)._replace(signs_exact=False)
 
         monkeypatch.setattr(cli, "run_moment_checks", unsound_checks)
         argv = ["moment-check", write("fan.json", P2_RAYS), "--samples", "4"]
@@ -356,7 +355,7 @@ class TestDemosAndBulk:
         def verify_failing_once(fan):
             report = verify(fan)
             if fan == bad_fan:
-                return dataclasses.replace(report, all_consistent=False)
+                return report._replace(all_consistent=False)
             return report
 
         monkeypatch.setattr(cli, "verify", verify_failing_once)

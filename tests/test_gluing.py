@@ -60,6 +60,24 @@ class TestSignHom:
     def test_validation(self):
         with pytest.raises(ValueError):
             SignHom(0, 1)
+        with pytest.raises(ValueError):
+            SignHom(s1=0, s2=1)
+        with pytest.raises(ValueError):
+            SignHom(1, 2)
+        with pytest.raises(ValueError):
+            SignHom(s1=1, s2=2)
+
+    def test_replace_skips_validation(self):
+        # _replace builds through tuple.__new__, not SignHom.__new__.
+        assert SignHom(1, 1)._replace(s2=2) == (1, 2)
+
+    def test_order_is_lexicographic_on_the_pair(self):
+        assert sorted(ALL_SIGN_HOMS) == [
+            SignHom(-1, -1),
+            SignHom(-1, 1),
+            SignHom(1, -1),
+            SignHom(1, 1),
+        ]
 
     def test_string_form(self):
         assert [str(e) for e in ALL_SIGN_HOMS] == ["++", "+-", "-+", "--"]

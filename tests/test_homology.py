@@ -366,6 +366,21 @@ class TestClassify:
     def test_genus_validation(self):
         with pytest.raises(ValueError):
             SurfaceType(orientable=False, genus=0)
+        with pytest.raises(ValueError):
+            SurfaceType(False, 0)
+        with pytest.raises(ValueError):
+            SurfaceType(True, -1)
+        with pytest.raises(ValueError):
+            SurfaceType(orientable=True, genus=-1)
+
+    def test_replace_skips_validation(self):
+        # _replace builds through tuple.__new__, not SurfaceType.__new__.
+        assert SurfaceType(False, 1)._replace(genus=0) == (False, 0)
+
+    def test_records_hash_as_their_field_tuple(self):
+        # As the tuple of its fields, so set and dict orders follow the values.
+        assert hash(HomologyProfile(1, 0, 0, (2,))) == hash((1, 0, 0, (2,)))
+        assert hash(SurfaceType(False, 1)) == hash((False, 1))
 
 
 class TestPredict:

@@ -540,3 +540,21 @@ def test_import_does_not_load_numpy():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_import_does_not_load_dataclasses():
+    # The records are NamedTuples; dataclasses would pull in inspect, ast
+    # and dis. -S keeps the site step from importing them first.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, realtoric, realtoric.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

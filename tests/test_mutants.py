@@ -10,7 +10,6 @@ the package would change nothing. ``realtoric.gluing`` and
 ``realtoric.moment`` are reached the same way, for uniformity.
 """
 
-import dataclasses
 import json
 import sys
 
@@ -54,7 +53,7 @@ def _swap_edge_classes(build):
     def mutant(fan):
         c = build(fan)
         word = (3 - c.faces[0][0],) + c.faces[0][1:]
-        return dataclasses.replace(c, faces=(word,) + c.faces[1:])
+        return c._replace(faces=(word,) + c.faces[1:])
 
     return mutant
 
