@@ -1,18 +1,20 @@
 """Command line interface.
 
 Every subcommand reads fan (and divisor) JSON files, prints deterministic
-output to standard out, and uses four exit codes: 0 for success, 1 for
-any input or validation problem (reported as an ``{"error", "detail"}``
-object on standard error), 2 when a verification run finds an
-inconsistency between the computed and predicted answers (a glued
-complex that is not a closed surface counts, with ``"computed": null``),
-and 3 for an internal error (reported as an ``{"error": "Internal",
-"stage", "detail"}`` object on standard error).
+output to standard out, and uses four exit codes: 0 for success, 1 for a
+usage error or a ``ToricError``, an integer past the digit limit included
+(reported as an ``{"error", "detail"}`` object on standard error), 2 when
+a verification run finds an inconsistency between the computed and
+predicted answers (a glued complex that is not a closed surface counts,
+with ``"computed": null``), and 3 for any other exception, an internal
+``ValueError`` included (reported as an ``{"error": "Internal", "stage",
+"detail"}`` object on standard error).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -68,7 +70,7 @@ def _load_json(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInput(f"{path} nests too deeply to parse") from exc
@@ -79,7 +81,11 @@ def _load_fan(path: str) -> Fan:
 
 
 def _emit(obj: object) -> None:
-    print(json.dumps(obj))
+    try:
+        text = json.dumps(obj)
+    except ValueError as exc:  # an integer past the digit limit
+        raise InvalidInput(str(exc)) from exc
+    print(text)
 
 
 def _cmd_validate(args) -> int:
@@ -111,15 +117,7 @@ def _cmd_surgery(args) -> int:
         _emit(
             {
                 "rays": fan_to_json(base)["rays"],
-                "steps": [
-                    {
-                        "ray": list(s.ray),
-                        "left": list(s.left),
-                        "right": list(s.right),
-                        "index": s.index,
-                    }
-                    for s in steps
-                ],
+                "steps": [s._asdict() for s in steps],
             }
         )
         return 0
@@ -232,6 +230,7 @@ def _cmd_moment_check(args) -> int:
     return 0
 
 
+@functools.cache  # stateless, so one parser serves every run in a process
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="realtoric",
@@ -319,12 +318,6 @@ def run(argv: Sequence[str]) -> int:
     except ToricError as exc:
         print(
             json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr
-        )
-        return 1
-    except ValueError as exc:
-        print(
-            json.dumps({"error": "InvalidInput", "detail": str(exc)}),
-            file=sys.stderr,
         )
         return 1
     except Exception as exc:

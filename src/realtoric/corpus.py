@@ -8,6 +8,7 @@ changing the output.
 
 from __future__ import annotations
 
+from .errors import InvalidInput
 from .fan import Fan, random_fan
 from .rng import SplitMix64
 
@@ -15,11 +16,14 @@ __all__ = ["corpus_tasks", "corpus_fans"]
 
 
 def corpus_tasks(seed: int, count: int, max_blowups: int) -> list[tuple[int, int]]:
-    """Derive the ``(seed, n_blowups)`` pair for each corpus entry."""
+    """Derive the ``(seed, n_blowups)`` pair for each corpus entry.
+
+    Raises InvalidInput when ``count`` or ``max_blowups`` is negative.
+    """
     if count < 0:
-        raise ValueError("count must be nonnegative")
+        raise InvalidInput("count must be nonnegative")
     if max_blowups < 0:
-        raise ValueError("max_blowups must be nonnegative")
+        raise InvalidInput("max_blowups must be nonnegative")
     master = SplitMix64(seed)
     tasks = []
     for _ in range(count):

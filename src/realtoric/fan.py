@@ -117,8 +117,8 @@ def normalize_fan(raw_rays: Iterable[Sequence[int]]) -> Fan:
 
     Input order is arbitrary. Raises InvalidInput for an entry that is not
     a pair of integers, then NonPrimitiveRay, DuplicateRay, NotComplete,
-    or NotSmooth (checked in that order). ``d >= 3`` is part of
-    completeness.
+    or NotSmooth (checked in that order; InvalidInput when their
+    determinants pass the digit limit). ``d >= 3`` is part of completeness.
     """
     rays: list[Vec] = []
     for raw in raw_rays:
@@ -150,16 +150,14 @@ def normalize_fan(raw_rays: Iterable[Sequence[int]]) -> Fan:
 
     d = len(rays)
     dets = [det2(rays[i], rays[(i + 1) % d]) for i in range(d)]
-    if any(c <= 0 for c in dets):
-        raise NotComplete(
-            "adjacent rays must be positively oriented; "
-            f"got determinants {dets}"
-        )
-    if any(c >= 2 for c in dets):
-        raise NotSmooth(
-            "some adjacent pair spans a proper sublattice; "
-            f"got determinants {dets}"
-        )
+    if any(c != 1 for c in dets):
+        try:
+            got = f"got determinants {dets}"
+        except ValueError as exc:  # a determinant past the integer digit limit
+            raise InvalidInput(str(exc)) from exc
+        if any(c <= 0 for c in dets):
+            raise NotComplete(f"adjacent rays must be positively oriented; {got}")
+        raise NotSmooth(f"some adjacent pair spans a proper sublattice; {got}")
     return Fan(tuple(rays))
 
 
@@ -239,9 +237,12 @@ def projective_plane_fan() -> Fan:
 
 
 def hirzebruch_fan(a: int) -> Fan:
-    """Canonical 4-ray fan ``(1,0), (0,1), (-1,a), (0,-1)`` for ``a >= 0``."""
+    """Canonical 4-ray fan ``(1,0), (0,1), (-1,a), (0,-1)`` for ``a >= 0``.
+
+    Raises InvalidInput when ``a`` is negative.
+    """
     if a < 0:
-        raise ValueError("the canonical 4-ray fan takes a >= 0")
+        raise InvalidInput("the canonical 4-ray fan takes a >= 0")
     return normalize_fan([(1, 0), (0, 1), (-1, a), (0, -1)])
 
 
@@ -313,10 +314,11 @@ def random_fan(seed: int, n_blowups: int) -> Fan:
 
     The base is drawn from the 3-ray fan and the canonical 4-ray fans with
     parameter 0..4; each subdivision picks a uniformly random cone. Output
-    depends only on ``(seed, n_blowups)``.
+    depends only on ``(seed, n_blowups)``. Raises InvalidInput when
+    ``n_blowups`` is negative.
     """
     if n_blowups < 0:
-        raise ValueError("n_blowups must be nonnegative")
+        raise InvalidInput("n_blowups must be nonnegative")
     rng = SplitMix64(seed)
     choice = rng.below(6)
     fan = projective_plane_fan() if choice == 0 else hirzebruch_fan(choice - 1)

@@ -36,7 +36,7 @@ from itertools import chain
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateWeights
+from .errors import DegenerateWeights, InvalidInput
 from .fan import Fan, Vec
 from .gluing import ALL_SIGN_HOMS, SignHom
 from .rng import SplitMix64
@@ -221,19 +221,19 @@ def run_moment_checks(
     ``[-3/W, 3/W]`` on the positive component, ``W`` the larger side of
     the polygon's bounding box and at least 1, measures the smallest
     distance between the moment images of two distinct grid points, found
-    by a closest-pair sweep. Raises ValueError when ``samples`` is less
+    by a closest-pair sweep. Raises InvalidInput when ``samples`` is less
     than 1 or a ray, offset or vertex coordinate is 2**1000 or more in
     absolute value.
     """
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise InvalidInput("samples must be at least 1")
     if divisor is None:
         divisor = find_ample(fan)
     polygon = polygon_from_divisor(fan, divisor)
     vertices = polygon.vertices
     entries = chain(polygon.offsets, *polygon.fan.rays, *vertices)
     if max(map(abs, entries)) >= _COORD_BOUND:
-        raise ValueError(
+        raise InvalidInput(
             "polygon offsets and coordinates must be below 2**1000 in absolute value"
         )
 

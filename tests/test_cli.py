@@ -211,6 +211,10 @@ class TestSelfintAndSurgery:
         assert result["steps"] == [
             {"ray": [1, 1], "left": [1, 0], "right": [0, 1], "index": 1}
         ]
+        assert out == (
+            '{"rays": [[1, 0], [0, 1], [-1, -1]], "steps": [{"ray": [1, 1], '
+            '"left": [1, 0], "right": [0, 1], "index": 1}]}\n'
+        )
 
     def test_modes_are_exclusive(self, capsys, write):
         code, _, err = run_lines(
@@ -230,6 +234,42 @@ class TestSelfintAndSurgery:
         code, _, err = run_lines(capsys, ["surgery", write("fan.json", P2_RAYS)])
         assert code == 1
         assert json.loads(err)["error"] == "Usage"
+
+
+# 10**4300 - 1 has 4,300 digits, the most that int() and str() take by
+# default. A blow-up or the ample divisor of this fan passes that limit, and
+# so do the determinants of the other, which is no fan.
+HUGE = 10**4300 - 1
+F_HUGE_RAYS = {"rays": [[1, 0], [0, 1], [-1, HUGE], [0, -1]]}
+HUGE_DETERMINANTS_RAYS = {"rays": [[HUGE, 1], [1, HUGE], [-1, -1]]}
+DIGIT_LIMIT = r"Exceeds the limit \(4300 digits\) for integer string conversion"
+
+
+class TestDigitLimit:
+    def _assert_refused(self, code, out, err):
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "InvalidInput"
+        assert re.search(DIGIT_LIMIT, error["detail"])
+
+    def test_coordinate_past_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "fan.json"
+        path.write_text('{"rays": [[1, 0], [0, 1], [-1, %s], [0, -1]]}' % ("1" * 4302))
+        self._assert_refused(*run_lines(capsys, ["validate", str(path)]))
+
+    @pytest.mark.parametrize(
+        "rays, argv",
+        [
+            (F_HUGE_RAYS, ["surgery", "{fan}", "--blow-up", "1"]),
+            (F_HUGE_RAYS, ["ample", "{fan}"]),
+            (HUGE_DETERMINANTS_RAYS, ["validate", "{fan}"]),
+        ],
+        ids=["surgery-blow-up", "ample", "determinants"],
+    )
+    def test_number_past_the_limit(self, capsys, write, rays, argv):
+        fan = write("fan.json", rays)
+        argv = [arg.format(fan=fan) for arg in argv]
+        self._assert_refused(*run_lines(capsys, argv))
 
 
 class TestComplex:
@@ -838,6 +878,56 @@ def test_every_exported_name_has_a_use():
     assert _unused_exports(root, realtoric.__all__) == []
 
 
+# The library's only ValueErrors: checks on values it builds itself. A
+# refused input raises a ToricError, which exits 1; cli.run sends any other
+# exception, these included, to exit 3 with its stage. One entry per raise.
+INTERNAL_VALUE_ERRORS = [
+    ("fan", "quadrant"),
+    ("gluing", "SignHom.__new__"),
+    ("homology", "SurfaceType.__new__"),
+    ("homology", "SurfaceType.__new__"),
+    ("intmat", "_int_rows"),
+    ("intmat", "mat_mul"),
+    ("intmat", "smith_normal_form"),
+    ("moment", "moment_map"),
+    ("moment", "sign_profile"),
+    ("rng", "SplitMix64.below"),
+]
+
+
+def _value_error_raises(node, scope=()):
+    # the dotted name of the enclosing def for each `raise ValueError`
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _value_error_raises(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                yield ".".join(scope)
+        yield from _value_error_raises(child, scope)
+
+
+def test_only_internal_checks_raise_value_error():
+    src = Path(__file__).resolve().parents[1] / "src" / "realtoric"
+    sites = sorted(
+        (path.stem, site)
+        for path in src.glob("*.py")
+        for site in _value_error_raises(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert sites == INTERNAL_VALUE_ERRORS
+    # The exception type alone decides exit 1: no handler guesses at it.
+    module = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    (run,) = [n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "run"]
+    handlers = [
+        ast.unparse(h.type)
+        for node in ast.walk(run)
+        if isinstance(node, ast.Try)
+        for h in node.handlers
+    ]
+    assert handlers == ["_CliError", "ToricError", "Exception"]
+
+
 def _load_bench_module(name, monkeypatch):
     # The file is only read: no bytecode is written next to it.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -964,20 +1054,56 @@ MALFORMED_RAYS = st.one_of(
 RAY_LISTS = st.one_of(
     st.lists(st.tuples(COORDS, COORDS), max_size=8),
     st.lists(st.tuples(COORDS, COORDS) | MALFORMED_RAYS, max_size=8),
-    VALID_FANS.flatmap(lambda fan: st.permutations(fan_to_json(fan)["rays"])),
 )
+# json.dumps cannot write an integer one digit past the limit, so this
+# marker stands in for one and _fan_text writes its digits.
+PAST_LIMIT = "<an integer one digit past the limit>"
+PAST_LIMIT_DIGITS = "9" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3) | COORDS
+    | st.just(PAST_LIMIT),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+# (must the commands answer?, the JSON document in the fan file)
+FAN_FILES = st.one_of(
+    VALID_FANS.flatmap(lambda fan: st.permutations(fan_to_json(fan)["rays"])).map(
+        lambda rays: (True, {"rays": rays})
+    ),
+    st.one_of(
+        JSON_VALUES, st.fixed_dictionaries({"rays": JSON_VALUES | RAY_LISTS})
+    ).map(lambda document: (False, document)),
+)
+FAN_COMMANDS = [
+    ["validate"],
+    ["classify"],
+    ["predict"],
+    ["selfint"],
+    ["ample"],
+    ["gkz-demo"],
+    ["moment-check", "--samples", "1"],
+]
 
 
-@given(command=st.sampled_from(["validate", "classify"]), rays=RAY_LISTS)
-@example(command="classify", rays=[5, [0, 1], [-1, -1]])
-@settings(max_examples=150, deadline=None)
-def test_fuzz_fan_commands_answer_or_refuse(fuzz_file, command, rays):
-    fuzz_file.write_text(json.dumps({"rays": rays}))
-    code, out, err = run_captured([command, str(fuzz_file)])
+def _fan_text(document):
+    return json.dumps(document).replace(json.dumps(PAST_LIMIT), PAST_LIMIT_DIGITS)
+
+
+@given(command=st.sampled_from(FAN_COMMANDS), fan_file=FAN_FILES)
+@example(command=["classify"], fan_file=(False, {"rays": [5, [0, 1], [-1, -1]]}))
+@example(command=["validate"], fan_file=(False, {"rays": [[1, 0], [PAST_LIMIT, 1]]}))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_fan_commands_answer_or_refuse(fuzz_file, command, fan_file):
+    must_answer, document = fan_file
+    fuzz_file.write_text(_fan_text(document))
+    code, out, err = run_captured([command[0], str(fuzz_file), *command[1:]])
     if code == 0:
         assert err == "" and len(out.splitlines()) == 1
-        json.loads(out)
+        if command != ["predict"]:
+            json.loads(out)
     else:
+        assert not must_answer
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert list(json.loads(err)) == ["error", "detail"]

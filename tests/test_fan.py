@@ -276,7 +276,7 @@ class TestRandomFan:
             assert random_fan(seed, 5).d == base_d + 5
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             random_fan(1, -1)
 
 

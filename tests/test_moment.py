@@ -15,6 +15,7 @@ import pytest
 from realtoric import (
     ALL_SIGN_HOMS,
     DegenerateWeights,
+    InvalidInput,
     SignHom,
     ToricDivisor,
     corpus_fans,
@@ -148,7 +149,7 @@ class TestSuite:
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_rejects_sample_counts_below_one(self, samples):
-        with pytest.raises(ValueError, match="samples must be at least 1"):
+        with pytest.raises(InvalidInput, match="samples must be at least 1"):
             run_moment_checks(P2, samples=samples)
 
 

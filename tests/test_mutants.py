@@ -7,7 +7,9 @@ its helpers from the module ``realtoric.homology``, which is reached
 through ``sys.modules``: the package attribute of that name is the function
 ``homology`` (``from .homology import *`` rebinds it), so a patch through
 the package would change nothing. ``realtoric.gluing`` and
-``realtoric.moment`` are reached the same way, for uniformity.
+``realtoric.moment`` are reached the same way, for uniformity. Where
+``realtoric.cli`` binds the same function itself, the mutant replaces it
+there too.
 """
 
 import json
@@ -69,12 +71,15 @@ def _negated(fn):
     return lambda fan: not fn(fan)
 
 
-def _genus_plus_one(fn):
-    def mutant(fan):
-        t = fn(fan)
-        return SurfaceType(orientable=t.orientable, genus=t.genus + 1)
+def _genus_offset(delta):
+    def wrap(fn):
+        def mutant(fan):
+            t = fn(fan)
+            return SurfaceType(orientable=t.orientable, genus=t.genus + delta)
 
-    return mutant
+        return mutant
+
+    return wrap
 
 
 def _every_edge_a_merge(fn):
@@ -97,7 +102,8 @@ MUTANTS = {
     "edge-class-swap": (HOMOLOGY, "build_real_complex", _swap_edge_classes),
     "edge-key-without-ray": (GLUING, "_EDGE_CLASSES", _anchor_only),
     "orientable-fast-negated": (HOMOLOGY, "orientable_fast", _negated),
-    "predict-theorem-genus-plus-one": (HOMOLOGY, "predict_theorem", _genus_plus_one),
+    "predict-theorem-genus-plus-one": (HOMOLOGY, "predict_theorem", _genus_offset(1)),
+    "predict-theorem-genus-minus-one": (HOMOLOGY, "predict_theorem", _genus_offset(-1)),
     "spanning-forest-every-edge": (HOMOLOGY, "_spanning_forest_size", _every_edge_a_merge),
     "grid-width-one": (MOMENT, "_axis_table", _unit_grid_width),
     "last-distinct-column-dropped": (HOMOLOGY, "_distinct_columns", _last_column_dropped),
@@ -115,7 +121,11 @@ CAUGHT_BY_VERIFY = [
 
 def _apply(monkeypatch, name):
     module, target, wrap = MUTANTS[name]
-    monkeypatch.setattr(module, target, wrap(getattr(module, target)))
+    original = getattr(module, target)
+    mutant = wrap(original)
+    for where in (module, cli):
+        if getattr(where, target, None) is original:
+            monkeypatch.setattr(where, target, mutant)
 
 
 def _run(capsys, argv):
@@ -183,6 +193,24 @@ def test_spanning_forest_mutant_exits_3(monkeypatch, capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["stage"] == "corpus"
+
+
+def test_genus_minus_one_mutant_exits_3(monkeypatch, capsys, tmp_path):
+    # On P2 the mutant predicts RP2 with genus 0, which SurfaceType refuses
+    # with a ValueError. The fan is valid, so that is an internal error:
+    # exit 3 with its stage, never exit 1, which means bad input.
+    _apply(monkeypatch, "predict-theorem-genus-minus-one")
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps(fan_to_json(P2)))
+    for command in ("classify", "verify", "predict"):
+        assert cli.run([command, str(path)]) == 3, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "Internal",
+            "stage": command,
+            "detail": "ValueError: nonorientable genus must be >= 1",
+        }
 
 
 def test_grid_width_mutant_fails_the_separation_gate(monkeypatch):
