@@ -70,8 +70,12 @@ def _load_json(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or an integer past the digit limit
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # valid JSON, but an integer past the digit limit
+        raise InvalidInput(
+            f"{path} holds an integer past the integer digit limit: {exc}"
+        ) from exc
     except RecursionError as exc:
         raise InvalidInput(f"{path} nests too deeply to parse") from exc
 
@@ -101,7 +105,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    print(str(predict_theorem(_load_fan(args.fan))))
+    name = str(predict_theorem(_load_fan(args.fan)))
+    # Names such as RP² are not ASCII: escape what the stream cannot encode.
+    encoding = sys.stdout.encoding or "utf-8"
+    print(name.encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 

@@ -16,8 +16,10 @@ log-coordinates lie in ``[-3, 3]``. The injectivity grid takes
 log-coordinates in ``[-3/W, 3/W]``, where ``W`` is the polygon's larger
 side of its bounding box (at least 1), so that no vertex weight falls
 below ``exp(-6)`` of the largest and the images stay apart however wide
-the polygon is. Its smallest separation comes from a closest-pair sweep
-in pure Python. The numerics here back up the exact combinatorics;
+the polygon is. Flat kernels build the grid's 1,024 images in one pass
+over per-axis factor lists and sweep them for the closest pair; they do
+the same float operations, in the same order, as a loop over single
+images would. The numerics here back up the exact combinatorics;
 nothing downstream consumes these floats.
 
 No monomial ``x^u`` is formed as a float: its sign is exactly
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul, truediv
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateWeights, InvalidInput
@@ -81,11 +83,16 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
         raise DegenerateWeights("no points to average")
     if x[0] == 0.0 or x[1] == 0.0:
         raise ValueError("torus points have nonzero coordinates")
+    return _average(x, [u[0] for u in points], [u[1] for u in points])
+
+
+def _average(
+    x: TorusPoint, xs: Sequence[int], ys: Sequence[int]
+) -> tuple[float, float]:
+    # moment_map's arithmetic on the points' coordinate lists, unchecked.
     lx = math.log(abs(x[0]))
     ly = math.log(abs(x[1]))
-    xs = [u[0] for u in points]
-    ys = [u[1] for u in points]
-    logs = [a * lx + b * ly for a, b in points]
+    logs = [a * lx + b * ly for a, b in zip(xs, ys)]
     top = max(logs)
     weights = [math.exp(v - top) for v in logs]
     total = math.fsum(weights)
@@ -135,27 +142,33 @@ def _max_violation(polygon: LatticePolygon, mu: tuple[float, float]) -> float:
 def _min_separation(points: Sequence[tuple[float, float]]) -> float:
     """Smallest Euclidean distance between two entries of ``points``.
 
-    Sorts by x and scans forward from each point until the squared x gap
-    alone reaches the best squared distance so far. Rounding is monotone
-    and ``dy*dy`` is nonnegative, so no skipped pair is closer: the result
-    equals the all-pairs minimum of ``sqrt(dx*dx + dy*dy)`` bit for bit.
+    Sorts by x into two flat coordinate lists and scans forward from each
+    point until the squared x gap alone reaches the best squared distance
+    so far. Rounding is monotone and ``dy*dy`` is nonnegative, so no
+    skipped pair is closer, and a pair's ``dx*dx + dy*dy`` does not depend
+    on its order: the result equals the all-pairs minimum of
+    ``sqrt(dx*dx + dy*dy)`` bit for bit, however ties in x are ordered.
     Repeated points give 0.0; fewer than two give ``inf``.
     """
-    pts = sorted(points)
+    pts = sorted(points, key=itemgetter(0))
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
     n = len(pts)
     best = math.inf
     for i in range(n):
-        x0, y0 = pts[i]
-        for j in range(i + 1, n):
-            x1, y1 = pts[j]
-            dx = x1 - x0
+        x0 = xs[i]
+        y0 = ys[i]
+        j = i + 1
+        while j < n:
+            dx = xs[j] - x0
             dx2 = dx * dx
             if dx2 >= best:
                 break
-            dy = y1 - y0
+            dy = ys[j] - y0
             dist2 = dx2 + dy * dy
             if dist2 < best:
                 best = dist2
+            j += 1
     return math.sqrt(best)
 
 
@@ -183,20 +196,25 @@ def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
     Each factor lies in ``[exp(-3), 1]``, as ``|c * g/W - max| <= 3``, so
     no weight underflows or dominates however wide the polygon is, and
     plain sums of the d products agree with ``moment_map``'s per-point
-    form to rounding.
+    form to rounding. The kernel lays the tables out flat, image by
+    image: each x row repeated once per column, and the y columns,
+    concatenated, once per row. Each image's d products are then summed
+    left to right from 0, as ``sum`` does.
     """
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
+    d = len(xs)
     width = max(max(xs) - min(xs), max(ys) - min(ys), 1)
+    rows = _axis_table(xs, width)
     columns = _axis_table(ys, width)
-    images = []
-    for wx, ux in _axis_table(xs, width):
-        for wy, uy in columns:
-            total = sum(map(mul, wx, wy))
-            mx = sum(map(mul, ux, wy))
-            my = sum(map(mul, wx, uy))
-            images.append((mx / total, my / total))
-    return images
+    wx = list(chain.from_iterable(w * len(_GRID) for w, _ in rows))
+    ux = list(chain.from_iterable(u * len(_GRID) for _, u in rows))
+    wy = list(chain.from_iterable(w for w, _ in columns)) * len(_GRID)
+    uy = list(chain.from_iterable(u for _, u in columns)) * len(_GRID)
+    total = list(map(sum, zip(*[map(mul, wx, wy)] * d)))
+    mx = map(sum, zip(*[map(mul, ux, wy)] * d))
+    my = map(sum, zip(*[map(mul, wx, uy)] * d))
+    return list(zip(map(truediv, mx, total), map(truediv, my, total)))
 
 
 def run_moment_checks(
@@ -240,14 +258,15 @@ def run_moment_checks(
     signs_exact = True
     worst_violation = 0.0
     translation_exact = True
+    vx = [v[0] for v in vertices]
+    vy = [v[1] for v in vertices]
     for k, eps in enumerate(ALL_SIGN_HOMS):
         for x in sample_T_epsilon(eps, seed + k, samples):
             if sign_profile(x) != eps:
                 signs_exact = False
-            mu = moment_map(x, vertices)
+            mu = _average(x, vx, vy)
             worst_violation = max(worst_violation, _max_violation(polygon, mu))
-            magnitudes = (abs(x[0]), abs(x[1]))
-            if moment_map(magnitudes, vertices) != mu:
+            if _average((abs(x[0]), abs(x[1])), vx, vy) != mu:
                 translation_exact = False
 
     min_sep = _min_separation(_grid_images(vertices))

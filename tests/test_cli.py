@@ -118,6 +118,21 @@ class TestClassifyAndPredict:
         assert code == 0
         assert out.strip() == "torus S¹×S¹"
 
+    @pytest.mark.parametrize(
+        "encoding, stdout",
+        [("utf-8", "RP²\n".encode()), ("ascii", b"RP\\xb2\n")],
+    )
+    def test_predict_on_any_stdout_encoding(self, write, encoding, stdout):
+        # A stream that cannot encode the name gets it escaped, not a crash.
+        src = Path(__file__).resolve().parents[1] / "src"
+        fan = write("fan.json", P2_RAYS)
+        result = subprocess.run(
+            [sys.executable, "-m", "realtoric.cli", "predict", fan],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": encoding},
+            capture_output=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, stdout, b"")
+
     def test_verify_consistent(self, capsys, write):
         code, out, _ = run_lines(capsys, ["verify", write("fan.json", F4_RAYS)])
         assert code == 0
@@ -255,7 +270,12 @@ class TestDigitLimit:
     def test_coordinate_past_the_limit(self, capsys, tmp_path):
         path = tmp_path / "fan.json"
         path.write_text('{"rays": [[1, 0], [0, 1], [-1, %s], [0, -1]]}' % ("1" * 4302))
-        self._assert_refused(*run_lines(capsys, ["validate", str(path)]))
+        code, out, err = run_lines(capsys, ["validate", str(path)])
+        self._assert_refused(code, out, err)
+        # The file is valid JSON; the digit limit, not the syntax, refuses it.
+        detail = json.loads(err)["detail"]
+        limit = "holds an integer past the integer digit limit"
+        assert detail.startswith(f"{path} {limit}: ")
 
     @pytest.mark.parametrize(
         "rays, argv",

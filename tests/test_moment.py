@@ -1,6 +1,6 @@
 """Numeric moment-map checks: signs, averages, sampling."""
 
-import itertools
+import hashlib
 import json
 import math
 import os
@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from realtoric import (
     sample_T_epsilon,
     sign_profile,
 )
-from realtoric.moment import _GRID, _grid_images, _min_separation
+from realtoric.moment import _GRID, _axis_table, _grid_images, _min_separation
 
 P2 = projective_plane_fan()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -244,13 +245,18 @@ def test_min_separation_golden(name, lattice_separation):
 
 
 def _brute_force_separation(points):
-    return min(
-        (
-            math.sqrt((b[0] - a[0]) * (b[0] - a[0]) + (b[1] - a[1]) * (b[1] - a[1]))
-            for a, b in itertools.combinations(points, 2)
-        ),
-        default=math.inf,
-    )
+    # Every pair's dx*dx + dy*dy, then one square root of the least: a
+    # correctly rounded sqrt is monotone, so this is the least of the
+    # per-pair distances bit for bit.
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    best = math.inf
+    for i in range(1, len(points)):
+        x0 = xs[i]
+        y0 = ys[i]
+        pairs = zip(xs[:i], ys[:i])
+        best = min(best, *[(x - x0) * (x - x0) + (y - y0) * (y - y0) for x, y in pairs])
+    return math.sqrt(best)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -493,6 +499,78 @@ def test_grid_images_match_moment_map(name):
     for got, want in zip(images, expected):
         for c in (0, 1):
             assert abs(got[c] - want[c]) <= 1e-12 * width
+
+
+def _wedge(n):
+    # The polygon is about 2n long and 1 high.
+    return normalize_fan([[1, 0], [n, 1], [n - 1, 1], [-1, 0], [0, -1]])
+
+
+# Named fans first, then corpus fans, for the grid kernel tests.
+GRID_FANS = {
+    "P2": P2,
+    **{f"F{a}": hirzebruch_fan(a) for a in (0, 1, 2, 3, 4, 400)},
+    "wedge-1e2": _wedge(10**2),
+    "wedge-1e9": _wedge(10**9),
+    **{f"corpus{k}": fan for k, fan in enumerate(corpus_fans(4040, 50, 6))},
+}
+
+
+def _grid_vertices(name):
+    fan = GRID_FANS[name]
+    return polygon_from_divisor(fan, find_ample(fan)).vertices
+
+
+def _per_image_grid(vertices):
+    # One image at a time, three sums of d products each: the form the
+    # flat kernel must reproduce bit for bit.
+    xs = [v[0] for v in vertices]
+    ys = [v[1] for v in vertices]
+    width = max(max(xs) - min(xs), max(ys) - min(ys), 1)
+    columns = _axis_table(ys, width)
+    images = []
+    for wx, ux in _axis_table(xs, width):
+        for wy, uy in columns:
+            total = sum(map(mul, wx, wy))
+            mx = sum(map(mul, ux, wy))
+            my = sum(map(mul, wx, uy))
+            images.append((mx / total, my / total))
+    return images
+
+
+@pytest.mark.parametrize("name", list(GRID_FANS))
+def test_grid_images_match_the_per_image_sums_bit_for_bit(name):
+    vertices = _grid_vertices(name)
+    images = _grid_images(vertices)
+    assert len(images) == 1024
+    assert repr(images) == repr(_per_image_grid(vertices))
+
+
+@pytest.mark.parametrize("name", list(GRID_FANS)[:30])
+def test_min_separation_of_grid_images_matches_all_pairs(name):
+    images = _grid_images(_grid_vertices(name))
+    assert _min_separation(images) == _brute_force_separation(images)
+
+
+# P2, F0 ... F4 and corpus_tasks(777, 66, 3).
+DIGEST_FANS = [P2, *(hirzebruch_fan(a) for a in range(5)), *corpus_fans(777, 66, 3)]
+# sha256 of the reprs of run_moment_checks(fan, samples=16, seed=7) on
+# DIGEST_FANS, one a line, as the per-image loops gave them: a change to
+# the kernels that moves one bit of one report changes it.
+REPORT_DIGEST = "b37226bf60251db798f9f2cbaa4ad12121d5f4a7c403c90ea4d46fbe5c73914d"
+
+
+def digest_reports():
+    return [run_moment_checks(fan, samples=16, seed=7) for fan in DIGEST_FANS]
+
+
+def report_digest(reports):
+    return hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
+
+
+def test_reports_keep_their_digest():
+    assert len(DIGEST_FANS) == 72
+    assert report_digest(digest_reports()) == REPORT_DIGEST
 
 
 def test_moment_check_runs_on_the_standard_library_alone(tmp_path):

@@ -13,6 +13,7 @@ there too.
 """
 
 import json
+import math
 import sys
 
 import pytest
@@ -32,6 +33,7 @@ from realtoric import (
     verify,
 )
 from test_homology import HAND_BUILT, full_smith_profile
+from test_moment import REPORT_DIGEST, digest_reports, report_digest
 
 GLUING = sys.modules["realtoric.gluing"]
 HOMOLOGY = sys.modules["realtoric.homology"]
@@ -93,6 +95,16 @@ def _unit_grid_width(fn):
     return lambda coords, width: fn(coords, 1)
 
 
+def _adjacent_pairs_only(fn):
+    # The closest pair looked for among neighbours in x order alone, each
+    # pair measured by the sweep itself.
+    def mutant(points):
+        pts = sorted(points)
+        return min((fn(pair) for pair in zip(pts, pts[1:])), default=math.inf)
+
+    return mutant
+
+
 def _last_column_dropped(fn):
     return lambda c: tuple(row[:-1] for row in fn(c))
 
@@ -106,6 +118,7 @@ MUTANTS = {
     "predict-theorem-genus-minus-one": (HOMOLOGY, "predict_theorem", _genus_offset(-1)),
     "spanning-forest-every-edge": (HOMOLOGY, "_spanning_forest_size", _every_edge_a_merge),
     "grid-width-one": (MOMENT, "_axis_table", _unit_grid_width),
+    "closest-pair-adjacent-only": (MOMENT, "_min_separation", _adjacent_pairs_only),
     "last-distinct-column-dropped": (HOMOLOGY, "_distinct_columns", _last_column_dropped),
 }
 
@@ -222,6 +235,18 @@ def test_grid_width_mutant_fails_the_separation_gate(monkeypatch):
     assert not all(
         run_moment_checks(f, samples=1).min_mu_separation > 1e-9 for f in fans
     )
+
+
+def test_adjacent_only_mutant_moves_the_report_digest(monkeypatch):
+    # tests/test_moment.py pins the digest of these reports. Missing the
+    # closest pair can only raise a separation.
+    before = digest_reports()
+    _apply(monkeypatch, "closest-pair-adjacent-only")
+    after = digest_reports()
+    assert report_digest(after) != REPORT_DIGEST
+    moved = [(a, b) for a, b in zip(after, before) if a != b]
+    assert len(moved) == 28
+    assert all(a.min_mu_separation > b.min_mu_separation for a, b in moved)
 
 
 def test_dropped_column_mutant_fails_the_oracle(monkeypatch):
