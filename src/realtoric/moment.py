@@ -16,11 +16,14 @@ log-coordinates lie in ``[-3, 3]``. The injectivity grid takes
 log-coordinates in ``[-3/W, 3/W]``, where ``W`` is the polygon's larger
 side of its bounding box (at least 1), so that no vertex weight falls
 below ``exp(-6)`` of the largest and the images stay apart however wide
-the polygon is. Flat kernels build the grid's 1,024 images in one pass
-over per-axis factor lists and sweep them for the closest pair; they do
-the same float operations, in the same order, as a loop over single
-images would. The numerics here back up the exact combinatorics;
-nothing downstream consumes these floats.
+the polygon is. The samples, which do not depend on the fan, are drawn
+once per ``(seed, samples)``. Flat kernels take all their images in one
+pass, build the grid's 1,024 images and sweep them for the closest pair,
+with the float operations, in the order, of a loop over single images.
+Sums are ``math.fsum`` or explicit ``+`` left to right, never ``sum``,
+which compensates since Python 3.12, so reports are bit-identical on 3.10
+to 3.13. The numerics back up the exact combinatorics; nothing downstream
+consumes these floats.
 
 No monomial ``x^u`` is formed as a float: its sign is exactly
 ``evaluate(sign_profile(x), u)``, which reads ``u`` only mod 2. So the
@@ -34,6 +37,7 @@ parity classes of ``w``, ``w + e1`` and ``w + e2``, and no character of
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, mul, truediv
 from typing import NamedTuple, Sequence
@@ -42,7 +46,7 @@ from .errors import DegenerateWeights, InvalidInput
 from .fan import Fan, Vec
 from .gluing import ALL_SIGN_HOMS, SignHom
 from .rng import SplitMix64
-from .polytope import LatticePolygon, ToricDivisor, find_ample, polygon_from_divisor
+from .polytope import ToricDivisor, find_ample, polygon_from_divisor
 
 __all__ = [
     "sign_profile",
@@ -87,7 +91,7 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
 
 
 def _average(
-    x: TorusPoint, xs: Sequence[int], ys: Sequence[int]
+    x: TorusPoint, xs: Sequence[float], ys: Sequence[float]
 ) -> tuple[float, float]:
     # moment_map's arithmetic on the points' coordinate lists, unchecked.
     lx = math.log(abs(x[0]))
@@ -130,13 +134,34 @@ class MomentCheckReport(NamedTuple):
     signs_exact: bool
 
 
-def _max_violation(polygon: LatticePolygon, mu: tuple[float, float]) -> float:
-    worst = 0.0
-    for v, b in zip(polygon.fan.rays, polygon.offsets):
-        slack = mu[0] * v[0] + mu[1] * v[1] + b
-        if -slack > worst:
-            worst = -slack
-    return worst
+@lru_cache(maxsize=4)
+def _draws(seed: int, samples: int) -> tuple[bool, tuple, tuple, tuple]:
+    """What the sample checks need that does not depend on the fan: whether
+    each sign profile is its component's, the magnitudes and their logs per
+    axis, for ``samples`` points on ``ALL_SIGN_HOMS[k]`` from ``seed + k``.
+    """
+    signs_exact = True
+    magnitudes = []
+    for k, eps in enumerate(ALL_SIGN_HOMS):
+        for x in sample_T_epsilon(eps, seed + k, samples):
+            signs_exact = sign_profile(x) == eps and signs_exact
+            magnitudes.append((abs(x[0]), abs(x[1])))
+    lx, ly = zip(*[(math.log(a), math.log(b)) for a, b in magnitudes])
+    return signs_exact, tuple(magnitudes), lx, ly
+
+
+def _sample_images(lx: tuple, ly: tuple, xs: list, ys: list) -> tuple[list, list]:
+    """``_average``'s images, x and y apart, of the points with log-coordinates
+    ``lx``, ``ly``: one pass over all the logs, in ``_average``'s order."""
+    d = len(xs)
+    xy = list(zip(xs, ys))
+    logs = [a * u + b * v for u, v in zip(lx, ly) for a, b in xy]
+    rows = list(zip(*[iter(logs)] * d))
+    weights = [math.exp(v - top) for top, row in zip(map(max, rows), rows) for v in row]
+    total = list(map(math.fsum, zip(*[iter(weights)] * d)))
+    mx = map(math.fsum, zip(*[map(mul, weights, xs * len(lx))] * d))
+    my = map(math.fsum, zip(*[map(mul, weights, ys * len(lx))] * d))
+    return list(map(truediv, mx, total)), list(map(truediv, my, total))
 
 
 def _min_separation(points: Sequence[tuple[float, float]]) -> float:
@@ -173,7 +198,7 @@ def _min_separation(points: Sequence[tuple[float, float]]) -> float:
 
 
 def _axis_table(
-    coords: Sequence[int], width: int
+    coords: Sequence[float], width: int
 ) -> list[tuple[list[float], list[float]]]:
     """Per log-coordinate ``g`` of ``_GRID``: the factors
     ``exp(c * g/width - max)`` over ``coords``, and those times ``coords``.
@@ -198,22 +223,26 @@ def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
     plain sums of the d products agree with ``moment_map``'s per-point
     form to rounding. The kernel lays the tables out flat, image by
     image: each x row repeated once per column, and the y columns,
-    concatenated, once per row. Each image's d products are then summed
-    left to right from 0, as ``sum`` does.
+    concatenated, once per row. Running lists then add each image's d
+    products from 0.0, left to right, one vertex at a time: the float
+    operations of ``sum`` before Python 3.12.
     """
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
     d = len(xs)
     width = max(max(xs) - min(xs), max(ys) - min(ys), 1)
-    rows = _axis_table(xs, width)
-    columns = _axis_table(ys, width)
+    rows = _axis_table(list(map(float, xs)), width)
+    columns = _axis_table(list(map(float, ys)), width)
     wx = list(chain.from_iterable(w * len(_GRID) for w, _ in rows))
     ux = list(chain.from_iterable(u * len(_GRID) for _, u in rows))
     wy = list(chain.from_iterable(w for w, _ in columns)) * len(_GRID)
     uy = list(chain.from_iterable(u for _, u in columns)) * len(_GRID)
-    total = list(map(sum, zip(*[map(mul, wx, wy)] * d)))
-    mx = map(sum, zip(*[map(mul, ux, wy)] * d))
-    my = map(sum, zip(*[map(mul, wx, uy)] * d))
+    total = mx = my = [0.0] * len(_GRID) ** 2
+    for k in range(d):
+        a, u, b, c = wx[k::d], ux[k::d], wy[k::d], uy[k::d]
+        total = [s + p * q for s, p, q in zip(total, a, b)]
+        mx = [s + p * q for s, p, q in zip(mx, u, b)]
+        my = [s + p * q for s, p, q in zip(my, a, c)]
     return list(zip(map(truediv, mx, total), map(truediv, my, total)))
 
 
@@ -232,9 +261,12 @@ def run_moment_checks(
     ``[-3, 3]`` are checked for (a) a sign profile equal to the
     component's sign vector, which makes ``sign(x^u)`` agree with it on
     every polygon lattice point (see the module docstring), (b) the moment
-    image lying inside the polygon up to float slack, and (c) bit-exact
-    equality of the moment image across all four sign flips of the same
-    magnitudes.
+    image lying inside the polygon up to float slack, and (c) the moment
+    image equal, bit for bit, to ``moment_map`` at the point's magnitudes,
+    so that no sign flip moves it. The points and their sign verdicts are
+    drawn once per ``(seed, samples)``, and one flat pass takes all their
+    images. The grid's sums are explicit adds, so the report is the same
+    bit for bit on Python 3.10 to 3.13.
     Separately, a fixed 32 x 32 grid of evenly spaced log-coordinates in
     ``[-3/W, 3/W]`` on the positive component, ``W`` the larger side of
     the polygon's bounding box and at least 1, measures the smallest
@@ -255,19 +287,15 @@ def run_moment_checks(
             "polygon offsets and coordinates must be below 2**1000 in absolute value"
         )
 
-    signs_exact = True
+    signs_exact, magnitudes, lx, ly = _draws(seed, samples)
+    vx, vy = (list(map(float, c)) for c in zip(*vertices))
+    mx, my = _sample_images(lx, ly, vx, vy)
     worst_violation = 0.0
-    translation_exact = True
-    vx = [v[0] for v in vertices]
-    vy = [v[1] for v in vertices]
-    for k, eps in enumerate(ALL_SIGN_HOMS):
-        for x in sample_T_epsilon(eps, seed + k, samples):
-            if sign_profile(x) != eps:
-                signs_exact = False
-            mu = _average(x, vx, vy)
-            worst_violation = max(worst_violation, _max_violation(polygon, mu))
-            if _average((abs(x[0]), abs(x[1])), vx, vy) != mu:
-                translation_exact = False
+    for (a, c), b in zip(polygon.fan.rays, polygon.offsets):
+        slack = min([x * a + y * c + b for x, y in zip(mx, my)])
+        worst_violation = max(worst_violation, -slack)
+    images = zip(magnitudes, mx, my)
+    translation_exact = all(_average(m, vx, vy) == (x, y) for m, x, y in images)
 
     min_sep = _min_separation(_grid_images(vertices))
 

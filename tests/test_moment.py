@@ -1,5 +1,6 @@
 """Numeric moment-map checks: signs, averages, sampling."""
 
+import ast
 import hashlib
 import json
 import math
@@ -8,7 +9,8 @@ import random
 import subprocess
 import sys
 import time
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -34,7 +36,14 @@ from realtoric import (
     sample_T_epsilon,
     sign_profile,
 )
-from realtoric.moment import _GRID, _axis_table, _grid_images, _min_separation
+from realtoric.moment import (
+    _GRID,
+    _axis_table,
+    _draws,
+    _grid_images,
+    _min_separation,
+    _sample_images,
+)
 
 P2 = projective_plane_fan()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -521,6 +530,12 @@ def _grid_vertices(name):
     return polygon_from_divisor(fan, find_ample(fan)).vertices
 
 
+def _left_sum(values):
+    # 0.0 + v0 + v1 + ..., left to right: the builtin sum before Python
+    # 3.12, which compensates its rounding from 3.12 on.
+    return reduce(add, values, 0.0)
+
+
 def _per_image_grid(vertices):
     # One image at a time, three sums of d products each: the form the
     # flat kernel must reproduce bit for bit.
@@ -531,9 +546,9 @@ def _per_image_grid(vertices):
     images = []
     for wx, ux in _axis_table(xs, width):
         for wy, uy in columns:
-            total = sum(map(mul, wx, wy))
-            mx = sum(map(mul, ux, wy))
-            my = sum(map(mul, wx, uy))
+            total = _left_sum(map(mul, wx, wy))
+            mx = _left_sum(map(mul, ux, wy))
+            my = _left_sum(map(mul, wx, uy))
             images.append((mx / total, my / total))
     return images
 
@@ -570,6 +585,96 @@ def report_digest(reports):
 
 def test_reports_keep_their_digest():
     assert len(DIGEST_FANS) == 72
+    assert report_digest(digest_reports()) == REPORT_DIGEST
+
+
+def test_moment_sums_no_floats_with_the_builtin_sum():
+    # Since Python 3.12 sum() of floats compensates its rounding, so the
+    # grid's bits, and the digest above, would change with the version.
+    tree = ast.parse((SRC / "realtoric" / "moment.py").read_text())
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
+    assert [n.lineno for n in names if n.id == "sum"] == []
+
+
+# The digest fans, the longest edges of the checks' gates and the fan that
+# once overflowed, for the flat sample pass.
+SAMPLE_FANS = [
+    *DIGEST_FANS,
+    hirzebruch_fan(10**12),
+    _wedge(10**9),
+    normalize_fan(TEN_RAY_FAN),
+]
+
+
+def _sample_points(seed, samples):
+    return [
+        x
+        for k, eps in enumerate(ALL_SIGN_HOMS)
+        for x in sample_T_epsilon(eps, seed + k, samples)
+    ]
+
+
+def _per_sample_violation(polygon, images):
+    # The per-sample loop the flat pass replaced: each image against each
+    # ray inequality, the largest excess kept.
+    worst = 0.0
+    for mu in images:
+        for v, b in zip(polygon.fan.rays, polygon.offsets):
+            slack = mu[0] * v[0] + mu[1] * v[1] + b
+            if -slack > worst:
+                worst = -slack
+    return worst
+
+
+@pytest.mark.parametrize("samples", [1, 16, 256])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sample_images_match_moment_map_bit_for_bit(seed, samples):
+    points = _sample_points(seed, samples)
+    _, _, lx, ly = _draws(seed, samples)
+    for fan in SAMPLE_FANS:
+        polygon = polygon_from_divisor(fan, find_ample(fan))
+        vertices = polygon.vertices
+        expected = [moment_map(x, vertices) for x in points]
+        vx = [float(v[0]) for v in vertices]
+        vy = [float(v[1]) for v in vertices]
+        mx, my = _sample_images(lx, ly, vx, vy)
+        assert repr(list(zip(mx, my))) == repr(expected), fan.rays
+        report = run_moment_checks(fan, seed=seed, samples=samples)
+        violation = _per_sample_violation(polygon, expected)
+        assert repr(report.max_inequality_violation) == repr(violation), fan.rays
+
+
+def test_draws_are_kept_per_seed_and_sample_count():
+    _draws.cache_clear()
+    keys = [(0, 16), (1, 16), (0, 17), (7, 1)]
+    entries = [_draws(*key) for key in keys]
+    assert _draws.cache_info().currsize == len(keys) <= _draws.cache_info().maxsize <= 4
+    for (seed, samples), entry in zip(keys, entries):
+        assert _draws(seed, samples) is entry
+        assert entry == _draws.__wrapped__(seed, samples)
+        signs_exact, magnitudes, lx, ly = entry
+        assert signs_exact is True
+        assert all(type(part) is tuple for part in (magnitudes, lx, ly))
+        assert all(type(m) is tuple for m in magnitudes)
+        assert len(magnitudes) == len(lx) == len(ly) == 4 * samples
+        points = _sample_points(seed, samples)
+        assert list(magnitudes) == [(abs(x), abs(y)) for x, y in points]
+    assert len({entry[1] for entry in entries}) == len(keys)
+
+
+def test_a_warm_draw_cache_gives_the_same_reports():
+    fans = DIGEST_FANS[:12]
+    keys = [(seed, samples) for seed in (0, 7, 8) for samples in (1, 16)]
+    cold = []
+    for seed, samples in keys:
+        for fan in fans:
+            _draws.cache_clear()
+            cold.append(run_moment_checks(fan, seed=seed, samples=samples))
+    # Each key's first report draws, the others hit; with more keys than
+    # the cache holds, each round evicts and draws every key again.
+    for _ in range(2):
+        warm = [run_moment_checks(f, seed=s, samples=n) for s, n in keys for f in fans]
+        assert repr(warm) == repr(cold)
     assert report_digest(digest_reports()) == REPORT_DIGEST
 
 

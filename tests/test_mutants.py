@@ -9,7 +9,10 @@ through ``sys.modules``: the package attribute of that name is the function
 the package would change nothing. ``realtoric.gluing`` and
 ``realtoric.moment`` are reached the same way, for uniformity. Where
 ``realtoric.cli`` binds the same function itself, the mutant replaces it
-there too.
+there too. ``run_moment_checks`` caches its samples' sign verdicts and
+logs per ``(seed, samples)``: ``_apply`` empties that cache, so that a warm
+entry cannot hide a mutant, and so does every teardown, so that an entry
+drawn under a mutant cannot reach a later test.
 """
 
 import json
@@ -19,6 +22,7 @@ import sys
 import pytest
 
 import realtoric.cli as cli
+import test_acceptance
 from realtoric import (
     InvalidComplex,
     SurfaceType,
@@ -105,6 +109,16 @@ def _adjacent_pairs_only(fn):
     return mutant
 
 
+def _x_sign_flipped(fn):
+    # A sample's sign profile read off the wrong sign of its x coordinate.
+    return lambda x: fn((-x[0], x[1]))
+
+
+def _axes_swapped(fn):
+    # The flat sample pass gives its images as (y, x).
+    return lambda *args: fn(*args)[::-1]
+
+
 def _last_column_dropped(fn):
     return lambda c: tuple(row[:-1] for row in fn(c))
 
@@ -119,6 +133,8 @@ MUTANTS = {
     "spanning-forest-every-edge": (HOMOLOGY, "_spanning_forest_size", _every_edge_a_merge),
     "grid-width-one": (MOMENT, "_axis_table", _unit_grid_width),
     "closest-pair-adjacent-only": (MOMENT, "_min_separation", _adjacent_pairs_only),
+    "sample-sign-flipped": (MOMENT, "sign_profile", _x_sign_flipped),
+    "sample-images-axes-swapped": (MOMENT, "_sample_images", _axes_swapped),
     "last-distinct-column-dropped": (HOMOLOGY, "_distinct_columns", _last_column_dropped),
 }
 
@@ -132,6 +148,13 @@ CAUGHT_BY_VERIFY = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def _empty_draw_cache_after():
+    # Runs after monkeypatch's teardown has put every original back.
+    yield
+    MOMENT._draws.cache_clear()
+
+
 def _apply(monkeypatch, name):
     module, target, wrap = MUTANTS[name]
     original = getattr(module, target)
@@ -139,6 +162,7 @@ def _apply(monkeypatch, name):
     for where in (module, cli):
         if getattr(where, target, None) is original:
             monkeypatch.setattr(where, target, mutant)
+    MOMENT._draws.cache_clear()
 
 
 def _run(capsys, argv):
@@ -247,6 +271,39 @@ def test_adjacent_only_mutant_moves_the_report_digest(monkeypatch):
     moved = [(a, b) for a, b in zip(after, before) if a != b]
     assert len(moved) == 28
     assert all(a.min_mu_separation > b.min_mu_separation for a, b in moved)
+
+
+def test_sign_flipped_mutant_fails_criterion_7(monkeypatch, capsys, tmp_path):
+    # Criterion 7's fans and seed, already drawn: the cache must not hide
+    # the mutant. moment-check turns the false flag into an internal error.
+    criterion_7 = test_acceptance.test_criterion_7_moment_suite.__wrapped__
+    criterion_7()
+    _apply(monkeypatch, "sample-sign-flipped")
+    with pytest.raises(AssertionError, match="signs_exact"):
+        criterion_7()
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps(fan_to_json(P2)))
+    assert cli.run(["moment-check", str(path), "--samples", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "Internal",
+        "stage": "moment-check",
+        "detail": "RuntimeError: sign profiles disagreed with the sign vectors",
+    }
+
+
+def test_axes_swapped_mutant_fails_the_violation_gate_and_the_digest(monkeypatch):
+    # The acceptance gate asks for a violation of at most 1e-9; only the 8
+    # polygons symmetric in the diagonal keep swapped images inside. A
+    # swapped image also differs from moment_map's at the magnitudes.
+    assert report_digest(digest_reports()) == REPORT_DIGEST
+    _apply(monkeypatch, "sample-images-axes-swapped")
+    after = digest_reports()
+    assert report_digest(after) != REPORT_DIGEST
+    outside = [r for r in after if r.max_inequality_violation > 1e-9]
+    assert len(outside) == 64
+    assert not any(r.translation_exact for r in after)
 
 
 def test_dropped_column_mutant_fails_the_oracle(monkeypatch):
