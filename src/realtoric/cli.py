@@ -237,7 +237,7 @@ def _cmd_moment_check(args) -> int:
     return 0
 
 
-@functools.cache  # stateless, so one parser serves every run in a process
+@functools.lru_cache(maxsize=1)  # stateless: one parser serves every run
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="realtoric",

@@ -67,11 +67,6 @@ def det2(u: Vec, v: Vec) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def rot90(v: Vec) -> Vec:
-    """Counterclockwise quarter turn: ``(x, y) -> (-y, x)``."""
-    return (-v[1], v[0])
-
-
 def is_primitive(v: Vec) -> bool:
     """True when the coordinates are coprime (the zero vector is not)."""
     return gcd(v[0], v[1]) == 1
@@ -184,20 +179,15 @@ def self_intersections(fan: Fan) -> tuple[int, ...]:
     fan, and the quotient is computed exactly.
     """
     rays = fan.rays
-    d = len(rays)
     out = []
-    for i in range(d):
-        v = rays[i]
-        p, q = rays[i - 1], rays[(i + 1) % d]
-        w = (p[0] + q[0], p[1] + q[1])
-        if det2(w, v) != 0:
-            raise RuntimeError(f"neighbor sum {w} not parallel to ray {v}")
-        if v[0] != 0:
-            c, r = divmod(w[0], v[0])
-        else:
-            c, r = divmod(w[1], v[1])
-        if r != 0 or w != (c * v[0], c * v[1]):
-            raise RuntimeError(f"neighbor sum {w} not a multiple of ray {v}")
+    for (p0, p1), v, (q0, q1) in zip(rays[-1:] + rays[:-1], rays, rays[1:] + rays[:1]):
+        x, y = v
+        w0, w1 = p0 + q0, p1 + q1
+        if w0 * y != w1 * x:
+            raise RuntimeError(f"neighbor sum {(w0, w1)} not parallel to ray {v}")
+        c = w0 // x if x else w1 // y
+        if w0 != c * x or w1 != c * y:
+            raise RuntimeError(f"neighbor sum {(w0, w1)} not a multiple of ray {v}")
         out.append(-c)
     return tuple(out)
 

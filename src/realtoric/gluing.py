@@ -12,8 +12,8 @@ which depends only on ``u mod 2``.
 Two copies are glued along a face when their sign vectors agree on the
 characters parallel to that face. Read mod 2, that is a grouping of the
 four copies: along the edge on ray ``v`` they are grouped by their value
-on ``rot90(v)``, and at a vertex, whose only parallel character is zero,
-nothing separates them, so all four meet. The rule never reads the
+on its quarter-turn, and at a vertex, whose only parallel character is
+zero, nothing separates them, so all four meet. The rule never reads the
 divisor: :func:`build_real_complex` builds ``d`` vertices, ``2d`` edges
 (two classes per ray) and the four faces straight from the fan.
 
@@ -28,10 +28,11 @@ one anchored at the origin.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
-from .fan import Fan, Vec, rot90, self_intersections
+from .fan import Fan, Vec, self_intersections
 from .intmat import Matrix
 from .polytope import LatticePolygon
 
@@ -166,21 +167,26 @@ class CellComplex(NamedTuple):
         the total word length. Bad indices are refused as in the builders.
         """
         edges = self._checked_edges()
-        for j, word in enumerate(self._checked_faces()):
+        ne = len(edges)
+        for j, word in enumerate(self.faces, 1):
             count: dict[int, int] = {}
-            for signed in word:
-                tail, head = edges[abs(signed) - 1]
-                s = 1 if signed > 0 else -1
-                count[head] = count.get(head, 0) + s
-                count[tail] = count.get(tail, 0) - s
+            get = count.get
+            for s in word:
+                if 0 < s <= ne:
+                    tail, head = edges[s - 1]
+                    count[head] = get(head, 0) + 1
+                    count[tail] = get(tail, 0) - 1
+                elif 0 < -s <= ne:
+                    tail, head = edges[-s - 1]
+                    count[head] = get(head, 0) - 1
+                    count[tail] = get(tail, 0) + 1
+                else:
+                    raise InvalidComplex(
+                        f"face {j} has entry {s}, not a signed edge index in 1..{ne}"
+                    )
             if any(count.values()):
-                raise InvalidComplex(
-                    f"boundary of a boundary is not zero on face {j + 1}"
-                )
-
-
-def _parity(u: Vec) -> Vec:
-    return (u[0] % 2, u[1] % 2)
+                self._checked_faces()  # a bad entry in a later face comes first
+                raise InvalidComplex(f"boundary of a boundary is not zero on face {j}")
 
 
 def _grouping(key) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -214,25 +220,28 @@ def _glue(fan: Fan, anchors: Sequence[Vec]) -> CellComplex:
     # i, always positive. Consecutive anchors differ by a multiple of the
     # ray's quarter-turn, so an edge class lies in one class at each end,
     # and its first copy finds them.
-    corners = [_CORNER_CLASSES[_parity(a)] for a in anchors]
-    first_vertex = []
-    num_vertices = 0
-    for _, reps in corners:
-        first_vertex.append(num_vertices)
-        num_vertices += len(reps)
-    edges: list[tuple[int, int]] = []
-    words: list[list[int]] = [[] for _ in ALL_SIGN_HOMS]
-    for i, v in enumerate(fan.rays):
-        classes, reps = _EDGE_CLASSES[_parity(rot90(v)), _parity(anchors[i])]
-        tails, heads = corners[i - 1][0], corners[i][0]
-        base = len(edges) + 1
-        for k in reps:
-            edges.append(
-                (first_vertex[i - 1] + tails[k], first_vertex[i] + heads[k])
-            )
-        for word, c in zip(words, classes):
-            word.append(base + c)
-    return CellComplex(num_vertices, tuple(edges), tuple(map(tuple, words)))
+    # The quarter-turn (-y, x) of ray (x, y) has parity (y & 1, x & 1).
+    parities = [(a[0] & 1, a[1] & 1) for a in anchors]
+    keys = [((y & 1, x & 1), p) for (x, y), p in zip(fan.rays, parities)]
+    corners = list(map(_CORNER_CLASSES.__getitem__, parities))
+    rays = list(map(_EDGE_CLASSES.__getitem__, keys))
+    heads = [classes for classes, _ in corners]
+    first_vertex = list(accumulate([len(r) for _, r in corners], initial=0))
+    num_vertices = first_vertex.pop()
+    first_edge = accumulate([len(r) for _, r in rays], initial=1)
+    edges = [
+        (t + tails[k], h + hs[k])
+        for (_, reps), tails, hs, t, h in zip(
+            rays, heads[-1:] + heads[:-1], heads,
+            first_vertex[-1:] + first_vertex[:-1], first_vertex,
+        )
+        for k in reps
+    ]
+    # Copy k's entry on a ray is the ray's first edge plus its class there.
+    words = zip(*[
+        (e + c[0], e + c[1], e + c[2], e + c[3]) for e, (c, _) in zip(first_edge, rays)
+    ])
+    return CellComplex(num_vertices, tuple(edges), tuple(words))
 
 
 def build_real_complex(fan: Fan) -> CellComplex:

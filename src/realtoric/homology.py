@@ -6,7 +6,8 @@ minus the number of connected components, read off a union-find over the
 edges, and it adds no torsion (an incidence matrix is totally unimodular,
 so every invariant factor is 1 and H0 is free). Only the edge-face
 boundary ∂2 gets a Smith form, for its rank and the torsion of H1, on
-its distinct columns up to sign: 4 or 6 on the real complex at any d.
+its distinct columns up to sign: 4 or 6 on the real complex at any d,
+and only two such inputs arise, so the factors are memoized on them.
 Closed-surface recognition goes through the standard homology profiles
 
     orientable genus g:      Z, Z^(2g), Z
@@ -21,6 +22,7 @@ characteristic ``4 - d`` is not compared with anything.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidComplex, NotAClosedSurfaceProfile
@@ -62,15 +64,12 @@ def _spanning_forest_size(
     # path halving. A loop edge or a second edge between the same two
     # components merges nothing.
     parent = list(range(num_vertices))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
     merges = 0
-    for tail, head in edges:
-        a, b = root(tail), root(head)
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a != b:
             parent[a] = b
             merges += 1
@@ -84,11 +83,20 @@ def _distinct_columns(c: CellComplex) -> Matrix:
     # up to sign is unimodular, so the invariant factors are unchanged.
     rows = [[0] * len(c.edges) for _ in c.faces]
     for row, word in zip(rows, c.faces):
-        for signed in word:
-            row[abs(signed) - 1] += 1 if signed > 0 else -1
+        for s in word:
+            if s > 0:
+                row[s - 1] += 1
+            else:
+                row[-s - 1] -= 1
     distinct = {max(col, tuple(-x for x in col)) for col in set(zip(*rows))}
     distinct.discard((0,) * len(c.faces))
     return tuple(zip(*sorted(distinct)))
+
+
+@lru_cache(maxsize=8)
+def _factors(m: Matrix) -> tuple[int, ...]:
+    # The real complex gives one of two inputs at any d: nearly all hits.
+    return smith_normal_form(m).diag
 
 
 def homology(c: CellComplex) -> HomologyProfile:
@@ -105,17 +113,17 @@ def homology(c: CellComplex) -> HomologyProfile:
     built. The rank of ∂2 and the torsion of H1 come from one Smith form,
     taken on the faces-by-edges transpose of ∂2 (read off the face words,
     with zero columns and repeats up to sign dropped), which has the same
-    invariant factors.
+    invariant factors; a small memo keyed on those columns serves repeats.
     """
     c.check_chain_complex()
     r1 = _spanning_forest_size(c.num_vertices, c.edges)
-    s2 = smith_normal_form(_distinct_columns(c))
+    diag = _factors(_distinct_columns(c))
     b0 = c.num_vertices - r1
-    b1 = len(c.edges) - r1 - s2.rank
-    b2 = len(c.faces) - s2.rank
+    b1 = len(c.edges) - r1 - len(diag)
+    b2 = len(c.faces) - len(diag)
     if b0 < 0 or b1 < 0 or b2 < 0:
         raise InvalidComplex("boundary ranks exceed the chain group ranks")
-    torsion = tuple(x for x in s2.diag if x > 1)
+    torsion = tuple(x for x in diag if x > 1)
     return HomologyProfile(b0=b0, b1=b1, b2=b2, torsion=torsion)
 
 

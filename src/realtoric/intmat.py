@@ -149,7 +149,8 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
 
     ``homology`` passes it the distinct columns of the faces-by-edges
     boundary of a real toric surface: 4 x 4 or 4 x 6, entries 0 and +-1,
-    whatever the number of rays d, so each call takes constant time.
+    whatever the number of rays d. ``homology`` memoizes the factors of its
+    last few inputs; this function itself keeps nothing between calls.
     """
     d = _int_rows(a)
     n = len(d[0]) if d else 0

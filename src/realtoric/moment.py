@@ -17,9 +17,9 @@ log-coordinates in ``[-3/W, 3/W]``, where ``W`` is the polygon's larger
 side of its bounding box (at least 1), so that no vertex weight falls
 below ``exp(-6)`` of the largest and the images stay apart however wide
 the polygon is. The samples, which do not depend on the fan, are drawn
-once per ``(seed, samples)``. Flat kernels take all their images in one
-pass, build the grid's 1,024 images and sweep them for the closest pair,
-with the float operations, in the order, of a loop over single images.
+once per ``(seed, samples)``. Flat kernels take their images in blocks,
+build the grid's 1,024 images and sweep them for the closest pair, with
+the float operations, in the order, of a loop over single images.
 Sums are ``math.fsum`` or explicit ``+`` left to right, never ``sum``,
 which compensates since Python 3.12, so reports are bit-identical on 3.10
 to 3.13. The numerics back up the exact combinatorics; nothing downstream
@@ -64,6 +64,8 @@ _RADIUS = 3.0
 # 32 evenly spaced log-coordinates for the injectivity grid, before that
 # division. The last is set, not computed, so it is exactly _RADIUS.
 _GRID = [-_RADIUS + i * (2.0 * _RADIUS / 31) for i in range(31)] + [_RADIUS]
+# Sample points per flat pass, which holds O(d) floats for each of them.
+_BLOCK = 4 * 1024
 # Ray, offset and vertex coordinates below this bound convert to floats, and
 # sums of up to 2**23 of them stay finite.
 _COORD_BOUND = 2**1000
@@ -135,22 +137,25 @@ class MomentCheckReport(NamedTuple):
 
 
 @lru_cache(maxsize=4)
-def _draws(seed: int, samples: int) -> tuple[bool, tuple, tuple, tuple]:
+def _draws(seed: int, samples: int) -> tuple[bool, Sequence, Sequence, Sequence]:
     """What the sample checks need that does not depend on the fan: whether
-    each sign profile is its component's, the magnitudes and their logs per
-    axis, for ``samples`` points on ``ALL_SIGN_HOMS[k]`` from ``seed + k``.
+    each sign profile is its component's, the magnitudes, x and y in turn,
+    and their logs per axis, for ``samples`` points on ``ALL_SIGN_HOMS[k]``
+    from ``seed + k``; the floats are kept as 8-byte doubles.
     """
+    from array import array  # loaded here, not on every command line start
     signs_exact = True
-    magnitudes = []
+    magnitudes = array("d")
     for k, eps in enumerate(ALL_SIGN_HOMS):
         for x in sample_T_epsilon(eps, seed + k, samples):
             signs_exact = sign_profile(x) == eps and signs_exact
-            magnitudes.append((abs(x[0]), abs(x[1])))
-    lx, ly = zip(*[(math.log(a), math.log(b)) for a, b in magnitudes])
-    return signs_exact, tuple(magnitudes), lx, ly
+            magnitudes.extend((abs(x[0]), abs(x[1])))
+    lx = array("d", map(math.log, magnitudes[0::2]))
+    ly = array("d", map(math.log, magnitudes[1::2]))
+    return signs_exact, magnitudes, lx, ly
 
 
-def _sample_images(lx: tuple, ly: tuple, xs: list, ys: list) -> tuple[list, list]:
+def _sample_images(lx: Sequence, ly: Sequence, xs: list, ys: list) -> tuple[list, list]:
     """``_average``'s images, x and y apart, of the points with log-coordinates
     ``lx``, ``ly``: one pass over all the logs, in ``_average``'s order."""
     d = len(xs)
@@ -264,9 +269,9 @@ def run_moment_checks(
     image lying inside the polygon up to float slack, and (c) the moment
     image equal, bit for bit, to ``moment_map`` at the point's magnitudes,
     so that no sign flip moves it. The points and their sign verdicts are
-    drawn once per ``(seed, samples)``, and one flat pass takes all their
-    images. The grid's sums are explicit adds, so the report is the same
-    bit for bit on Python 3.10 to 3.13.
+    drawn once per ``(seed, samples)``, and flat passes of 1,024 points per
+    component take their images. The grid's sums are explicit adds, so the
+    report is the same bit for bit on Python 3.10 to 3.13.
     Separately, a fixed 32 x 32 grid of evenly spaced log-coordinates in
     ``[-3/W, 3/W]`` on the positive component, ``W`` the larger side of
     the polygon's bounding box and at least 1, measures the smallest
@@ -289,13 +294,15 @@ def run_moment_checks(
 
     signs_exact, magnitudes, lx, ly = _draws(seed, samples)
     vx, vy = (list(map(float, c)) for c in zip(*vertices))
-    mx, my = _sample_images(lx, ly, vx, vy)
-    worst_violation = 0.0
-    for (a, c), b in zip(polygon.fan.rays, polygon.offsets):
-        slack = min([x * a + y * c + b for x, y in zip(mx, my)])
-        worst_violation = max(worst_violation, -slack)
-    images = zip(magnitudes, mx, my)
-    translation_exact = all(_average(m, vx, vy) == (x, y) for m, x, y in images)
+    worst_violation, translation_exact = 0.0, True
+    for i in range(0, len(lx), _BLOCK):
+        mx, my = _sample_images(lx[i : i + _BLOCK], ly[i : i + _BLOCK], vx, vy)
+        for (a, c), b in zip(polygon.fan.rays, polygon.offsets):
+            slack = min([x * a + y * c + b for x, y in zip(mx, my)])
+            worst_violation = max(worst_violation, -slack)
+        pairs = iter(magnitudes[2 * i : 2 * (i + _BLOCK)])
+        images = zip(zip(pairs, pairs), mx, my)
+        translation_exact &= all(_average(m, vx, vy) == (x, y) for m, x, y in images)
 
     min_sep = _min_separation(_grid_images(vertices))
 

@@ -302,6 +302,33 @@ def test_dropping_zero_and_repeated_columns_keeps_the_smith_form(shape):
     assert homology(c) == full_smith_profile(c)
 
 
+# Two more one-vertex complexes: a sphere, two disks on one loop, and a
+# disk. The disk's one distinct column is (1), RP2's is (2): equal shapes.
+SPHERE = (CellComplex(1, ((0, 0),), ((1,), (-1,))), HomologyProfile(1, 0, 1, ()))
+DISK = (CellComplex(1, ((0, 0),), ((1,),)), HomologyProfile(1, 0, 0, ()))
+
+
+def test_cold_and_warm_memo_agree():
+    # homology memoizes the invariant factors on the distinct columns of
+    # ∂2's transpose. Each profile with the memo emptied first must equal
+    # the profile in one run through a mixed sequence, warm or not.
+    memo = importlib.import_module("realtoric.homology")._factors
+    known = [SPHERE, HAND_BUILT["RP2"], HAND_BUILT["Klein bottle"]]
+    known += [HAND_BUILT["torus"], DISK]
+    complexes = [c for c, _ in known] + [
+        build_affine_span_complex(fan, polygon_from_divisor(fan, find_ample(fan)))
+        for fan in ORACLE_FANS[:200]
+    ]
+    cold = []
+    for c in complexes:
+        memo.cache_clear()
+        cold.append(homology(c))
+    assert cold[: len(known)] == [profile for _, profile in known]
+    memo.cache_clear()
+    for _ in range(2):
+        assert [homology(c) for c in complexes] == cold
+
+
 class TestEuler:
     def test_cells_match_formula(self):
         # d vertices, 2d edges and 4 faces

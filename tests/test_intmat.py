@@ -317,7 +317,8 @@ def test_homology_takes_one_smith_form_and_no_vertex_edge_matrix(monkeypatch):
     # rank ∂1 comes from the graph's components and ∂2 is read off the face
     # words: building either boundary matrix is an error. The one Smith form
     # left is on the distinct columns of ∂2's transpose: 4 faces by at most
-    # 6 columns, whatever d is.
+    # 6 columns, whatever d is, on a cold memo, and none at all when the
+    # same columns come again.
     homology_module = importlib.import_module("realtoric.homology")
     shapes = []
 
@@ -334,14 +335,42 @@ def test_homology_takes_one_smith_form_and_no_vertex_edge_matrix(monkeypatch):
     # random_fan is quadratic in its blow-ups, so the largest fan is built
     # from its rays.
     ladder = [(1, j) for j in range(1501)] + [(0, 1), (-1, 0), (0, -1)]
-    for fan in (fan_with_rays(8503, 64), fan_with_rays(8503, 192), normalize_fan(ladder)):
-        shapes.clear()
-        d = fan.d
-        assert homology(build_real_complex(fan)) == HomologyProfile(1, d - 3, 0, (2,))
-        assert len(shapes) == 1, d
-        rows, columns = shapes[0]
-        assert rows == 4 and columns <= 6, (d, shapes)
+    try:
+        for fan in (fan_with_rays(8503, 64), fan_with_rays(8503, 192), normalize_fan(ladder)):
+            homology_module._factors.cache_clear()
+            shapes.clear()
+            d = fan.d
+            c = build_real_complex(fan)
+            assert homology(c) == HomologyProfile(1, d - 3, 0, (2,))
+            assert len(shapes) == 1, d
+            rows, columns = shapes[0]
+            assert rows == 4 and columns <= 6, (d, shapes)
+            assert homology(c) == HomologyProfile(1, d - 3, 0, (2,))
+            assert len(shapes) == 1, (d, shapes)
+    finally:
+        # No entry taken under the recorder outlives the test.
+        homology_module._factors.cache_clear()
     assert d == 1504
+
+
+def test_memoized_factors_are_the_smith_form():
+    # Small integer matrices, hashable as homology passes them, each asked
+    # twice: once to fill the memo, once to read it.
+    memo = importlib.import_module("realtoric.homology")._factors
+    rng = SplitMix64(2024)
+    memo.cache_clear()
+    for _ in range(300):
+        m = rng.below(5) + 1
+        n = rng.below(7) + 1
+        a = tuple(tuple(rng.below(7) - 3 for _ in range(n)) for _ in range(m))
+        want = smith_normal_form(a).diag
+        assert memo(a) == want == memo(a), a
+    assert memo.cache_info().hits >= 300
+
+
+def test_factor_memo_is_small():
+    memo = importlib.import_module("realtoric.homology")._factors
+    assert memo.cache_info().maxsize == 8
 
 
 class TestAgainstSympy:

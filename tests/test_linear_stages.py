@@ -1,0 +1,239 @@
+"""The linear stages of ``verify`` against their per-entry forms.
+
+Each oracle below is a plain per-entry loop: index arithmetic, ``abs``
+and a sign ternary per entry, all entries checked before any boundary,
+and a nested ``root`` closure in the union-find. The stages must return
+the same values, and raise the same errors with the same messages, on
+every input.
+"""
+
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from realtoric import (
+    ALL_SIGN_HOMS,
+    CellComplex,
+    Fan,
+    InvalidComplex,
+    build_affine_span_complex,
+    build_real_complex,
+    corpus_fans,
+    find_ample,
+    hirzebruch_fan,
+    polygon_from_divisor,
+    random_fan,
+    self_intersections,
+)
+from test_homology import HAND_BUILT
+
+GLUING = sys.modules["realtoric.gluing"]
+HOMOLOGY = sys.modules["realtoric.homology"]
+
+
+def check_chain_complex_per_entry(c):
+    nv, ne = c.num_vertices, len(c.edges)
+    for j, (tail, head) in enumerate(c.edges):
+        if not (0 <= tail < nv and 0 <= head < nv):
+            raise InvalidComplex(
+                f"edge {j + 1} is {(tail, head)}, with an endpoint "
+                f"outside 0..{nv - 1}"
+            )
+    for j, word in enumerate(c.faces):
+        for signed in word:
+            if not 0 < abs(signed) <= ne:
+                raise InvalidComplex(
+                    f"face {j + 1} has entry {signed}, not a signed "
+                    f"edge index in 1..{ne}"
+                )
+    for j, word in enumerate(c.faces):
+        count = {}
+        for signed in word:
+            tail, head = c.edges[abs(signed) - 1]
+            s = 1 if signed > 0 else -1
+            count[head] = count.get(head, 0) + s
+            count[tail] = count.get(tail, 0) - s
+        if any(count.values()):
+            raise InvalidComplex(f"boundary of a boundary is not zero on face {j + 1}")
+
+
+def spanning_forest_size_per_entry(num_vertices, edges):
+    parent = list(range(num_vertices))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    merges = 0
+    for tail, head in edges:
+        a, b = root(tail), root(head)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
+
+
+def distinct_columns_per_entry(c):
+    rows = [[0] * len(c.edges) for _ in c.faces]
+    for row, word in zip(rows, c.faces):
+        for signed in word:
+            row[abs(signed) - 1] += 1 if signed > 0 else -1
+    distinct = {max(col, tuple(-x for x in col)) for col in set(zip(*rows))}
+    distinct.discard((0,) * len(c.faces))
+    return tuple(zip(*sorted(distinct)))
+
+
+def glue_per_entry(fan, anchors):
+    def parity(u):
+        return (u[0] % 2, u[1] % 2)
+
+    corners = [GLUING._CORNER_CLASSES[parity(a)] for a in anchors]
+    first_vertex = []
+    num_vertices = 0
+    for _, reps in corners:
+        first_vertex.append(num_vertices)
+        num_vertices += len(reps)
+    edges = []
+    words = [[] for _ in ALL_SIGN_HOMS]
+    for i, v in enumerate(fan.rays):
+        key = parity((-v[1], v[0])), parity(anchors[i])
+        classes, reps = GLUING._EDGE_CLASSES[key]
+        tails, heads = corners[i - 1][0], corners[i][0]
+        base = len(edges) + 1
+        for k in reps:
+            edges.append((first_vertex[i - 1] + tails[k], first_vertex[i] + heads[k]))
+        for word, c in zip(words, classes):
+            word.append(base + c)
+    return CellComplex(num_vertices, tuple(edges), tuple(map(tuple, words)))
+
+
+def self_intersections_per_entry(fan):
+    rays = fan.rays
+    d = len(rays)
+    out = []
+    for i in range(d):
+        v = rays[i]
+        p, q = rays[i - 1], rays[(i + 1) % d]
+        w = (p[0] + q[0], p[1] + q[1])
+        if w[0] * v[1] - w[1] * v[0] != 0:
+            raise RuntimeError(f"neighbor sum {w} not parallel to ray {v}")
+        if v[0] != 0:
+            c, r = divmod(w[0], v[0])
+        else:
+            c, r = divmod(w[1], v[1])
+        if r != 0 or w != (c * v[0], c * v[1]):
+            raise RuntimeError(f"neighbor sum {w} not a multiple of ray {v}")
+        out.append(-c)
+    return tuple(out)
+
+
+FANS = (
+    corpus_fans(20260817, 200, 16)
+    + [random_fan(s, s % 60) for s in range(500)]
+    + [hirzebruch_fan(a) for a in range(41)]
+)
+ANCHORED = FANS[:200] + FANS[700:]
+
+
+def _outcome(fn, *args):
+    # The value, or the type and message of the error raised.
+    try:
+        return fn(*args)
+    except (InvalidComplex, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_stages_match(c):
+    assert _outcome(c.check_chain_complex) == _outcome(check_chain_complex_per_entry, c)
+    if _outcome(check_chain_complex_per_entry, c) is None:
+        assert HOMOLOGY._spanning_forest_size(
+            c.num_vertices, c.edges
+        ) == spanning_forest_size_per_entry(c.num_vertices, c.edges)
+        assert HOMOLOGY._distinct_columns(c) == distinct_columns_per_entry(c)
+
+
+def test_real_complexes_and_fans():
+    for fan in FANS:
+        c = build_real_complex(fan)
+        assert c == glue_per_entry(fan, ((0, 0),) * fan.d), fan
+        assert self_intersections(fan) == self_intersections_per_entry(fan), fan
+        _assert_stages_match(c)
+
+
+def test_affine_span_complexes():
+    for fan in ANCHORED:
+        polygon = polygon_from_divisor(fan, find_ample(fan))
+        c = build_affine_span_complex(fan, polygon)
+        assert c == glue_per_entry(fan, polygon.vertices), fan
+        _assert_stages_match(c)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_surfaces(name):
+    _assert_stages_match(HAND_BUILT[name][0])
+
+
+BAD_COMPLEXES = {
+    "endpoint out of range": CellComplex(2, ((0, 1), (1, 2)), ((1, 2),)),
+    "face entry 0": CellComplex(2, ((0, 1), (1, 0)), ((1, 2), (0, 1))),
+    "face entry past the edges": CellComplex(2, ((0, 1), (1, 0)), ((1, 2), (-3,))),
+    "nonzero boundary on face 2": CellComplex(2, ((0, 1), (1, 0)), ((1, 2), (1, 1))),
+    # Every entry is checked before any boundary: face 2's entry is reported.
+    "bad entry after a nonzero boundary": CellComplex(
+        2, ((0, 1), (1, 0)), ((1,), (5,))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COMPLEXES))
+def test_bad_complexes_raise_the_same_error(name):
+    c = BAD_COMPLEXES[name]
+    with pytest.raises(InvalidComplex) as expected:
+        check_chain_complex_per_entry(c)
+    with pytest.raises(InvalidComplex) as got:
+        c.check_chain_complex()
+    assert str(got.value) == str(expected.value)
+
+
+@st.composite
+def loose_complexes(draw):
+    """Complexes on up to 4 vertices and 5 edges whose indices may be out
+    of range: endpoints from -1 to the vertex count, face entries from
+    -(edges + 1) to edges + 1, zero included."""
+    nv = draw(st.integers(1, 4))
+    ne = draw(st.integers(1, 5))
+    vertex = st.integers(-1, nv) if draw(st.booleans()) else st.integers(0, nv - 1)
+    edges = tuple((draw(vertex), draw(vertex)) for _ in range(ne))
+    entry = st.integers(-ne - 1, ne + 1)
+    faces = []
+    for _ in range(draw(st.integers(0, 3))):
+        word = draw(st.lists(entry, max_size=5))
+        if draw(st.booleans()):
+            word += [-x for x in reversed(word)]
+        faces.append(tuple(word))
+    return CellComplex(nv, edges, tuple(faces))
+
+
+@given(c=loose_complexes())
+@settings(max_examples=300, deadline=None)
+def test_loose_complexes(c):
+    _assert_stages_match(c)
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        # The neighbour sum (1, 1) of (0, 1) is not parallel to it.
+        ((1, 0), (0, 1), (0, 1), (-1, -1)),
+        # The neighbour sum (1, 0) of (2, 0) is parallel but no multiple.
+        ((2, 0), (0, 1), (-1, 0), (1, -1)),
+    ],
+)
+def test_bad_fans_raise_the_same_error(rays):
+    fan = Fan(rays)
+    expected = _outcome(self_intersections_per_entry, fan)
+    assert expected[0] is RuntimeError
+    assert _outcome(self_intersections, fan) == expected

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from array import array
 from functools import reduce
 from operator import add, mul
 from pathlib import Path
@@ -37,6 +38,7 @@ from realtoric import (
     sign_profile,
 )
 from realtoric.moment import (
+    _BLOCK,
     _GRID,
     _axis_table,
     _draws,
@@ -654,12 +656,55 @@ def test_draws_are_kept_per_seed_and_sample_count():
         assert entry == _draws.__wrapped__(seed, samples)
         signs_exact, magnitudes, lx, ly = entry
         assert signs_exact is True
-        assert all(type(part) is tuple for part in (magnitudes, lx, ly))
-        assert all(type(m) is tuple for m in magnitudes)
-        assert len(magnitudes) == len(lx) == len(ly) == 4 * samples
+        # Compact: 8-byte doubles, not a float object per coordinate.
+        assert all(type(part) is array for part in (magnitudes, lx, ly))
+        assert {part.typecode for part in (magnitudes, lx, ly)} == {"d"}
+        assert len(magnitudes) == 2 * len(lx) == 2 * len(ly) == 8 * samples
         points = _sample_points(seed, samples)
-        assert list(magnitudes) == [(abs(x), abs(y)) for x, y in points]
-    assert len({entry[1] for entry in entries}) == len(keys)
+        assert list(magnitudes) == [abs(c) for x in points for c in x]
+        assert list(lx) == [math.log(abs(x)) for x, _ in points]
+        assert list(ly) == [math.log(abs(y)) for _, y in points]
+    assert len({entry[1].tobytes() for entry in entries}) == len(keys)
+
+
+def test_sample_passes_in_blocks_match_moment_map_bit_for_bit():
+    # 1,100 samples per component take two flat passes, the second of 304
+    # points: every image against moment_map, and the report's violation
+    # against the per-sample loop over all of them.
+    points = _sample_points(3, 1100)
+    assert len(points) > _BLOCK
+    for fan in (P2, hirzebruch_fan(3), _wedge(10**9)):
+        polygon = polygon_from_divisor(fan, find_ample(fan))
+        expected = [moment_map(x, polygon.vertices) for x in points]
+        report = run_moment_checks(fan, seed=3, samples=1100)
+        assert report.translation_exact and report.signs_exact
+        violation = _per_sample_violation(polygon, expected)
+        assert repr(report.max_inequality_violation) == repr(violation), fan.rays
+
+
+def test_sample_memory_stays_bounded():
+    # A fresh process: 20,000 samples per component must not hold a float
+    # object per sample and vertex at once, nor keep one per coordinate.
+    probe = (
+        "import resource, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from realtoric import hirzebruch_fan, run_moment_checks\n"
+        "def peak():\n"
+        "    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    return kb / 1024 if sys.platform == 'darwin' else kb\n"
+        "fan = hirzebruch_fan(2)\n"
+        "run_moment_checks(fan, samples=1)\n"
+        "before = peak()\n"
+        "report = run_moment_checks(fan, samples=20000)\n"
+        "assert report.signs_exact and report.translation_exact\n"
+        "print(peak() - before)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(SRC)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    growth_mb = float(result.stdout) / 1024
+    assert growth_mb < 10, growth_mb
 
 
 def test_a_warm_draw_cache_gives_the_same_reports():

@@ -9,15 +9,19 @@ through ``sys.modules``: the package attribute of that name is the function
 the package would change nothing. ``realtoric.gluing`` and
 ``realtoric.moment`` are reached the same way, for uniformity. Where
 ``realtoric.cli`` binds the same function itself, the mutant replaces it
-there too. ``run_moment_checks`` caches its samples' sign verdicts and
-logs per ``(seed, samples)``: ``_apply`` empties that cache, so that a warm
-entry cannot hide a mutant, and so does every teardown, so that an entry
-drawn under a mutant cannot reach a later test.
+there too. The package keeps a few module-level memos, such as the
+samples' sign verdicts and logs per ``(seed, samples)`` and the invariant
+factors per Smith-form input: ``_apply`` empties every one of them, so
+that a warm entry cannot hide a mutant, and so does every teardown, so
+that an entry made under a mutant cannot reach a later test. An ``ast``
+guard keeps ``MEMOS`` complete.
 """
 
+import ast
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,12 +40,17 @@ from realtoric import (
     run_moment_checks,
     verify,
 )
+import test_homology
 from test_homology import HAND_BUILT, full_smith_profile
 from test_moment import REPORT_DIGEST, digest_reports, report_digest
 
 GLUING = sys.modules["realtoric.gluing"]
 HOMOLOGY = sys.modules["realtoric.homology"]
 MOMENT = sys.modules["realtoric.moment"]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Every module-level memo in the package, as (module, name).
+MEMOS = [(cli, "_build_parser"), (HOMOLOGY, "_factors"), (MOMENT, "_draws")]
 
 P2 = projective_plane_fan()
 FANS = [
@@ -123,6 +132,21 @@ def _last_column_dropped(fn):
     return lambda c: tuple(row[:-1] for row in fn(c))
 
 
+def _keyed_by_shape(fn):
+    # The factor memo keyed on the matrix's shape alone: the first matrix
+    # of each shape answers for every later one.
+    memo = {}
+
+    def mutant(m):
+        shape = (len(m), len(m[0]) if m else 0)
+        if shape not in memo:
+            memo[shape] = fn(m)
+        return memo[shape]
+
+    mutant.cache_clear = memo.clear
+    return mutant
+
+
 # name -> (module, function or table in it, wrapper that breaks it)
 MUTANTS = {
     "edge-class-swap": (HOMOLOGY, "build_real_complex", _swap_edge_classes),
@@ -136,6 +160,7 @@ MUTANTS = {
     "sample-sign-flipped": (MOMENT, "sign_profile", _x_sign_flipped),
     "sample-images-axes-swapped": (MOMENT, "_sample_images", _axes_swapped),
     "last-distinct-column-dropped": (HOMOLOGY, "_distinct_columns", _last_column_dropped),
+    "smith-memo-keyed-by-shape": (HOMOLOGY, "_factors", _keyed_by_shape),
 }
 
 # The mutants that verify's own comparisons catch; each of the others has a
@@ -148,11 +173,16 @@ CAUGHT_BY_VERIFY = [
 ]
 
 
+def _clear_memos():
+    for module, name in MEMOS:
+        getattr(module, name).cache_clear()
+
+
 @pytest.fixture(autouse=True)
-def _empty_draw_cache_after():
+def _empty_memos_after():
     # Runs after monkeypatch's teardown has put every original back.
     yield
-    MOMENT._draws.cache_clear()
+    _clear_memos()
 
 
 def _apply(monkeypatch, name):
@@ -162,7 +192,7 @@ def _apply(monkeypatch, name):
     for where in (module, cli):
         if getattr(where, target, None) is original:
             monkeypatch.setattr(where, target, mutant)
-    MOMENT._draws.cache_clear()
+    _clear_memos()
 
 
 def _run(capsys, argv):
@@ -315,3 +345,56 @@ def test_dropped_column_mutant_fails_the_oracle(monkeypatch):
     _apply(monkeypatch, "last-distinct-column-dropped")
     caught = [n for n, (c, _) in HAND_BUILT.items() if homology(c) != full_smith_profile(c)]
     assert sorted(caught) == ["Klein bottle", "RP2"]
+
+
+def test_shape_keyed_memo_fails_the_memo_test(monkeypatch):
+    # Real complexes give two Smith-form inputs of different shapes, 4 x 4
+    # and 4 x 6, so no fan-based check can see the mutant. The disk's (1)
+    # and RP2's (2) share the shape 1 x 1: the one warm after the other
+    # gets its factors.
+    test_homology.test_cold_and_warm_memo_agree()
+    _apply(monkeypatch, "smith-memo-keyed-by-shape")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    with pytest.raises(AssertionError):
+        test_homology.test_cold_and_warm_memo_agree()
+    HOMOLOGY._factors.cache_clear()
+    rp2, profile = HAND_BUILT["RP2"]
+    assert (homology(rp2), homology(test_homology.DISK[0])) == (profile, profile)
+
+
+def _is_lru_cache(node):
+    return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+        isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+    )
+
+
+def test_every_package_memo_is_small_and_cleared():
+    # Each lru_cache decorates a module-level function, with an integer
+    # maxsize of at most 16; no functools.cache, which has no bound. Every
+    # such memo is in MEMOS, so that _apply and each teardown empty it.
+    found, faults = set(), []
+    for path in sorted((SRC / "realtoric").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        decorating = {
+            id(d): f.name
+            for f in tree.body
+            if isinstance(f, ast.FunctionDef)
+            for d in f.decorator_list
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                faults += [(path.name, a.name) for a in node.names if a.name == "cache"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cache":
+                faults.append((path.name, ast.unparse(node)))
+            elif isinstance(node, ast.Call) and _is_lru_cache(node.func):
+                sizes = [k.value for k in node.keywords if k.arg == "maxsize"]
+                size = (sizes + node.args)[0] if sizes or node.args else None
+                bound = getattr(size, "value", None)
+                if type(bound) is not int or not 0 < bound <= 16 or id(node) not in decorating:
+                    faults.append((path.name, ast.unparse(node)))
+                else:
+                    found.add((f"realtoric.{path.stem}", decorating[id(node)]))
+            elif _is_lru_cache(node) and id(node) in decorating:
+                faults.append((path.name, f"bare {ast.unparse(node)}"))
+    assert faults == []
+    assert found == {(module.__name__, name) for module, name in MEMOS}
