@@ -28,7 +28,9 @@ one anchored at the origin.
 from __future__ import annotations
 
 import enum
+from contextlib import suppress
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
@@ -160,13 +162,29 @@ class CellComplex(NamedTuple):
     def check_chain_complex(self) -> None:
         """Raise InvalidComplex unless the boundary of every face is zero.
 
-        This is ``boundary_matrix_1() @ boundary_matrix_2() == 0``, one
-        column at a time, read straight off the face words without forming
-        either matrix: each signed edge adds +-(head - tail) to a count per
-        vertex, and every count must end at zero. It takes time linear in
-        the total word length. Bad indices are refused as in the builders.
+        That is ``boundary_matrix_1() @ boundary_matrix_2() == 0``, with
+        neither matrix formed. A closed walk, each signed edge starting
+        where the one before it ends, cyclically, has zero boundary, so if
+        every word is one, C-level lookups by entry accept them all. Else
+        (under 2 entries, a 0, an entry outside 1..E up to sign, or no
+        walk) each face from face 1 is counted per entry: a signed edge
+        adds +-(head - tail) per vertex. Both are linear in the word length.
+        Bad indices are refused as in the builders, in the same order.
         """
         edges = self._checked_edges()
+        tails, heads = zip(*edges) if edges else ((), ())
+        # By signed entry: its edge's start, its end, and itself if valid.
+        starts = [None, *tails, *reversed(heads)]
+        ends = [None, *heads, *reversed(tails)]
+        named = [None, *range(1, len(edges) + 1), *range(-len(edges), 0)]
+        with suppress(IndexError, TypeError):
+            if all(len(w) > 1 and (at := itemgetter(*w))(named) == w
+                   and at(starts) == itemgetter(w[-1], *w[:-1])(ends)
+                   for w in self.faces):
+                return
+        self._count_per_entry(edges)
+
+    def _count_per_entry(self, edges: tuple[tuple[int, int], ...]) -> None:
         ne = len(edges)
         for j, word in enumerate(self.faces, 1):
             count: dict[int, int] = {}
@@ -174,16 +192,14 @@ class CellComplex(NamedTuple):
             for s in word:
                 if 0 < s <= ne:
                     tail, head = edges[s - 1]
-                    count[head] = get(head, 0) + 1
-                    count[tail] = get(tail, 0) - 1
                 elif 0 < -s <= ne:
-                    tail, head = edges[-s - 1]
-                    count[head] = get(head, 0) - 1
-                    count[tail] = get(tail, 0) + 1
+                    head, tail = edges[-s - 1]
                 else:
                     raise InvalidComplex(
                         f"face {j} has entry {s}, not a signed edge index in 1..{ne}"
                     )
+                count[head] = get(head, 0) + 1
+                count[tail] = get(tail, 0) - 1
             if any(count.values()):
                 self._checked_faces()  # a bad entry in a later face comes first
                 raise InvalidComplex(f"boundary of a boundary is not zero on face {j}")
@@ -200,15 +216,15 @@ def _grouping(key) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 _PARITIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-# Groupings keyed by parity: at a corner by the anchor, along a ray by the
-# quarter-turn of the ray (never even, the ray being primitive) and the
-# anchor.
-_CORNER_CLASSES = {a: _grouping(lambda eps: evaluate(eps, a)) for a in _PARITIES}
-_EDGE_CLASSES = {
-    (u, a): _grouping(lambda eps: (evaluate(eps, u), evaluate(eps, a)))
-    for u in _PARITIES[1:]
+# Groupings by parity code (x & 1) << 1 | (y & 1), an index of _PARITIES:
+# at a corner the anchor's; along a ray (never even) 4 * its code plus the
+# anchor's, split by its quarter-turn (-y, x), of parity (y, x), and anchor.
+_CORNER_CLASSES = [_grouping(lambda eps: evaluate(eps, a)) for a in _PARITIES]
+_EDGE_CLASSES = [
+    _grouping(lambda eps: (evaluate(eps, (y, x)), evaluate(eps, a))) if x | y else None
+    for x, y in _PARITIES
     for a in _PARITIES
-}
+]
 
 
 def _glue(fan: Fan, anchors: Sequence[Vec]) -> CellComplex:
@@ -220,11 +236,10 @@ def _glue(fan: Fan, anchors: Sequence[Vec]) -> CellComplex:
     # i, always positive. Consecutive anchors differ by a multiple of the
     # ray's quarter-turn, so an edge class lies in one class at each end,
     # and its first copy finds them.
-    # The quarter-turn (-y, x) of ray (x, y) has parity (y & 1, x & 1).
-    parities = [(a[0] & 1, a[1] & 1) for a in anchors]
-    keys = [((y & 1, x & 1), p) for (x, y), p in zip(fan.rays, parities)]
-    corners = list(map(_CORNER_CLASSES.__getitem__, parities))
-    rays = list(map(_EDGE_CLASSES.__getitem__, keys))
+    codes = [(x & 1) << 1 | (y & 1) for x, y in anchors]
+    corners = list(map(_CORNER_CLASSES.__getitem__, codes))
+    rays = [_EDGE_CLASSES[(x & 1) << 3 | (y & 1) << 2 | a]
+            for (x, y), a in zip(fan.rays, codes)]
     heads = [classes for classes, _ in corners]
     first_vertex = list(accumulate([len(r) for _, r in corners], initial=0))
     num_vertices = first_vertex.pop()

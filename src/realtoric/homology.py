@@ -102,10 +102,10 @@ def _factors(m: Matrix) -> tuple[int, ...]:
 def homology(c: CellComplex) -> HomologyProfile:
     """Exact integral homology of a 2-dimensional cell complex.
 
-    Validates that the boundary of every face is zero, straight from the
-    face words (``CellComplex.check_chain_complex``, linear in their total
-    length; no matrix product is formed), and that every index names a
-    cell; raises InvalidComplex otherwise.
+    Validates that every index names a cell and that the boundary of
+    every face is zero, straight from the face words: a closed-walk test
+    by C-level lookups, else a count per entry, and no matrix product
+    (``CellComplex.check_chain_complex``); raises InvalidComplex if not.
 
     rank ∂1 is the size of a spanning forest of the 1-skeleton, so
     ``b0`` is its number of components; H0 is free because ∂1, a graph's
@@ -203,8 +203,13 @@ def predict_theorem(fan: Fan) -> SurfaceType:
 
 
 def orientable_fast(fan: Fan) -> bool:
-    """Orientability without homology: no ray has odd self-intersection."""
-    return all(a % 2 == 0 for a in self_intersections(fan))
+    """Orientability without homology: no ray has odd self-intersection.
+
+    In a valid fan ``v[i-1] + v[i+1] == -a[i] * v[i]``, ``v[i]`` primitive,
+    so ``a[i]`` is odd exactly when ``v[i-1]`` and ``v[i+1]`` differ mod 2.
+    """
+    p = [(x & 1) << 1 | (y & 1) for x, y in fan.rays]
+    return p[2:] + p[:2] == p
 
 
 class VerificationReport(NamedTuple):

@@ -1,6 +1,7 @@
 """Homology profiles, surface recognition, and the verification pipeline."""
 
 import importlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -437,6 +438,29 @@ class TestOrientableFast:
         assert not orientable_fast(hirzebruch_fan(3))
         assert not orientable_fast(P2)
         assert not orientable_fast(blow_up(hirzebruch_fan(0), 0))
+
+    def test_verify_reads_self_intersections_only_to_predict(self, monkeypatch):
+        # orientable_fast reads ray parities, so a verify computes the
+        # self-intersections once on a 4-ray fan, in predict_theorem, and
+        # never on any other. Wrapped in every module that binds them.
+        original = sys.modules["realtoric.fan"].self_intersections
+        calls = []
+
+        def counting(fan):
+            calls.append(fan)
+            return original(fan)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "realtoric" and (
+                getattr(module, "self_intersections", None) is original
+            ):
+                monkeypatch.setattr(module, "self_intersections", counting)
+        fans = [P2, blow_up(P2, 0), random_fan(3, 5), ladder_fan(64)]
+        fans += [hirzebruch_fan(a) for a in range(6)]
+        for fan in fans:
+            calls.clear()
+            verify(fan)
+            assert len(calls) == (1 if fan.d == 4 else 0), fan
 
 
 class TestVerify:

@@ -21,13 +21,16 @@ from realtoric import (
     build_affine_span_complex,
     build_real_complex,
     corpus_fans,
+    evaluate,
     find_ample,
     hirzebruch_fan,
+    orientable_fast,
     polygon_from_divisor,
     random_fan,
     self_intersections,
 )
-from test_homology import HAND_BUILT
+from test_acceptance import CORPUS_MAX_BLOWUPS, CORPUS_SEED, CORPUS_SIZE
+from test_homology import HAND_BUILT, ladder_fan
 
 GLUING = sys.modules["realtoric.gluing"]
 HOMOLOGY = sys.modules["realtoric.homology"]
@@ -87,10 +90,16 @@ def distinct_columns_per_entry(c):
 
 
 def glue_per_entry(fan, anchors):
-    def parity(u):
-        return (u[0] % 2, u[1] % 2)
+    # The copies grouped straight from the sign values, not from the
+    # module's parity tables.
+    def corner(a):
+        return GLUING._grouping(lambda eps: evaluate(eps, a))
 
-    corners = [GLUING._CORNER_CLASSES[parity(a)] for a in anchors]
+    def along(v, a):
+        turn = (-v[1], v[0])
+        return GLUING._grouping(lambda eps: (evaluate(eps, turn), evaluate(eps, a)))
+
+    corners = [corner(a) for a in anchors]
     first_vertex = []
     num_vertices = 0
     for _, reps in corners:
@@ -99,8 +108,7 @@ def glue_per_entry(fan, anchors):
     edges = []
     words = [[] for _ in ALL_SIGN_HOMS]
     for i, v in enumerate(fan.rays):
-        key = parity((-v[1], v[0])), parity(anchors[i])
-        classes, reps = GLUING._EDGE_CLASSES[key]
+        classes, reps = along(v, anchors[i])
         tails, heads = corners[i - 1][0], corners[i][0]
         base = len(edges) + 1
         for k in reps:
@@ -131,7 +139,7 @@ def self_intersections_per_entry(fan):
 
 
 FANS = (
-    corpus_fans(20260817, 200, 16)
+    corpus_fans(CORPUS_SEED, CORPUS_SIZE, CORPUS_MAX_BLOWUPS)
     + [random_fan(s, s % 60) for s in range(500)]
     + [hirzebruch_fan(a) for a in range(41)]
 )
@@ -198,29 +206,123 @@ def test_bad_complexes_raise_the_same_error(name):
     assert str(got.value) == str(expected.value)
 
 
+def _closed_walk(draw, edges):
+    # A walk of up to 4 steps along the edges, either way round, closed by
+    # going back the way it came unless it has already come back; a loop
+    # edge alone is a closed walk of one entry.
+    start = at = draw(st.sampled_from([tail for tail, _ in edges]))
+    word = []
+    for _ in range(draw(st.integers(1, 4))):
+        steps = [j for j, (tail, _) in enumerate(edges, 1) if tail == at]
+        steps += [-j for j, (_, head) in enumerate(edges, 1) if head == at]
+        s = draw(st.sampled_from(steps))
+        word.append(s)
+        at = edges[s - 1][1] if s > 0 else edges[-s - 1][0]
+    if at != start or draw(st.booleans()):
+        word += [-s for s in reversed(word)]
+    return word
+
+
 @st.composite
 def loose_complexes(draw):
     """Complexes on up to 4 vertices and 5 edges whose indices may be out
     of range: endpoints from -1 to the vertex count, face entries from
-    -(edges + 1) to edges + 1, zero included."""
+    -(edges + 1) to edges + 1, zero included. A face word is random, of 0
+    or 1 entries, or a closed walk as it is, rotated, twice round, read
+    backwards, in reversed order, shuffled, or without its last step; the
+    reversed and shuffled ones keep a zero boundary but are seldom walks,
+    and the open ones are walks but seldom closed. Random words and walks
+    may repeat an entry. Half the complexes have walks alone, so that the
+    closed-walk test decides more of them."""
     nv = draw(st.integers(1, 4))
     ne = draw(st.integers(1, 5))
     vertex = st.integers(-1, nv) if draw(st.booleans()) else st.integers(0, nv - 1)
     edges = tuple((draw(vertex), draw(vertex)) for _ in range(ne))
     entry = st.integers(-ne - 1, ne + 1)
     faces = []
+    kinds = ["walk"] if draw(st.booleans()) else ["random", "short", "walk"]
     for _ in range(draw(st.integers(0, 3))):
-        word = draw(st.lists(entry, max_size=5))
-        if draw(st.booleans()):
-            word += [-x for x in reversed(word)]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "short":
+            word = draw(st.lists(entry, max_size=1))
+        elif kind == "random":
+            word = draw(st.lists(entry, max_size=5))
+            if word and draw(st.booleans()):
+                word.insert(draw(st.integers(0, len(word))), draw(st.sampled_from(word)))
+            if draw(st.booleans()):
+                word += [-x for x in reversed(word)]
+        else:
+            word = _closed_walk(draw, edges)
+            order = draw(st.sampled_from(
+                ["as is", "rotated", "twice", "backwards", "reversed", "shuffled", "open"]
+            ))
+            if order == "rotated":
+                k = draw(st.integers(0, len(word) - 1))
+                word = word[k:] + word[:k]
+            elif order == "twice":
+                word += word
+            elif order == "backwards":
+                word = [-x for x in reversed(word)]
+            elif order == "reversed":
+                word.reverse()
+            elif order == "shuffled":
+                word = draw(st.permutations(word))
+            elif order == "open":
+                word.pop()
         faces.append(tuple(word))
     return CellComplex(nv, edges, tuple(faces))
 
 
 @given(c=loose_complexes())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 def test_loose_complexes(c):
     _assert_stages_match(c)
+
+
+def _count_fallbacks(monkeypatch):
+    # The complexes whose boundary check counts one entry at a time.
+    counted = []
+    per_entry = CellComplex._count_per_entry
+
+    def counting(c, edges):
+        counted.append(c)
+        return per_entry(c, edges)
+
+    monkeypatch.setattr(CellComplex, "_count_per_entry", counting)
+    return counted
+
+
+def test_real_complexes_are_accepted_as_closed_walks(monkeypatch):
+    counted = _count_fallbacks(monkeypatch)
+    fans = corpus_fans(CORPUS_SEED, CORPUS_SIZE, CORPUS_MAX_BLOWUPS)
+    fans += [random_fan(d, d - random_fan(d, 0).d) for d in (64, 128, 192)]
+    fans += [ladder_fan(d) for d in (64, 128, 192, 1004)]
+    assert {fan.d for fan in fans} >= {64, 128, 192, 1004}
+    for fan in fans:
+        build_real_complex(fan).check_chain_complex()
+    assert counted == []
+
+
+def test_zero_boundary_that_is_no_walk_is_counted_per_entry(monkeypatch):
+    # Edges 1 and 2 run 0 -> 1 -> 0 and edge 3 is a loop at 2: every
+    # vertex's count is zero, but the word jumps from vertex 0 to vertex 2.
+    counted = _count_fallbacks(monkeypatch)
+    c = CellComplex(3, ((0, 1), (1, 0), (2, 2)), ((1, 2, 3),))
+    assert c.check_chain_complex() is None
+    assert counted == [c]
+
+
+def orientable_by_self_intersections(fan):
+    return all(a % 2 == 0 for a in self_intersections(fan))
+
+
+def test_orientable_fast_reads_the_self_intersection_parities():
+    fans = [hirzebruch_fan(a) for a in range(61)]
+    fans += corpus_fans(CORPUS_SEED, CORPUS_SIZE, CORPUS_MAX_BLOWUPS)
+    fans += [random_fan(s, n) for s in range(500) for n in (0, 1, 2, 5, 13)]
+    for fan in fans:
+        assert orientable_fast(fan) == orientable_by_self_intersections(fan), fan
+    assert {orientable_fast(fan) for fan in fans} == {True, False}
 
 
 @pytest.mark.parametrize(

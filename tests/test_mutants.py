@@ -7,20 +7,21 @@ its helpers from the module ``realtoric.homology``, which is reached
 through ``sys.modules``: the package attribute of that name is the function
 ``homology`` (``from .homology import *`` rebinds it), so a patch through
 the package would change nothing. ``realtoric.gluing`` and
-``realtoric.moment`` are reached the same way, for uniformity. Where
-``realtoric.cli`` binds the same function itself, the mutant replaces it
-there too. The package keeps a few module-level memos, such as the
-samples' sign verdicts and logs per ``(seed, samples)`` and the invariant
-factors per Smith-form input: ``_apply`` empties every one of them, so
-that a warm entry cannot hide a mutant, and so does every teardown, so
-that an entry made under a mutant cannot reach a later test. An ``ast``
-guard keeps ``MEMOS`` complete.
+``realtoric.moment`` are reached the same way, for uniformity, and a
+method is wrapped on its class. Where ``realtoric.cli`` binds the same
+function itself, the mutant replaces it there too. The package keeps a
+few module-level memos, such as the samples' sign verdicts and logs per
+``(seed, samples)`` and the invariant factors per Smith-form input:
+``_apply`` empties every one of them, so that a warm entry cannot hide a
+mutant, and so does every teardown, so that an entry made under a mutant
+cannot reach a later test. An ``ast`` guard keeps ``MEMOS`` complete.
 """
 
 import ast
 import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ import pytest
 import realtoric.cli as cli
 import test_acceptance
 from realtoric import (
+    CellComplex,
     InvalidComplex,
     SurfaceType,
     blow_up,
@@ -78,12 +80,49 @@ def _swap_edge_classes(build):
 def _anchor_only(table):
     # Each ray's copies grouped by the anchor alone, as at a corner: the
     # ray's quarter-turn no longer splits them, so under the parallel rule
-    # all four copies share one edge per ray.
-    return {(u, a): GLUING._CORNER_CLASSES[a] for u, a in table}
+    # all four copies share one edge per ray. Entry 4 * ray + anchor of the
+    # edge table becomes the corner table's entry for the anchor.
+    return [GLUING._CORNER_CLASSES[k & 3] for k in range(len(table))]
+
+
+def _without_closing_step(fn):
+    # The closed-walk test compares word[1:] with word[:-1], each entry's
+    # start with the end of the entry before it, but never the first
+    # entry's start with the last one's end: an open path passes.
+    def mutant(self):
+        edges = self._checked_edges()
+        tails, heads = zip(*edges) if edges else ((), ())
+        starts = [None, *tails, *reversed(heads)]
+        ends = [None, *heads, *reversed(tails)]
+        named = [None, *range(1, len(edges) + 1), *range(-len(edges), 0)]
+        try:
+            if all(
+                len(w) > 1
+                and itemgetter(*w)(named) == w
+                and itemgetter(*w[1:])(starts) == itemgetter(*w[:-1])(ends)
+                for w in self.faces
+            ):
+                return
+        except (IndexError, TypeError):
+            pass
+        self._count_per_entry(edges)
+
+    return mutant
 
 
 def _negated(fn):
     return lambda fan: not fn(fan)
+
+
+def _parity_shift_one(fn):
+    # Each ray's parity compared with the next ray's, not with the one two
+    # places on. Adjacent rays of a valid fan never agree mod 2, their
+    # determinant being 1, so no fan reads as orientable.
+    def mutant(fan):
+        p = [(x & 1) << 1 | (y & 1) for x, y in fan.rays]
+        return p[1:] + p[:1] == p
+
+    return mutant
 
 
 def _genus_offset(delta):
@@ -147,11 +186,15 @@ def _keyed_by_shape(fn):
     return mutant
 
 
-# name -> (module, function or table in it, wrapper that breaks it)
+# name -> (module or class, function or table in it, wrapper that breaks it)
 MUTANTS = {
     "edge-class-swap": (HOMOLOGY, "build_real_complex", _swap_edge_classes),
     "edge-key-without-ray": (GLUING, "_EDGE_CLASSES", _anchor_only),
+    "walk-test-without-closing-step": (
+        CellComplex, "check_chain_complex", _without_closing_step
+    ),
     "orientable-fast-negated": (HOMOLOGY, "orientable_fast", _negated),
+    "orientable-parity-shift-one": (HOMOLOGY, "orientable_fast", _parity_shift_one),
     "predict-theorem-genus-plus-one": (HOMOLOGY, "predict_theorem", _genus_offset(1)),
     "predict-theorem-genus-minus-one": (HOMOLOGY, "predict_theorem", _genus_offset(-1)),
     "spanning-forest-every-edge": (HOMOLOGY, "_spanning_forest_size", _every_edge_a_merge),
@@ -163,14 +206,17 @@ MUTANTS = {
     "smith-memo-keyed-by-shape": (HOMOLOGY, "_factors", _keyed_by_shape),
 }
 
-# The mutants that verify's own comparisons catch; each of the others has a
-# test of its own below.
-CAUGHT_BY_VERIFY = [
-    "edge-class-swap",
-    "edge-key-without-ray",
-    "orientable-fast-negated",
-    "predict-theorem-genus-plus-one",
-]
+# The mutants that verify's own comparisons catch, each with the fans of
+# FANS it makes inconsistent; each of the others has a test of its own
+# below. The parity shift reads every fan as nonorientable, so only the
+# two tori show it.
+CAUGHT_BY_VERIFY = {
+    "edge-class-swap": FANS,
+    "edge-key-without-ray": FANS,
+    "orientable-fast-negated": FANS,
+    "orientable-parity-shift-one": [hirzebruch_fan(0), hirzebruch_fan(4)],
+    "predict-theorem-genus-plus-one": FANS,
+}
 
 
 def _clear_memos():
@@ -205,10 +251,10 @@ def test_fans_are_consistent_without_a_mutant():
     assert all(verify(fan).all_consistent for fan in FANS)
 
 
-@pytest.mark.parametrize("name", CAUGHT_BY_VERIFY)
+@pytest.mark.parametrize("name", sorted(CAUGHT_BY_VERIFY))
 def test_verify_catches_mutant(monkeypatch, name):
     _apply(monkeypatch, name)
-    assert not any(verify(fan).all_consistent for fan in FANS)
+    assert [fan for fan in FANS if not verify(fan).all_consistent] == CAUGHT_BY_VERIFY[name]
 
 
 def _fan_files(tmp_path):
@@ -278,6 +324,18 @@ def test_genus_minus_one_mutant_exits_3(monkeypatch, capsys, tmp_path):
             "stage": command,
             "detail": "ValueError: nonorientable genus must be >= 1",
         }
+
+
+def test_open_path_fails_without_the_closing_step(monkeypatch):
+    # Every real complex is a closed walk on each face, so verify cannot
+    # see the mutant. Edges 1, 2 and 3 run 0 -> 1 -> 0 -> 1: a path that
+    # does not close, whose boundary is v1 - v0.
+    open_path = CellComplex(2, ((0, 1), (1, 0), (0, 1)), ((1, 2, 3),))
+    with pytest.raises(InvalidComplex, match="not zero on face 1"):
+        open_path.check_chain_complex()
+    _apply(monkeypatch, "walk-test-without-closing-step")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    assert open_path.check_chain_complex() is None
 
 
 def test_grid_width_mutant_fails_the_separation_gate(monkeypatch):
