@@ -83,7 +83,8 @@ class PolygonFanMismatch(ToricError):
 
 
 class InvalidComplex(ToricError):
-    """Boundary data that is not a chain complex or has impossible ranks."""
+    """A cell complex with an index that names no cell, a face word that is
+    no closed walk, or boundary ranks that exceed the chain group ranks."""
 
 
 class NotAClosedSurfaceProfile(ToricError):

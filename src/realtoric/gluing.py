@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from contextlib import suppress
 from itertools import accumulate
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
@@ -101,48 +101,54 @@ class NeighborhoodType(enum.Enum):
     MOEBIUS_BAND = "moebius-band"
 
 
+def _names(table, x) -> bool:
+    # Whether x is an integer, as operator.index judges it, and table[x] == x.
+    try:
+        return table[x] == x
+    except (IndexError, TypeError):
+        return False
+
+
 class CellComplex(NamedTuple):
-    """A 2-dimensional cell complex with oriented edges and faces.
+    """A 2-dimensional CW complex with oriented edges and faces.
 
     Edges are pairs ``(tail, head)`` of vertex indices. Faces are tuples
     of signed 1-based edge indices in traversal order (positive means the
-    edge is traversed tail to head).
+    edge is traversed tail to head), each a 2-cell attached along a closed
+    walk: each signed edge starts where the one before it ends, cyclically.
+    A single loop edge and the empty word are closed walks.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     faces: tuple[tuple[int, ...], ...]
 
-    def _checked_edges(self) -> tuple[tuple[int, int], ...]:
-        # The edges, once every endpoint is known to be a vertex index.
-        nv = self.num_vertices
-        for j, (tail, head) in enumerate(self.edges):
-            if not (0 <= tail < nv and 0 <= head < nv):
+    def _checked(self) -> CellComplex:
+        # This complex, once every endpoint is known to be a vertex index,
+        # edge by edge, and then every face entry to name an edge either way.
+        nv, ne = self.num_vertices, len(self.edges)
+        vertex, named = range(nv), [None, *range(1, ne + 1), *range(-ne, 0)]
+        for j, (tail, head) in enumerate(self.edges, 1):
+            if not (_names(vertex, tail) and _names(vertex, head)):
                 raise InvalidComplex(
-                    f"edge {j + 1} is {(tail, head)}, with an endpoint "
-                    f"outside 0..{nv - 1}"
+                    f"edge {j} is {(tail, head)}, with an endpoint outside 0..{nv - 1}"
                 )
-        return self.edges
-
-    def _checked_faces(self) -> tuple[tuple[int, ...], ...]:
-        # The faces, once every entry is known to name an edge.
-        ne = len(self.edges)
-        for j, word in enumerate(self.faces):
+        for j, word in enumerate(self.faces, 1):
             for signed in word:
-                if not 0 < abs(signed) <= ne:
+                if not _names(named, signed):
                     raise InvalidComplex(
-                        f"face {j + 1} has entry {signed}, not a signed "
-                        f"edge index in 1..{ne}"
+                        f"face {j} has entry {signed!r}, not a signed edge index "
+                        f"in 1..{ne}"
                     )
-        return self.faces
+        return self
 
     def boundary_matrix_1(self) -> Matrix:
         """Vertices-by-edges boundary: head gets +1, tail gets -1.
 
-        An endpoint outside ``0..num_vertices-1`` is InvalidComplex.
+        An index that names no cell is InvalidComplex.
         """
         rows = [[0] * len(self.edges) for _ in range(self.num_vertices)]
-        for j, (tail, head) in enumerate(self._checked_edges()):
+        for j, (tail, head) in enumerate(self._checked().edges):
             rows[head][j] += 1
             rows[tail][j] -= 1
         return tuple(tuple(r) for r in rows)
@@ -150,59 +156,48 @@ class CellComplex(NamedTuple):
     def boundary_matrix_2(self) -> Matrix:
         """Edges-by-faces boundary from the signed traversal words.
 
-        An entry that is 0 or names no edge is InvalidComplex.
+        An index that names no cell is InvalidComplex.
         """
         rows = [[0] * len(self.faces) for _ in range(len(self.edges))]
-        for j, word in enumerate(self._checked_faces()):
+        for j, word in enumerate(self._checked().faces):
             for signed in word:
                 idx = abs(signed) - 1
                 rows[idx][j] += 1 if signed > 0 else -1
         return tuple(tuple(r) for r in rows)
 
     def check_chain_complex(self) -> None:
-        """Raise InvalidComplex unless the boundary of every face is zero.
+        """Raise InvalidComplex unless every index names a cell, an integer
+        as ``operator.index`` judges it, and every face word is a closed
+        walk, so that ∂1∂2 = 0 with neither matrix formed.
 
-        That is ``boundary_matrix_1() @ boundary_matrix_2() == 0``, with
-        neither matrix formed. A closed walk, each signed edge starting
-        where the one before it ends, cyclically, has zero boundary, so if
-        every word is one, C-level lookups by entry accept them all. Else
-        (under 2 entries, a 0, an entry outside 1..E up to sign, or no
-        walk) each face from face 1 is counted per entry: a signed edge
-        adds +-(head - tail) per vertex. Both are linear in the word length.
-        Bad indices are refused as in the builders, in the same order.
+        C-level lookups accept int endpoints in range and words of 2 or more
+        entries. Else one pass decides: bad indices first, edges then faces, then the
+        first break of a walk from face 1, its closing step last.
         """
-        edges = self._checked_edges()
+        nv, edges = self.num_vertices, self.edges
         tails, heads = zip(*edges) if edges else ((), ())
         # By signed entry: its edge's start, its end, and itself if valid.
         starts = [None, *tails, *reversed(heads)]
         ends = [None, *heads, *reversed(tails)]
         named = [None, *range(1, len(edges) + 1), *range(-len(edges), 0)]
         with suppress(IndexError, TypeError):
-            if all(len(w) > 1 and (at := itemgetter(*w))(named) == w
-                   and at(starts) == itemgetter(w[-1], *w[:-1])(ends)
-                   for w in self.faces):
-                return
-        self._count_per_entry(edges)
-
-    def _count_per_entry(self, edges: tuple[tuple[int, int], ...]) -> None:
-        ne = len(edges)
-        for j, word in enumerate(self.faces, 1):
-            count: dict[int, int] = {}
-            get = count.get
-            for s in word:
-                if 0 < s <= ne:
-                    tail, head = edges[s - 1]
-                elif 0 < -s <= ne:
-                    head, tail = edges[-s - 1]
+            if type(sum(tails, sum(heads))) is int and all(
+                len(w) > 1 and (at := itemgetter(*w))(named) == w
+                and at(starts) == itemgetter(w[-1], *w[:-1])(ends)
+                for w in self.faces
+            ):
+                for tail, head in edges:  # ints, so compared as they are
+                    if not (0 <= tail < nv and 0 <= head < nv):
+                        break
                 else:
+                    return
+        for j, word in enumerate(self._checked().faces, 1):
+            for k, (s, t) in enumerate(zip(word, word[1:] + word[:1]), 1):
+                if starts[t] != ends[s]:
                     raise InvalidComplex(
-                        f"face {j} has entry {s}, not a signed edge index in 1..{ne}"
+                        f"face {j} is no closed walk: entry {k % len(word) + 1} starts"
+                        f" at vertex {starts[t]}, entry {k} ends at vertex {ends[s]}"
                     )
-                count[head] = get(head, 0) + 1
-                count[tail] = get(tail, 0) - 1
-            if any(count.values()):
-                self._checked_faces()  # a bad entry in a later face comes first
-                raise InvalidComplex(f"boundary of a boundary is not zero on face {j}")
 
 
 def _grouping(key) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -309,22 +304,17 @@ def complex_to_json(c: CellComplex) -> dict:
 
 
 def _copy_labels(c: CellComplex) -> dict[tuple[str, int], str]:
-    # Labels by copies, keyed ("w", vertex) or ("E", edge), when the
+    # Labels by copies, keyed ("w", vertex) or ("E", edge), when the valid
     # complex follows the builders' layout (see _glue): four faces of equal
-    # length, each a closed walk of positive entries, whose i-th edge and
-    # its head appear at position i only. Empty for any other complex.
-    edges, faces = c._checked_edges(), c._checked_faces()
-    if len(faces) != len(ALL_SIGN_HOMS) or len({len(w) for w in faces}) != 1:
-        return {}
-    if any(s < 0 for w in faces for s in w):
+    # length and positive entries, whose i-th edge and its head appear at
+    # position i only. Empty for any other complex.
+    if (len(c.faces) != len(ALL_SIGN_HOMS) or len({len(w) for w in c.faces}) != 1
+            or any(s < 0 for w in c.faces for s in w)):
         return {}
     seen: dict[tuple[str, int], tuple[int, list[SignHom]]] = {}
-    for eps, word in zip(ALL_SIGN_HOMS, faces):
+    for eps, word in zip(ALL_SIGN_HOMS, c.faces):
         for i, j in enumerate(word):
-            tail, head = edges[j - 1]
-            if tail != edges[word[i - 1] - 1][1]:
-                return {}
-            for cell in (("E", j - 1), ("w", head)):
+            for cell in (("E", j - 1), ("w", c.edges[j - 1][1])):
                 pos, members = seen.setdefault(cell, (i, []))
                 if pos != i:
                     return {}
@@ -344,16 +334,16 @@ def complex_to_dot(c: CellComplex) -> str:
     cell is labelled by the copies that meet there: an edge on ray ``i`` is
     ``E{i}[copies]``, and a vertex at corner ``i`` is ``w{i}[copies]``, or
     ``w{i}`` where all four copies meet. Any other complex, and a cell in
-    no face, keeps ``v{n}`` and ``e{j}``. An edge endpoint that names no
-    vertex, or a face entry that names no edge, is InvalidComplex.
+    no face, keeps ``v{n}`` and ``e{j}``. A complex that
+    ``check_chain_complex`` refuses is InvalidComplex.
     """
+    c.check_chain_complex()
     labels = _copy_labels(c)
     lines = ["digraph real_complex {"]
     for v in range(c.num_vertices):
         lines.append(f'  v{v} [label="{labels.get(("w", v), f"v{v}")}"];')
     for j, (tail, head) in enumerate(c.edges):
-        lines.append(
-            f'  v{tail} -> v{head} [label="{labels.get(("E", j), f"e{j}")}"];'
-        )
+        label = labels.get(("E", j), f"e{j}")
+        lines.append(f'  v{index(tail)} -> v{index(head)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

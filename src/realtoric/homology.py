@@ -102,10 +102,8 @@ def _factors(m: Matrix) -> tuple[int, ...]:
 def homology(c: CellComplex) -> HomologyProfile:
     """Exact integral homology of a 2-dimensional cell complex.
 
-    Validates that every index names a cell and that the boundary of
-    every face is zero, straight from the face words: a closed-walk test
-    by C-level lookups, else a count per entry, and no matrix product
-    (``CellComplex.check_chain_complex``); raises InvalidComplex if not.
+    Raises InvalidComplex unless every index names a cell and every face
+    word is a closed walk (``CellComplex.check_chain_complex``).
 
     rank ∂1 is the size of a spanning forest of the 1-skeleton, so
     ``b0`` is its number of components; H0 is free because ∂1, a graph's

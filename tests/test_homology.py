@@ -19,6 +19,7 @@ from realtoric import (
     build_affine_span_complex,
     build_real_complex,
     classify_surface,
+    complex_to_dot,
     corpus_fans,
     euler_from_cells,
     find_ample,
@@ -117,13 +118,87 @@ class TestCellIndices:
             with pytest.raises(InvalidComplex, match=f"face 1 has entry {entry}"):
                 build()
 
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            # A float endpoint compares equal to a vertex index, but homology
+            # used to fail on it with a TypeError.
+            pytest.param(
+                CellComplex(2, ((0.0, 1), (1, 0.0)), ((1, 2),)),
+                r"edge 1 is \(0\.0, 1\)",
+                id="float endpoints",
+            ),
+            pytest.param(
+                CellComplex(2, ((0, 1), (None, 0)), ((1, 2),)),
+                r"edge 2 is \(None, 0\)",
+                id="endpoint None",
+            ),
+            pytest.param(
+                CellComplex(2, ((0, 1), (1, 0)), ((1.0, 2),)),
+                "face 1 has entry 1.0,",
+                id="float face entry",
+            ),
+            pytest.param(
+                CellComplex(2, ((0, 1), (1, 0)), ((1, "2"),)),
+                "face 1 has entry '2',",
+                id="string face entry",
+            ),
+        ],
+    )
+    def test_index_that_is_no_integer(self, c, message):
+        # Each entry point checks every index of the complex.
+        for build in (
+            c.boundary_matrix_1,
+            c.boundary_matrix_2,
+            c.check_chain_complex,
+            lambda: homology(c),
+            lambda: complex_to_dot(c),
+        ):
+            with pytest.raises(InvalidComplex, match=message):
+                build()
+
+    def test_integers_as_operator_index_judges_them(self):
+        # A bool or an int subclass is an integer index.
+        class Index(int):
+            pass
+
+        c = CellComplex(2, ((0, True), (Index(1), 0)), ((True, Index(2)),))
+        plain = CellComplex(2, ((0, 1), (1, 0)), ((1, 2),))
+        assert c.check_chain_complex() is None
+        assert homology(c) == homology(plain)
+        assert complex_to_dot(c) == complex_to_dot(plain)
+
+
+def closed_walk(draw, edges):
+    # A walk of up to 4 steps along the edges, either way round, closed by
+    # going back the way it came unless it has already come back; a loop
+    # edge alone is a closed walk of one entry.
+    start = at = draw(st.sampled_from([tail for tail, _ in edges]))
+    word = []
+    for _ in range(draw(st.integers(1, 4))):
+        steps = [j for j, (tail, _) in enumerate(edges, 1) if tail == at]
+        steps += [-j for j, (_, head) in enumerate(edges, 1) if head == at]
+        s = draw(st.sampled_from(steps))
+        word.append(s)
+        at = edges[s - 1][1] if s > 0 else edges[-s - 1][0]
+    if at != start or draw(st.booleans()):
+        word += [-s for s in reversed(word)]
+    return word
+
+
+def is_closed_walk(edges, word):
+    # Each signed edge starts where the one before it ends, cyclically.
+    steps = [edges[s - 1] if s > 0 else edges[-s - 1][::-1] for s in word]
+    return all(before[1] == step[0] for before, step in zip(steps[-1:] + steps, steps))
+
 
 @st.composite
 def small_complexes(draw):
     """Complexes on up to 4 vertices and 5 edges, with valid indices.
 
-    A face word is random, so mostly not a cycle, or a random word followed
-    by its reverse with signs flipped, which always has zero boundary.
+    A face word is a closed walk, or random, so mostly not a walk, or a
+    random word followed by its reverse with signs flipped, which always
+    has zero boundary but is seldom a walk.
     """
     nv = draw(st.integers(1, 4))
     ne = draw(st.integers(1, 5))
@@ -132,9 +207,12 @@ def small_complexes(draw):
     signed = st.integers(1, ne).flatmap(lambda k: st.sampled_from([k, -k]))
     faces = []
     for _ in range(draw(st.integers(0, 3))):
-        word = draw(st.lists(signed, max_size=5))
         if draw(st.booleans()):
-            word += [-x for x in reversed(word)]
+            word = closed_walk(draw, edges)
+        else:
+            word = draw(st.lists(signed, max_size=5))
+            if draw(st.booleans()):
+                word += [-x for x in reversed(word)]
         faces.append(tuple(word))
     return CellComplex(nv, edges, tuple(faces))
 
@@ -146,22 +224,26 @@ def small_complexes(draw):
 @example(c=CellComplex(2, ((0, 1),), ((1,), (-1,))))
 # Two components, {0, 1} and {2}, and a loop at 2 that bounds the face.
 @example(c=CellComplex(3, ((0, 1), (2, 2)), ((2,),)))
+# Zero boundary, but the word jumps from vertex 0 to vertex 2.
+@example(c=CellComplex(3, ((0, 1), (1, 0), (2, 2)), ((1, 2, 3),)))
 @settings(max_examples=300, deadline=None)
 def test_boundary_check_agrees_with_the_matrix_product(c):
-    d1, d2 = c.boundary_matrix_1(), c.boundary_matrix_2()
-    product = mat_mul(d1, d2)
-    if any(x for row in product for x in row):
-        with pytest.raises(InvalidComplex, match="boundary of a boundary"):
+    # A complex of closed walks has ∂1∂2 = 0 and the homology of the Smith
+    # forms; any other is refused.
+    if not all(is_closed_walk(c.edges, word) for word in c.faces):
+        with pytest.raises(InvalidComplex, match="is no closed walk"):
             homology(c)
-    else:
-        s1, s2 = smith_normal_form(d1), smith_normal_form(d2)
-        assert set(s1.diag) <= {1}
-        assert homology(c) == HomologyProfile(
-            c.num_vertices - s1.rank,
-            len(c.edges) - s1.rank - s2.rank,
-            len(c.faces) - s2.rank,
-            tuple(x for x in s2.diag if x > 1),
-        )
+        return
+    d1, d2 = c.boundary_matrix_1(), c.boundary_matrix_2()
+    assert not any(x for row in mat_mul(d1, d2) for x in row)
+    s1, s2 = smith_normal_form(d1), smith_normal_form(d2)
+    assert set(s1.diag) <= {1}
+    assert homology(c) == HomologyProfile(
+        c.num_vertices - s1.rank,
+        len(c.edges) - s1.rank - s2.rank,
+        len(c.faces) - s2.rank,
+        tuple(x for x in s2.diag if x > 1),
+    )
 
 
 def components(c):
@@ -328,6 +410,77 @@ def test_cold_and_warm_memo_agree():
     memo.cache_clear()
     for _ in range(2):
         assert [homology(c) for c in complexes] == cold
+
+
+def normal_form(surface):
+    """The one-face complex of a closed surface's normal-form polygon word:
+    a a⁻¹ on two vertices for the sphere; on one vertex,
+    a1 b1 a1⁻¹ b1⁻¹ ... for orientable genus g and a1 a1 a2 a2 ... for the
+    connect sum of k projective planes (Massey, ch. 1)."""
+    if surface == SurfaceType(True, 0):
+        return CellComplex(2, ((0, 1),), ((1, -1),))
+    if surface.orientable:
+        pairs = range(1, 2 * surface.genus, 2)
+        word = [s for i in pairs for s in (i, i + 1, -i, -i - 1)]
+    else:
+        word = [i for i in range(1, surface.genus + 1) for _ in range(2)]
+    return CellComplex(1, ((0, 0),) * max(word), (tuple(word),))
+
+
+def subdivide(c, e):
+    # Edge e now ends at a new vertex, and a new last edge runs on from it
+    # to e's old head; each face crosses both where it crossed e.
+    tail, head = c.edges[e - 1]
+    v, new = c.num_vertices, len(c.edges) + 1
+    edges = c.edges[: e - 1] + ((tail, v),) + c.edges[e:] + ((v, head),)
+    crossing = {e: (e, new), -e: (-new, -e)}
+    faces = tuple(
+        tuple(x for s in word for x in crossing.get(s, (s,))) for word in c.faces
+    )
+    return CellComplex(v + 1, edges, faces)
+
+
+def split(c, f, i, j):
+    # Face f cut in two along a new edge from the start of its entry i to
+    # the start of its entry j, for i < j.
+    word = c.faces[f]
+    starts = [c.edges[s - 1][0] if s > 0 else c.edges[-s - 1][1] for s in word]
+    new = len(c.edges) + 1
+    halves = (word[i:j] + (-new,), word[j:] + word[:i] + (new,))
+    return CellComplex(
+        c.num_vertices,
+        c.edges + ((starts[i], starts[j]),),
+        c.faces[:f] + halves + c.faces[f + 1 :],
+    )
+
+
+@st.composite
+def closed_surfaces(draw):
+    """A closed surface, orientable of genus 0 to 5 or nonorientable of
+    genus 1 to 5, and a complex for it: its normal form, then up to 11
+    random edge subdivisions and face splits along a diagonal. Every face
+    word keeps 2 or more entries."""
+    orientable = draw(st.booleans())
+    surface = SurfaceType(orientable, draw(st.integers(0 if orientable else 1, 5)))
+    c = normal_form(surface)
+    for _ in range(draw(st.integers(0, 11))):
+        if draw(st.booleans()):
+            c = subdivide(c, draw(st.integers(1, len(c.edges))))
+        else:
+            f = draw(st.integers(0, len(c.faces) - 1))
+            i = draw(st.integers(0, len(c.faces[f]) - 2))
+            c = split(c, f, i, draw(st.integers(i + 1, len(c.faces[f]) - 1)))
+    return surface, c
+
+
+@given(drawn=closed_surfaces())
+@settings(max_examples=300, deadline=None)
+def test_closed_surfaces_classify_as_drawn(drawn):
+    # The classification of surfaces is an oracle for homology on complexes
+    # no fan builds: many Smith inputs, loops, and more than four faces.
+    surface, c = drawn
+    assert c.check_chain_complex() is None
+    assert classify_surface(homology(c)) == surface
 
 
 class TestEuler:

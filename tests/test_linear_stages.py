@@ -1,7 +1,7 @@
 """The linear stages of ``verify`` against their per-entry forms.
 
 Each oracle below is a plain per-entry loop: index arithmetic, ``abs``
-and a sign ternary per entry, all entries checked before any boundary,
+and a sign ternary per entry, all entries checked before any walk,
 and a nested ``root`` closure in the union-find. The stages must return
 the same values, and raise the same errors with the same messages, on
 every input.
@@ -20,17 +20,19 @@ from realtoric import (
     InvalidComplex,
     build_affine_span_complex,
     build_real_complex,
+    complex_to_dot,
     corpus_fans,
     evaluate,
     find_ample,
     hirzebruch_fan,
+    homology,
     orientable_fast,
     polygon_from_divisor,
     random_fan,
     self_intersections,
 )
 from test_acceptance import CORPUS_MAX_BLOWUPS, CORPUS_SEED, CORPUS_SIZE
-from test_homology import HAND_BUILT, ladder_fan
+from test_homology import HAND_BUILT, closed_walk, ladder_fan
 
 GLUING = sys.modules["realtoric.gluing"]
 HOMOLOGY = sys.modules["realtoric.homology"]
@@ -52,14 +54,17 @@ def check_chain_complex_per_entry(c):
                     f"edge index in 1..{ne}"
                 )
     for j, word in enumerate(c.faces):
-        count = {}
-        for signed in word:
-            tail, head = c.edges[abs(signed) - 1]
-            s = 1 if signed > 0 else -1
-            count[head] = count.get(head, 0) + s
-            count[tail] = count.get(tail, 0) - s
-        if any(count.values()):
-            raise InvalidComplex(f"boundary of a boundary is not zero on face {j + 1}")
+        # Each step from entry k - 1 to entry k, the closing step last.
+        for k in [*range(1, len(word)), 0][: len(word)]:
+            signed, before = word[k], word[k - 1]
+            start = c.edges[abs(signed) - 1][0 if signed > 0 else 1]
+            end = c.edges[abs(before) - 1][1 if before > 0 else 0]
+            if start != end:
+                raise InvalidComplex(
+                    f"face {j + 1} is no closed walk: entry {k + 1} starts at "
+                    f"vertex {start}, entry {(k - 1) % len(word) + 1} ends at "
+                    f"vertex {end}"
+                )
 
 
 def spanning_forest_size_per_entry(num_vertices, edges):
@@ -189,9 +194,17 @@ BAD_COMPLEXES = {
     "face entry 0": CellComplex(2, ((0, 1), (1, 0)), ((1, 2), (0, 1))),
     "face entry past the edges": CellComplex(2, ((0, 1), (1, 0)), ((1, 2), (-3,))),
     "nonzero boundary on face 2": CellComplex(2, ((0, 1), (1, 0)), ((1, 2), (1, 1))),
-    # Every entry is checked before any boundary: face 2's entry is reported.
+    # Every entry is checked before any walk: face 2's entry is reported.
     "bad entry after a nonzero boundary": CellComplex(
         2, ((0, 1), (1, 0)), ((1,), (5,))
+    ),
+    # Each face's boundary is zero, but no word is a walk.
+    "zero boundary on faces 1 and 2": CellComplex(
+        3, ((0, 1), (1, 0), (2, 2)), ((2, 1, 3), (1, 3, 2))
+    ),
+    "open path of one entry": CellComplex(2, ((0, 1), (1, 1)), ((2,), (1,))),
+    "open path of three entries": CellComplex(
+        2, ((0, 1), (1, 0), (0, 1)), ((1, 2, 3),)
     ),
 }
 
@@ -204,23 +217,6 @@ def test_bad_complexes_raise_the_same_error(name):
     with pytest.raises(InvalidComplex) as got:
         c.check_chain_complex()
     assert str(got.value) == str(expected.value)
-
-
-def _closed_walk(draw, edges):
-    # A walk of up to 4 steps along the edges, either way round, closed by
-    # going back the way it came unless it has already come back; a loop
-    # edge alone is a closed walk of one entry.
-    start = at = draw(st.sampled_from([tail for tail, _ in edges]))
-    word = []
-    for _ in range(draw(st.integers(1, 4))):
-        steps = [j for j, (tail, _) in enumerate(edges, 1) if tail == at]
-        steps += [-j for j, (_, head) in enumerate(edges, 1) if head == at]
-        s = draw(st.sampled_from(steps))
-        word.append(s)
-        at = edges[s - 1][1] if s > 0 else edges[-s - 1][0]
-    if at != start or draw(st.booleans()):
-        word += [-s for s in reversed(word)]
-    return word
 
 
 @st.composite
@@ -252,7 +248,7 @@ def loose_complexes(draw):
             if draw(st.booleans()):
                 word += [-x for x in reversed(word)]
         else:
-            word = _closed_walk(draw, edges)
+            word = closed_walk(draw, edges)
             order = draw(st.sampled_from(
                 ["as is", "rotated", "twice", "backwards", "reversed", "shuffled", "open"]
             ))
@@ -279,37 +275,35 @@ def test_loose_complexes(c):
     _assert_stages_match(c)
 
 
-def _count_fallbacks(monkeypatch):
-    # The complexes whose boundary check counts one entry at a time.
-    counted = []
-    per_entry = CellComplex._count_per_entry
-
-    def counting(c, edges):
-        counted.append(c)
-        return per_entry(c, edges)
-
-    monkeypatch.setattr(CellComplex, "_count_per_entry", counting)
-    return counted
-
-
 def test_real_complexes_are_accepted_as_closed_walks(monkeypatch):
-    counted = _count_fallbacks(monkeypatch)
+    # The C-level lookups accept them all: the pass that checks one entry
+    # at a time never runs.
+    def refused(c):
+        raise AssertionError(f"checked one entry at a time: {c}")
+
+    monkeypatch.setattr(CellComplex, "_checked", refused)
     fans = corpus_fans(CORPUS_SEED, CORPUS_SIZE, CORPUS_MAX_BLOWUPS)
     fans += [random_fan(d, d - random_fan(d, 0).d) for d in (64, 128, 192)]
     fans += [ladder_fan(d) for d in (64, 128, 192, 1004)]
     assert {fan.d for fan in fans} >= {64, 128, 192, 1004}
     for fan in fans:
         build_real_complex(fan).check_chain_complex()
-    assert counted == []
 
 
-def test_zero_boundary_that_is_no_walk_is_counted_per_entry(monkeypatch):
+def test_zero_boundary_that_is_no_walk_is_refused():
     # Edges 1 and 2 run 0 -> 1 -> 0 and edge 3 is a loop at 2: every
-    # vertex's count is zero, but the word jumps from vertex 0 to vertex 2.
-    counted = _count_fallbacks(monkeypatch)
+    # vertex's count is zero, but the word jumps from vertex 0 to vertex 2,
+    # so the word attaches no 2-cell.
     c = CellComplex(3, ((0, 1), (1, 0), (2, 2)), ((1, 2, 3),))
-    assert c.check_chain_complex() is None
-    assert counted == [c]
+    message = (
+        "face 1 is no closed walk: entry 3 starts at vertex 2, "
+        "entry 2 ends at vertex 0"
+    )
+    checks = (c.check_chain_complex, lambda: homology(c), lambda: complex_to_dot(c))
+    for check in checks:
+        with pytest.raises(InvalidComplex) as refused:
+            check()
+        assert str(refused.value) == message
 
 
 def orientable_by_self_intersections(fan):

@@ -21,19 +21,25 @@ import ast
 import json
 import math
 import sys
+from collections import Counter
+from contextlib import suppress
 from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, find, settings
 
 import realtoric.cli as cli
 import test_acceptance
+import test_linear_stages
 from realtoric import (
     CellComplex,
     InvalidComplex,
+    NotAClosedSurfaceProfile,
     SurfaceType,
     blow_up,
     build_real_complex,
+    classify_surface,
     fan_to_json,
     hirzebruch_fan,
     homology,
@@ -86,26 +92,52 @@ def _anchor_only(table):
 
 
 def _without_closing_step(fn):
-    # The closed-walk test compares word[1:] with word[:-1], each entry's
-    # start with the end of the entry before it, but never the first
-    # entry's start with the last one's end: an open path passes.
+    # The walk test compares each entry's start with the end of the entry
+    # before it, but never the first entry's start with the last one's end:
+    # an open path passes, by the C-level lookups and by the pass that
+    # checks one entry at a time.
     def mutant(self):
-        edges = self._checked_edges()
+        edges = self.edges
         tails, heads = zip(*edges) if edges else ((), ())
         starts = [None, *tails, *reversed(heads)]
         ends = [None, *heads, *reversed(tails)]
         named = [None, *range(1, len(edges) + 1), *range(-len(edges), 0)]
-        try:
-            if all(
+        with suppress(IndexError, TypeError):
+            if type(sum(tails, sum(heads))) is int and all(
                 len(w) > 1
                 and itemgetter(*w)(named) == w
                 and itemgetter(*w[1:])(starts) == itemgetter(*w[:-1])(ends)
                 for w in self.faces
             ):
-                return
-        except (IndexError, TypeError):
-            pass
-        self._count_per_entry(edges)
+                if all(0 <= v < self.num_vertices for v in tails + heads):
+                    return
+        for j, word in enumerate(self._checked().faces, 1):
+            for k, (s, t) in enumerate(zip(word, word[1:]), 1):
+                if starts[t] != ends[s]:
+                    raise InvalidComplex(f"face {j} is no closed walk at entry {k + 1}")
+
+    return mutant
+
+
+def _zero_boundary_accepted(fn):
+    # The older rule: a word that is no closed walk still passes when its
+    # boundary, counted one entry at a time, is zero.
+    def mutant(self):
+        try:
+            fn(self)
+        except InvalidComplex as exc:
+            if "no closed walk" not in str(exc):
+                raise
+            for j, word in enumerate(self.faces, 1):
+                count = Counter()
+                for s in word:
+                    tail, head = self.edges[abs(s) - 1][:: 1 if s > 0 else -1]
+                    count[head] += 1
+                    count[tail] -= 1
+                if any(count.values()):
+                    raise InvalidComplex(
+                        f"boundary of a boundary is not zero on face {j}"
+                    )
 
     return mutant
 
@@ -192,6 +224,9 @@ MUTANTS = {
     "edge-key-without-ray": (GLUING, "_EDGE_CLASSES", _anchor_only),
     "walk-test-without-closing-step": (
         CellComplex, "check_chain_complex", _without_closing_step
+    ),
+    "zero-boundary-accepted": (
+        CellComplex, "check_chain_complex", _zero_boundary_accepted
     ),
     "orientable-fast-negated": (HOMOLOGY, "orientable_fast", _negated),
     "orientable-parity-shift-one": (HOMOLOGY, "orientable_fast", _parity_shift_one),
@@ -331,11 +366,40 @@ def test_open_path_fails_without_the_closing_step(monkeypatch):
     # see the mutant. Edges 1, 2 and 3 run 0 -> 1 -> 0 -> 1: a path that
     # does not close, whose boundary is v1 - v0.
     open_path = CellComplex(2, ((0, 1), (1, 0), (0, 1)), ((1, 2, 3),))
-    with pytest.raises(InvalidComplex, match="not zero on face 1"):
+    message = (
+        "face 1 is no closed walk: entry 1 starts at vertex 0, "
+        "entry 3 ends at vertex 1"
+    )
+    with pytest.raises(InvalidComplex) as refused:
         open_path.check_chain_complex()
+    assert str(refused.value) == message
     _apply(monkeypatch, "walk-test-without-closing-step")
     assert all(verify(fan).all_consistent for fan in FANS)
     assert open_path.check_chain_complex() is None
+    # A word of one entry takes the pass that checks one entry at a time.
+    assert open_path._replace(faces=((1,),)).check_chain_complex() is None
+
+
+def _counterexample(strategy, fails):
+    # The first drawn example on which ``fails`` holds, unshrunk, or
+    # Hypothesis's NoSuchExample.
+    quick = settings(database=None, max_examples=600, phases=[Phase.generate])
+    return find(strategy, fails, settings=quick)
+
+
+def test_zero_boundary_mutant_fails_the_walk_tests(monkeypatch):
+    # A word with zero boundary that is no walk attaches no 2-cell. The
+    # refusal test and the per-entry oracle on loose complexes both see it.
+    _apply(monkeypatch, "zero-boundary-accepted")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_linear_stages.test_zero_boundary_that_is_no_walk_is_refused()
+    outcome = test_linear_stages._outcome
+    oracle = test_linear_stages.check_chain_complex_per_entry
+    _counterexample(
+        test_linear_stages.loose_complexes(),
+        lambda c: outcome(c.check_chain_complex) is None and outcome(oracle, c),
+    )
 
 
 def test_grid_width_mutant_fails_the_separation_gate(monkeypatch):
@@ -403,6 +467,19 @@ def test_dropped_column_mutant_fails_the_oracle(monkeypatch):
     _apply(monkeypatch, "last-distinct-column-dropped")
     caught = [n for n, (c, _) in HAND_BUILT.items() if homology(c) != full_smith_profile(c)]
     assert sorted(caught) == ["Klein bottle", "RP2"]
+
+
+def test_dropped_column_mutant_fails_the_surface_oracle(monkeypatch):
+    # The closed-surface complexes of tests/test_homology.py show it alone.
+    def misclassified(drawn):
+        surface, c = drawn
+        try:
+            return classify_surface(homology(c)) != surface
+        except NotAClosedSurfaceProfile:
+            return True
+
+    _apply(monkeypatch, "last-distinct-column-dropped")
+    _counterexample(test_homology.closed_surfaces(), misclassified)
 
 
 def test_shape_keyed_memo_fails_the_memo_test(monkeypatch):
