@@ -83,8 +83,8 @@ class PolygonFanMismatch(ToricError):
 
 
 class InvalidComplex(ToricError):
-    """A cell complex with an index that names no cell, a face word that is
-    no closed walk, or boundary ranks that exceed the chain group ranks."""
+    """A cell complex whose vertex count is no integer >= 0, with an index
+    that names no cell, or with a face word that is no closed walk."""
 
 
 class NotAClosedSurfaceProfile(ToricError):

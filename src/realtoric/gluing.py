@@ -112,69 +112,60 @@ def _names(table, x) -> bool:
 class CellComplex(NamedTuple):
     """A 2-dimensional CW complex with oriented edges and faces.
 
-    Edges are pairs ``(tail, head)`` of vertex indices. Faces are tuples
-    of signed 1-based edge indices in traversal order (positive means the
-    edge is traversed tail to head), each a 2-cell attached along a closed
-    walk: each signed edge starts where the one before it ends, cyclically.
-    A single loop edge and the empty word are closed walks.
+    Vertices are ``0 .. num_vertices - 1``. Edges are pairs ``(tail, head)``
+    of vertex indices. Faces are tuples of signed 1-based edge indices in
+    traversal order (positive means the edge is traversed tail to head),
+    each a 2-cell attached along a closed walk: each signed edge starts
+    where the one before it ends, cyclically. A single loop edge and the
+    empty word are closed walks. The boundary matrices, ``homology`` and
+    ``complex_to_dot`` refuse what ``check_chain_complex`` refuses.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     faces: tuple[tuple[int, ...], ...]
 
-    def _checked(self) -> CellComplex:
-        # This complex, once every endpoint is known to be a vertex index,
-        # edge by edge, and then every face entry to name an edge either way.
-        nv, ne = self.num_vertices, len(self.edges)
-        vertex, named = range(nv), [None, *range(1, ne + 1), *range(-ne, 0)]
-        for j, (tail, head) in enumerate(self.edges, 1):
-            if not (_names(vertex, tail) and _names(vertex, head)):
-                raise InvalidComplex(
-                    f"edge {j} is {(tail, head)}, with an endpoint outside 0..{nv - 1}"
-                )
-        for j, word in enumerate(self.faces, 1):
-            for signed in word:
-                if not _names(named, signed):
-                    raise InvalidComplex(
-                        f"face {j} has entry {signed!r}, not a signed edge index "
-                        f"in 1..{ne}"
-                    )
-        return self
-
     def boundary_matrix_1(self) -> Matrix:
-        """Vertices-by-edges boundary: head gets +1, tail gets -1.
-
-        An index that names no cell is InvalidComplex.
-        """
+        """Vertices-by-edges boundary: head gets +1, tail gets -1."""
+        self.check_chain_complex()
         rows = [[0] * len(self.edges) for _ in range(self.num_vertices)]
-        for j, (tail, head) in enumerate(self._checked().edges):
+        for j, (tail, head) in enumerate(self.edges):
             rows[head][j] += 1
             rows[tail][j] -= 1
         return tuple(tuple(r) for r in rows)
 
     def boundary_matrix_2(self) -> Matrix:
-        """Edges-by-faces boundary from the signed traversal words.
-
-        An index that names no cell is InvalidComplex.
-        """
-        rows = [[0] * len(self.faces) for _ in range(len(self.edges))]
-        for j, word in enumerate(self._checked().faces):
-            for signed in word:
-                idx = abs(signed) - 1
-                rows[idx][j] += 1 if signed > 0 else -1
-        return tuple(tuple(r) for r in rows)
+        """Edges-by-faces boundary, built face by face and transposed."""
+        self.check_chain_complex()
+        rows = [[0] * len(self.edges) for _ in self.faces]
+        for row, word in zip(rows, self.faces):
+            for s in word:
+                if s > 0:
+                    row[s - 1] += 1
+                else:
+                    row[-s - 1] -= 1
+        return tuple(zip(*rows)) if rows else ((),) * len(self.edges)
 
     def check_chain_complex(self) -> None:
-        """Raise InvalidComplex unless every index names a cell, an integer
-        as ``operator.index`` judges it, and every face word is a closed
-        walk, so that ∂1∂2 = 0 with neither matrix formed.
+        """Raise InvalidComplex unless ``num_vertices`` is an integer >= 0,
+        every index names a cell, each integer as ``operator.index`` judges
+        it, and every face word is a closed walk, so that ∂1∂2 = 0 with
+        neither matrix formed.
 
-        C-level lookups accept int endpoints in range and words of 2 or more
-        entries. Else one pass decides: bad indices first, edges then faces, then the
-        first break of a walk from face 1, its closing step last.
+        The count is checked first. C-level lookups then accept int
+        endpoints in range and words of 2 or more entries. Else one pass
+        decides: bad indices first, edges then faces, then the first break
+        of a walk from face 1, its closing step last.
         """
-        nv, edges = self.num_vertices, self.edges
+        try:
+            nv = index(self.num_vertices)
+        except TypeError:
+            nv = -1
+        if nv < 0:
+            raise InvalidComplex(
+                f"num_vertices is {self.num_vertices!r}, not an integer >= 0"
+            )
+        edges = self.edges
         tails, heads = zip(*edges) if edges else ((), ())
         # By signed entry: its edge's start, its end, and itself if valid.
         starts = [None, *tails, *reversed(heads)]
@@ -191,7 +182,19 @@ class CellComplex(NamedTuple):
                         break
                 else:
                     return
-        for j, word in enumerate(self._checked().faces, 1):
+        for j, (tail, head) in enumerate(edges, 1):
+            if not (_names(range(nv), tail) and _names(range(nv), head)):
+                raise InvalidComplex(
+                    f"edge {j} is {(tail, head)}, with an endpoint outside 0..{nv - 1}"
+                )
+        for j, word in enumerate(self.faces, 1):
+            for signed in word:
+                if not _names(named, signed):
+                    raise InvalidComplex(
+                        f"face {j} has entry {signed!r}, not a signed edge index "
+                        f"in 1..{len(edges)}"
+                    )
+        for j, word in enumerate(self.faces, 1):
             for k, (s, t) in enumerate(zip(word, word[1:] + word[:1]), 1):
                 if starts[t] != ends[s]:
                     raise InvalidComplex(

@@ -23,6 +23,7 @@ characteristic ``4 - d`` is not compared with anything.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 from .errors import InvalidComplex, NotAClosedSurfaceProfile
@@ -77,18 +78,12 @@ def _spanning_forest_size(
 
 
 def _distinct_columns(c: CellComplex) -> Matrix:
-    # The faces-by-edges transpose of ∂2 from the face words, with one copy
-    # of each distinct nonzero column, signed so that its first nonzero
-    # entry is positive, in sorted order. Dropping a zero column or a repeat
-    # up to sign is unimodular, so the invariant factors are unchanged.
-    rows = [[0] * len(c.edges) for _ in c.faces]
-    for row, word in zip(rows, c.faces):
-        for s in word:
-            if s > 0:
-                row[s - 1] += 1
-            else:
-                row[-s - 1] -= 1
-    distinct = {max(col, tuple(-x for x in col)) for col in set(zip(*rows))}
+    # The faces-by-edges transpose of ∂2, with one copy of each distinct
+    # nonzero column (a row of ∂2), signed so that its first nonzero entry
+    # is positive, in sorted order. Dropping a zero column or a repeat up
+    # to sign is unimodular, so the invariant factors are unchanged.
+    # InvalidComplex unless check_chain_complex accepts c.
+    distinct = {max(row, tuple(-x for x in row)) for row in set(c.boundary_matrix_2())}
     distinct.discard((0,) * len(c.faces))
     return tuple(zip(*sorted(distinct)))
 
@@ -102,25 +97,25 @@ def _factors(m: Matrix) -> tuple[int, ...]:
 def homology(c: CellComplex) -> HomologyProfile:
     """Exact integral homology of a 2-dimensional cell complex.
 
-    Raises InvalidComplex unless every index names a cell and every face
-    word is a closed walk (``CellComplex.check_chain_complex``).
+    Raises InvalidComplex unless the vertex count is an integer >= 0,
+    every index names a cell and every face word is a closed walk
+    (``CellComplex.check_chain_complex``).
 
     rank ∂1 is the size of a spanning forest of the 1-skeleton, so
     ``b0`` is its number of components; H0 is free because ∂1, a graph's
     incidence matrix, has every invariant factor 1. No ∂1 matrix is
     built. The rank of ∂2 and the torsion of H1 come from one Smith form,
-    taken on the faces-by-edges transpose of ∂2 (read off the face words,
+    taken on the faces-by-edges transpose of ∂2 (``boundary_matrix_2``,
     with zero columns and repeats up to sign dropped), which has the same
     invariant factors; a small memo keyed on those columns serves repeats.
+    Closed walks give ∂1∂2 = 0, so no rank exceeds its chain group's.
     """
-    c.check_chain_complex()
-    r1 = _spanning_forest_size(c.num_vertices, c.edges)
+    # ∂2 is read first: it refuses c unless check_chain_complex accepts it.
     diag = _factors(_distinct_columns(c))
-    b0 = c.num_vertices - r1
+    r1 = _spanning_forest_size(c.num_vertices, c.edges)
+    b0 = index(c.num_vertices) - r1
     b1 = len(c.edges) - r1 - len(diag)
     b2 = len(c.faces) - len(diag)
-    if b0 < 0 or b1 < 0 or b2 < 0:
-        raise InvalidComplex("boundary ranks exceed the chain group ranks")
     torsion = tuple(x for x in diag if x > 1)
     return HomologyProfile(b0=b0, b1=b1, b2=b2, torsion=torsion)
 

@@ -143,6 +143,23 @@ class TestCellIndices:
                 "face 1 has entry '2',",
                 id="string face entry",
             ),
+            # The vertex count is checked first; range() used to fail on a
+            # float one with a TypeError, and on a string one the check did.
+            pytest.param(
+                CellComplex(2.0, ((0, 1), (1, 0)), ((1, 2),)),
+                "num_vertices is 2.0, not an integer >= 0",
+                id="float vertex count",
+            ),
+            pytest.param(
+                CellComplex("3", ((0, 1), (1, 0)), ((1.0, 2),)),
+                "num_vertices is '3', not an integer >= 0",
+                id="string vertex count",
+            ),
+            pytest.param(
+                CellComplex(None, ((0, 1), (None, 0)), ((1, 2),)),
+                "num_vertices is None, not an integer >= 0",
+                id="vertex count None",
+            ),
         ],
     )
     def test_index_that_is_no_integer(self, c, message):
@@ -157,16 +174,43 @@ class TestCellIndices:
             with pytest.raises(InvalidComplex, match=message):
                 build()
 
+    @pytest.mark.parametrize(
+        "c",
+        [
+            # Once homology's rank guard and an empty DOT graph saw it.
+            pytest.param(CellComplex(-1, (), ()), id="empty"),
+            # Checked before the endpoints, which lie outside 0..-2.
+            pytest.param(CellComplex(-1, ((0, 1), (1, 0)), ((1, 2),)), id="edges"),
+        ],
+    )
+    def test_negative_vertex_count(self, c):
+        for build in (
+            c.boundary_matrix_1,
+            c.boundary_matrix_2,
+            c.check_chain_complex,
+            lambda: homology(c),
+            lambda: complex_to_dot(c),
+        ):
+            with pytest.raises(InvalidComplex, match="num_vertices is -1, not an"):
+                build()
+
     def test_integers_as_operator_index_judges_them(self):
-        # A bool or an int subclass is an integer index.
+        # A bool or an int subclass is an integer index, and so is a count
+        # that only has __index__.
         class Index(int):
             pass
 
-        c = CellComplex(2, ((0, True), (Index(1), 0)), ((True, Index(2)),))
+        class Count:
+            def __index__(self):
+                return 2
+
+        c = CellComplex(Count(), ((0, True), (Index(1), 0)), ((True, Index(2)),))
         plain = CellComplex(2, ((0, 1), (1, 0)), ((1, 2),))
         assert c.check_chain_complex() is None
         assert homology(c) == homology(plain)
         assert complex_to_dot(c) == complex_to_dot(plain)
+        assert c.boundary_matrix_1() == plain.boundary_matrix_1()
+        assert c.boundary_matrix_2() == plain.boundary_matrix_2()
 
 
 def closed_walk(draw, edges):
@@ -454,8 +498,45 @@ def split(c, f, i, j):
     )
 
 
+def surface_profile(surface):
+    # The homology of a closed surface: Z, Z^(2g), Z when orientable of
+    # genus g, and Z, Z^(k-1) + Z/2, 0 for k projective planes.
+    if surface.orientable:
+        return HomologyProfile(1, 2 * surface.genus, 1, ())
+    return HomologyProfile(1, surface.genus - 1, 0, (2,))
+
+
+def expected_profile(parts, wedged):
+    # Homology adds over a disjoint union, and reduced homology adds over a
+    # wedge: either way b1, b2 and the torsion are the sums of the parts'.
+    profiles = [surface_profile(s) for s in parts]
+    return HomologyProfile(
+        1 if wedged else len(parts),
+        sum(p.b1 for p in profiles),
+        sum(p.b2 for p in profiles),
+        tuple(sorted(x for p in profiles for x in p.torsion)),
+    )
+
+
+def join(c, other, at=None):
+    # The disjoint union of two complexes, or their wedge at ``at``, a
+    # vertex of each. The other's cells are numbered after this one's, and
+    # its vertex ``at[1]`` becomes this one's ``at[0]``.
+    nv, ne = c.num_vertices, len(c.edges)
+    new = list(range(nv, nv + other.num_vertices))
+    if at is not None:
+        mine, theirs = at
+        new = new[:theirs] + [mine] + [v - 1 for v in new[theirs + 1 :]]
+    return CellComplex(
+        nv + other.num_vertices - (at is not None),
+        c.edges + tuple((new[t], new[h]) for t, h in other.edges),
+        c.faces
+        + tuple(tuple(s + ne if s > 0 else s - ne for s in w) for w in other.faces),
+    )
+
+
 @st.composite
-def closed_surfaces(draw):
+def one_surface(draw):
     """A closed surface, orientable of genus 0 to 5 or nonorientable of
     genus 1 to 5, and a complex for it: its normal form, then up to 11
     random edge subdivisions and face splits along a diagonal. Every face
@@ -473,14 +554,39 @@ def closed_surfaces(draw):
     return surface, c
 
 
+@st.composite
+def closed_surfaces(draw):
+    """``(parts, wedged, c)``: one drawn surface, half the time, as
+    ``((surface,), False, c)``; else two, ``c`` their disjoint union or,
+    when ``wedged``, the two wedged at a drawn vertex of each."""
+    first, c = draw(one_surface())
+    if draw(st.booleans()):
+        return (first,), False, c
+    second, other = draw(one_surface())
+    at = None
+    if draw(st.booleans()):
+        at = (
+            draw(st.integers(0, c.num_vertices - 1)),
+            draw(st.integers(0, other.num_vertices - 1)),
+        )
+    return (first, second), at is not None, join(c, other, at)
+
+
 @given(drawn=closed_surfaces())
 @settings(max_examples=300, deadline=None)
 def test_closed_surfaces_classify_as_drawn(drawn):
     # The classification of surfaces is an oracle for homology on complexes
-    # no fan builds: many Smith inputs, loops, and more than four faces.
-    surface, c = drawn
+    # no fan builds: many Smith inputs, loops, and more than four faces. A
+    # union or a wedge of two surfaces is no closed surface.
+    parts, wedged, c = drawn
     assert c.check_chain_complex() is None
-    assert classify_surface(homology(c)) == surface
+    profile = homology(c)
+    assert profile == expected_profile(parts, wedged)
+    if len(parts) == 1:
+        assert classify_surface(profile) == parts[0]
+    else:
+        with pytest.raises(NotAClosedSurfaceProfile):
+            classify_surface(profile)
 
 
 class TestEuler:

@@ -314,11 +314,10 @@ def fan_with_rays(seed, d):
 
 
 def test_homology_takes_one_smith_form_and_no_vertex_edge_matrix(monkeypatch):
-    # rank ∂1 comes from the graph's components and ∂2 is read off the face
-    # words: building either boundary matrix is an error. The one Smith form
-    # left is on the distinct columns of ∂2's transpose: 4 faces by at most
-    # 6 columns, whatever d is, on a cold memo, and none at all when the
-    # same columns come again.
+    # rank ∂1 comes from the graph's components: building ∂1 is an error.
+    # The one Smith form left is on the distinct columns of ∂2's transpose:
+    # 4 faces by at most 6 columns, whatever d is, on a cold memo, and none
+    # at all when the same columns come again.
     homology_module = importlib.import_module("realtoric.homology")
     shapes = []
 
@@ -331,7 +330,6 @@ def test_homology_takes_one_smith_form_and_no_vertex_edge_matrix(monkeypatch):
 
     monkeypatch.setattr(homology_module, "smith_normal_form", recorded)
     monkeypatch.setattr(CellComplex, "boundary_matrix_1", refused)
-    monkeypatch.setattr(CellComplex, "boundary_matrix_2", refused)
     # random_fan is quadratic in its blow-ups, so the largest fan is built
     # from its rays.
     ladder = [(1, j) for j in range(1501)] + [(0, 1), (-1, 0), (0, -1)]

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -588,6 +589,66 @@ def report_digest(reports):
 def test_reports_keep_their_digest():
     assert len(DIGEST_FANS) == 72
     assert report_digest(digest_reports()) == REPORT_DIGEST
+
+
+# The digest above recomputed with the standard library alone, in a child
+# interpreter: argv[1] is the package's source directory.
+DIGEST_SCRIPT = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import realtoric as rt
+fans = [rt.projective_plane_fan(), *map(rt.hirzebruch_fan, range(5))]
+fans += rt.corpus_fans(777, 66, 3)
+reports = [rt.run_moment_checks(fan, samples=16, seed=7) for fan in fans]
+print(hashlib.sha256("\\n".join(map(repr, reports)).encode()).hexdigest())
+"""
+
+
+def other_pythons():
+    """One interpreter of each CPython version 3.10 to 3.13 other than this
+    one's that starts here, found as ``python3.X`` on PATH or as
+    ``bin/python3`` in a sibling of this interpreter's version directory
+    (pyenv's ``versions/3.12.1/bin``, say), by version."""
+    probe = "import sys; print(sys.implementation.name, *sys.version_info[:2])"
+    wanted = {f"cpython 3 {minor}\n": (3, minor) for minor in range(10, 14)}
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 14)]
+    versions = Path(sys.executable).parent.parent.parent
+    candidates += sorted(versions.glob("*/bin/python3"))
+    found = {}
+    for exe in filter(None, candidates):
+        try:
+            run = subprocess.run(
+                [exe, "-I", "-S", "-c", probe],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if run.returncode == 0 and run.stdout in wanted:
+            found.setdefault(wanted[run.stdout], str(exe))
+    found.pop(sys.version_info[:2], None)
+    return found
+
+
+def test_reports_keep_their_digest_on_every_other_python():
+    # The package claims the same reports bit for bit on Python 3.10 to
+    # 3.13; this run's interpreter checks its own version above.
+    found = other_pythons()
+    if not found:
+        pytest.skip("no other CPython 3.10 to 3.13 starts here")
+    children = {
+        exe: subprocess.Popen(
+            [exe, "-I", "-S", "-c", DIGEST_SCRIPT, str(SRC)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for exe in found.values()
+    }
+    for exe, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, out.strip()) == (0, REPORT_DIGEST), (exe, err)
 
 
 def test_moment_sums_no_floats_with_the_builtin_sum():

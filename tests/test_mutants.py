@@ -22,8 +22,6 @@ import json
 import math
 import sys
 from collections import Counter
-from contextlib import suppress
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -35,11 +33,8 @@ import test_linear_stages
 from realtoric import (
     CellComplex,
     InvalidComplex,
-    NotAClosedSurfaceProfile,
     SurfaceType,
     blow_up,
-    build_real_complex,
-    classify_surface,
     fan_to_json,
     hirzebruch_fan,
     homology,
@@ -94,27 +89,12 @@ def _anchor_only(table):
 def _without_closing_step(fn):
     # The walk test compares each entry's start with the end of the entry
     # before it, but never the first entry's start with the last one's end:
-    # an open path passes, by the C-level lookups and by the pass that
-    # checks one entry at a time.
+    # an open path passes. Each word is checked followed by its way back,
+    # itself reversed with its signs flipped, which closes any path and
+    # breaks first where the word breaks.
     def mutant(self):
-        edges = self.edges
-        tails, heads = zip(*edges) if edges else ((), ())
-        starts = [None, *tails, *reversed(heads)]
-        ends = [None, *heads, *reversed(tails)]
-        named = [None, *range(1, len(edges) + 1), *range(-len(edges), 0)]
-        with suppress(IndexError, TypeError):
-            if type(sum(tails, sum(heads))) is int and all(
-                len(w) > 1
-                and itemgetter(*w)(named) == w
-                and itemgetter(*w[1:])(starts) == itemgetter(*w[:-1])(ends)
-                for w in self.faces
-            ):
-                if all(0 <= v < self.num_vertices for v in tails + heads):
-                    return
-        for j, word in enumerate(self._checked().faces, 1):
-            for k, (s, t) in enumerate(zip(word, word[1:]), 1):
-                if starts[t] != ends[s]:
-                    raise InvalidComplex(f"face {j} is no closed walk at entry {k + 1}")
+        back = [w + tuple(-s for s in reversed(w)) for w in self.faces]
+        return fn(self._replace(faces=tuple(back)))
 
     return mutant
 
@@ -171,6 +151,14 @@ def _genus_offset(delta):
 def _every_edge_a_merge(fn):
     # rank ∂1 as if no edge closed a cycle: b0 = V - E goes negative.
     return lambda num_vertices, edges: len(edges)
+
+
+def _loop_edge_a_merge(fn):
+    # A loop edge counted as if it joined two components. No complex the
+    # builders make has a loop edge.
+    return lambda num_vertices, edges: fn(num_vertices, edges) + sum(
+        tail == head for tail, head in edges
+    )
 
 
 def _unit_grid_width(fn):
@@ -233,6 +221,9 @@ MUTANTS = {
     "predict-theorem-genus-plus-one": (HOMOLOGY, "predict_theorem", _genus_offset(1)),
     "predict-theorem-genus-minus-one": (HOMOLOGY, "predict_theorem", _genus_offset(-1)),
     "spanning-forest-every-edge": (HOMOLOGY, "_spanning_forest_size", _every_edge_a_merge),
+    "loop-edge-counted-as-merge": (
+        HOMOLOGY, "_spanning_forest_size", _loop_edge_a_merge
+    ),
     "grid-width-one": (MOMENT, "_axis_table", _unit_grid_width),
     "closest-pair-adjacent-only": (MOMENT, "_min_separation", _adjacent_pairs_only),
     "sample-sign-flipped": (MOMENT, "sign_profile", _x_sign_flipped),
@@ -244,13 +235,15 @@ MUTANTS = {
 # The mutants that verify's own comparisons catch, each with the fans of
 # FANS it makes inconsistent; each of the others has a test of its own
 # below. The parity shift reads every fan as nonorientable, so only the
-# two tori show it.
+# two tori show it. Counting every edge as a merge gives b0 = V - E < 0,
+# which no closed surface has.
 CAUGHT_BY_VERIFY = {
     "edge-class-swap": FANS,
     "edge-key-without-ray": FANS,
     "orientable-fast-negated": FANS,
     "orientable-parity-shift-one": [hirzebruch_fan(0), hirzebruch_fan(4)],
     "predict-theorem-genus-plus-one": FANS,
+    "spanning-forest-every-edge": FANS,
 }
 
 
@@ -319,30 +312,6 @@ def test_edge_class_swap_exits_2_with_computed_null(monkeypatch, capsys, tmp_pat
     assert all(line["computed"] is None for line in lines[:-1])
 
 
-def test_spanning_forest_mutant_exits_3(monkeypatch, capsys, tmp_path):
-    # homology refuses verify's own complex as InvalidComplex. The fan is
-    # valid, so that is an internal error, never exit 1, which means bad
-    # input; homology on a complex the caller built still refuses it.
-    _apply(monkeypatch, "spanning-forest-every-edge")
-    for fan, path in _fan_files(tmp_path):
-        with pytest.raises(InvalidComplex, match="boundary ranks"):
-            homology(build_real_complex(fan))
-        for command in ("verify", "classify"):
-            assert cli.run([command, path]) == 3, (command, fan)
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert json.loads(err) == {
-                "error": "Internal",
-                "stage": command,
-                "detail": "RuntimeError: the glued complex is invalid: "
-                "boundary ranks exceed the chain group ranks",
-            }
-    assert cli.run(["corpus", "--seed", "7", "--count", "3"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err)["stage"] == "corpus"
-
-
 def test_genus_minus_one_mutant_exits_3(monkeypatch, capsys, tmp_path):
     # On P2 the mutant predicts RP2 with genus 0, which SurfaceType refuses
     # with a ValueError. The fan is valid, so that is an internal error:
@@ -376,7 +345,7 @@ def test_open_path_fails_without_the_closing_step(monkeypatch):
     _apply(monkeypatch, "walk-test-without-closing-step")
     assert all(verify(fan).all_consistent for fan in FANS)
     assert open_path.check_chain_complex() is None
-    # A word of one entry takes the pass that checks one entry at a time.
+    # A word of one entry is an open path too.
     assert open_path._replace(faces=((1,),)).check_chain_complex() is None
 
 
@@ -469,17 +438,26 @@ def test_dropped_column_mutant_fails_the_oracle(monkeypatch):
     assert sorted(caught) == ["Klein bottle", "RP2"]
 
 
+def _misclassified(drawn):
+    # Whether a drawn closed surface, union or wedge gets homology other
+    # than the sum of its parts'.
+    parts, wedged, c = drawn
+    return homology(c) != test_homology.expected_profile(parts, wedged)
+
+
 def test_dropped_column_mutant_fails_the_surface_oracle(monkeypatch):
     # The closed-surface complexes of tests/test_homology.py show it alone.
-    def misclassified(drawn):
-        surface, c = drawn
-        try:
-            return classify_surface(homology(c)) != surface
-        except NotAClosedSurfaceProfile:
-            return True
-
     _apply(monkeypatch, "last-distinct-column-dropped")
-    _counterexample(test_homology.closed_surfaces(), misclassified)
+    _counterexample(test_homology.closed_surfaces(), _misclassified)
+
+
+def test_loop_merge_mutant_fails_the_surface_oracle(monkeypatch):
+    # No complex the builders make has a loop edge, so verify cannot see
+    # the mutant; the one-vertex normal forms of the closed surfaces, and
+    # the complexes drawn from them, have loop edges.
+    _apply(monkeypatch, "loop-edge-counted-as-merge")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    _counterexample(test_homology.closed_surfaces(), _misclassified)
 
 
 def test_shape_keyed_memo_fails_the_memo_test(monkeypatch):
