@@ -117,8 +117,9 @@ class CellComplex(NamedTuple):
     traversal order (positive means the edge is traversed tail to head),
     each a 2-cell attached along a closed walk: each signed edge starts
     where the one before it ends, cyclically. A single loop edge and the
-    empty word are closed walks. The boundary matrices, ``homology`` and
-    ``complex_to_dot`` refuse what ``check_chain_complex`` refuses.
+    empty word are closed walks. The boundary matrices, ``homology``,
+    ``euler_from_cells``, ``complex_to_json`` and ``complex_to_dot`` refuse
+    what ``check_chain_complex`` refuses.
     """
 
     num_vertices: int
@@ -298,7 +299,11 @@ def tubular_neighborhood(fan: Fan, i: int) -> NeighborhoodType:
 
 
 def complex_to_json(c: CellComplex) -> dict:
-    """JSON-ready mapping with vertex count, edge pairs, and face words."""
+    """JSON-ready mapping with vertex count, edge pairs, and face words.
+
+    A complex that ``check_chain_complex`` refuses is InvalidComplex.
+    """
+    c.check_chain_complex()
     return {
         "vertices": c.num_vertices,
         "edges": [list(e) for e in c.edges],

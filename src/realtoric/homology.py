@@ -121,7 +121,9 @@ def homology(c: CellComplex) -> HomologyProfile:
 
 
 def euler_from_cells(c: CellComplex) -> int:
-    """Alternating cell count ``V - E + F``."""
+    """Alternating cell count ``V - E + F`` of a complex that
+    ``check_chain_complex`` accepts, else InvalidComplex."""
+    c.check_chain_complex()
     return c.num_vertices - len(c.edges) + len(c.faces)
 
 

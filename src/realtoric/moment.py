@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter, mul, truediv
 from typing import NamedTuple, Sequence
 
@@ -217,6 +217,26 @@ def _axis_table(
     return rows
 
 
+def _sums(pairs: list) -> list[float]:
+    """Per image, the d products ``p * q`` of the factor lists ``(p, q)`` in
+    ``pairs``, one pair per vertex, added from 0.0 left to right.
+
+    A pass takes four vertices, ``t + p0*q0 + p1*q1 + p2*q2 + p3*q3``,
+    which Python evaluates as ``(((t + p0*q0) + p1*q1) + p2*q2) + p3*q3``:
+    the float operations, in the order, of four one-vertex passes. The
+    last ``d % 4`` vertices take one pass each.
+    """
+    s = [0.0] * len(_GRID) ** 2
+    for k in range(0, len(pairs) - 3, 4):
+        s = [
+            t + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3
+            for t, p0, q0, p1, q1, p2, q2, p3, q3 in zip(s, *chain(*pairs[k : k + 4]))
+        ]
+    for p, q in pairs[len(pairs) // 4 * 4 :]:
+        s = [t + a * b for t, a, b in zip(s, p, q)]
+    return s
+
+
 def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
     """Moment images over ``vertices`` of ``(exp(a/W), exp(b/W))`` for
     ``a``, then ``b``, in ``_GRID``, where ``W`` is the larger side of the
@@ -226,28 +246,23 @@ def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
     Each factor lies in ``[exp(-3), 1]``, as ``|c * g/W - max| <= 3``, so
     no weight underflows or dominates however wide the polygon is, and
     plain sums of the d products agree with ``moment_map``'s per-point
-    form to rounding. The kernel lays the tables out flat, image by
-    image: each x row repeated once per column, and the y columns,
-    concatenated, once per row. Running lists then add each image's d
-    products from 0.0, left to right, one vertex at a time: the float
-    operations of ``sum`` before Python 3.12.
+    form to rounding. Each vertex gets its factors in image order: its
+    row factors, each repeated once per column, and its column factors,
+    repeated once per row. ``_sums`` then adds each image's d products
+    from 0.0, left to right, four vertices a pass and the rest one a pass:
+    the float operations of ``sum`` before Python 3.12.
     """
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
-    d = len(xs)
     width = max(max(xs) - min(xs), max(ys) - min(ys), 1)
-    rows = _axis_table(list(map(float, xs)), width)
-    columns = _axis_table(list(map(float, ys)), width)
-    wx = list(chain.from_iterable(w * len(_GRID) for w, _ in rows))
-    ux = list(chain.from_iterable(u * len(_GRID) for _, u in rows))
-    wy = list(chain.from_iterable(w for w, _ in columns)) * len(_GRID)
-    uy = list(chain.from_iterable(u for _, u in columns)) * len(_GRID)
-    total = mx = my = [0.0] * len(_GRID) ** 2
-    for k in range(d):
-        a, u, b, c = wx[k::d], ux[k::d], wy[k::d], uy[k::d]
-        total = [s + p * q for s, p, q in zip(total, a, b)]
-        mx = [s + p * q for s, p, q in zip(mx, u, b)]
-        my = [s + p * q for s, p, q in zip(my, a, c)]
+    n = len(_GRID)
+    rows = zip(*_axis_table(list(map(float, xs)), width))
+    columns = zip(*_axis_table(list(map(float, ys)), width))
+    wx, ux = ([list(chain(*map(repeat, f, repeat(n)))) for f in zip(*t)] for t in rows)
+    wy, uy = ([list(f) * n for f in zip(*t)] for t in columns)
+    total = _sums(list(zip(wx, wy)))
+    mx = _sums(list(zip(ux, wy)))
+    my = _sums(list(zip(wx, uy)))
     return list(zip(map(truediv, mx, total), map(truediv, my, total)))
 
 

@@ -20,6 +20,7 @@ from realtoric import (
     build_real_complex,
     classify_surface,
     complex_to_dot,
+    complex_to_json,
     corpus_fans,
     euler_from_cells,
     find_ample,
@@ -160,6 +161,13 @@ class TestCellIndices:
                 "num_vertices is None, not an integer >= 0",
                 id="vertex count None",
             ),
+            # The JSON export once returned it as it was, and the cell count
+            # raised a bare TypeError.
+            pytest.param(
+                CellComplex("3", ((0, 5),), ((7,),)),
+                "num_vertices is '3', not an integer >= 0",
+                id="string vertex count and bad indices",
+            ),
         ],
     )
     def test_index_that_is_no_integer(self, c, message):
@@ -169,6 +177,8 @@ class TestCellIndices:
             c.boundary_matrix_2,
             c.check_chain_complex,
             lambda: homology(c),
+            lambda: euler_from_cells(c),
+            lambda: complex_to_json(c),
             lambda: complex_to_dot(c),
         ):
             with pytest.raises(InvalidComplex, match=message):
@@ -177,7 +187,8 @@ class TestCellIndices:
     @pytest.mark.parametrize(
         "c",
         [
-            # Once homology's rank guard and an empty DOT graph saw it.
+            # Once homology's rank guard and an empty DOT graph saw it, and
+            # the cell count gave -1.
             pytest.param(CellComplex(-1, (), ()), id="empty"),
             # Checked before the endpoints, which lie outside 0..-2.
             pytest.param(CellComplex(-1, ((0, 1), (1, 0)), ((1, 2),)), id="edges"),
@@ -189,6 +200,8 @@ class TestCellIndices:
             c.boundary_matrix_2,
             c.check_chain_complex,
             lambda: homology(c),
+            lambda: euler_from_cells(c),
+            lambda: complex_to_json(c),
             lambda: complex_to_dot(c),
         ):
             with pytest.raises(InvalidComplex, match="num_vertices is -1, not an"):

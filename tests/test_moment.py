@@ -651,12 +651,30 @@ def test_reports_keep_their_digest_on_every_other_python():
         assert (child.returncode, out.strip()) == (0, REPORT_DIGEST), (exe, err)
 
 
+# Float reductions that round otherwise than explicit ``*`` and ``+`` left
+# to right: since Python 3.12 sum() compensates and math.sumprod keeps
+# extended precision, math.fma (3.13) rounds once, and math.dist and
+# math.hypot scale their inputs.
+OTHER_ROUNDING = {"sum", "sumprod", "fma", "dist", "hypot"}
+
+
 def test_moment_sums_no_floats_with_the_builtin_sum():
-    # Since Python 3.12 sum() of floats compensates its rounding, so the
-    # grid's bits, and the digest above, would change with the version.
+    # Any of them in the kernels would make the grid's bits, and the digest
+    # above, change with the version; refused as a name, as an attribute,
+    # or imported.
     tree = ast.parse((SRC / "realtoric" / "moment.py").read_text())
-    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
-    assert [n.lineno for n in names if n.id == "sum"] == []
+    found = [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        for name in (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if name in OTHER_ROUNDING
+    ]
+    assert found == []
 
 
 # The digest fans, the longest edges of the checks' gates and the fan that

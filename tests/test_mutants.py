@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,7 @@ from realtoric import (
 )
 import test_homology
 from test_homology import HAND_BUILT, full_smith_profile
+import test_moment
 from test_moment import REPORT_DIGEST, digest_reports, report_digest
 
 GLUING = sys.modules["realtoric.gluing"]
@@ -187,6 +189,28 @@ def _axes_swapped(fn):
     return lambda *args: fn(*args)[::-1]
 
 
+def _last_pass_skipped(fn):
+    # The grid's sums stop one pass short: the last vertex, or the last four
+    # where d is a multiple of 4, is left out of every image. A polygon of
+    # four vertices has one pass, which is kept, so that no image is 0/0.
+    def mutant(pairs):
+        short = pairs[: -1 if len(pairs) % 4 else -4]
+        return fn(short or pairs)
+
+    return mutant
+
+
+def _one_image_one_ulp_up(fn):
+    # The flat sample pass moves the x coordinate of its first image up by
+    # one ulp, far inside any containment tolerance.
+    def mutant(*args):
+        mx, my = fn(*args)
+        mx[0] = math.nextafter(mx[0], math.inf)
+        return mx, my
+
+    return mutant
+
+
 def _last_column_dropped(fn):
     return lambda c: tuple(row[:-1] for row in fn(c))
 
@@ -228,6 +252,8 @@ MUTANTS = {
     "closest-pair-adjacent-only": (MOMENT, "_min_separation", _adjacent_pairs_only),
     "sample-sign-flipped": (MOMENT, "sign_profile", _x_sign_flipped),
     "sample-images-axes-swapped": (MOMENT, "_sample_images", _axes_swapped),
+    "translation-exact-one-ulp": (MOMENT, "_sample_images", _one_image_one_ulp_up),
+    "grid-sums-drop-last-pass": (MOMENT, "_sums", _last_pass_skipped),
     "last-distinct-column-dropped": (HOMOLOGY, "_distinct_columns", _last_column_dropped),
     "smith-memo-keyed-by-shape": (HOMOLOGY, "_factors", _keyed_by_shape),
 }
@@ -382,10 +408,19 @@ def test_grid_width_mutant_fails_the_separation_gate(monkeypatch):
     )
 
 
+@lru_cache(maxsize=1)
+def _digest_reports_unmutated():
+    # The reports tests/test_moment.py pins, built once, without a mutant:
+    # each caller asks for them before it applies its own.
+    reports = tuple(digest_reports())
+    assert report_digest(reports) == REPORT_DIGEST
+    return reports
+
+
 def test_adjacent_only_mutant_moves_the_report_digest(monkeypatch):
     # tests/test_moment.py pins the digest of these reports. Missing the
     # closest pair can only raise a separation.
-    before = digest_reports()
+    before = _digest_reports_unmutated()
     _apply(monkeypatch, "closest-pair-adjacent-only")
     after = digest_reports()
     assert report_digest(after) != REPORT_DIGEST
@@ -418,13 +453,44 @@ def test_axes_swapped_mutant_fails_the_violation_gate_and_the_digest(monkeypatch
     # The acceptance gate asks for a violation of at most 1e-9; only the 8
     # polygons symmetric in the diagonal keep swapped images inside. A
     # swapped image also differs from moment_map's at the magnitudes.
-    assert report_digest(digest_reports()) == REPORT_DIGEST
+    _digest_reports_unmutated()
     _apply(monkeypatch, "sample-images-axes-swapped")
     after = digest_reports()
     assert report_digest(after) != REPORT_DIGEST
     outside = [r for r in after if r.max_inequality_violation > 1e-9]
     assert len(outside) == 64
     assert not any(r.translation_exact for r in after)
+
+
+def test_one_ulp_mutant_fails_criterion_7(monkeypatch):
+    # One image one ulp off stays inside the polygon by far, and no sign
+    # moves: only the bit-for-bit comparison with moment_map sees it.
+    _apply(monkeypatch, "translation-exact-one-ulp")
+    with pytest.raises(AssertionError, match="translation_exact"):
+        test_acceptance.test_criterion_7_moment_suite.__wrapped__()
+
+
+# Grid fans of tests/test_moment.py by their number of vertices: the sums
+# of a triangle take one-vertex passes only, a square's one pass of four,
+# a pentagon's a pass of four and one of one, an octagon's two of four.
+LAST_PASS_FANS = {3: "P2", 4: "F0", 5: "wedge-1e2", 8: "corpus8"}
+
+
+def test_dropped_last_pass_fails_the_grid_oracle_and_the_digest(monkeypatch):
+    # Where the sums have one pass, a square's, the mutant keeps it. Every
+    # other polygon loses a vertex or four from its grid images, which
+    # the per-image oracle and the report digest both see.
+    _apply(monkeypatch, "grid-sums-drop-last-pass")
+    grid_test = test_moment.test_grid_images_match_the_per_image_sums_bit_for_bit
+    for d, name in LAST_PASS_FANS.items():
+        assert len(test_moment._grid_vertices(name)) == d
+        if d == 4:
+            grid_test(name)
+        else:
+            with pytest.raises(AssertionError):
+                grid_test(name)
+    with pytest.raises(AssertionError):
+        test_moment.test_reports_keep_their_digest()
 
 
 def test_dropped_column_mutant_fails_the_oracle(monkeypatch):
