@@ -299,15 +299,16 @@ def tubular_neighborhood(fan: Fan, i: int) -> NeighborhoodType:
 
 
 def complex_to_json(c: CellComplex) -> dict:
-    """JSON-ready mapping with vertex count, edge pairs, and face words.
+    """JSON-ready mapping with vertex count, edge pairs, and face words,
+    each number read through ``operator.index``, as the check reads it.
 
     A complex that ``check_chain_complex`` refuses is InvalidComplex.
     """
     c.check_chain_complex()
     return {
-        "vertices": c.num_vertices,
-        "edges": [list(e) for e in c.edges],
-        "faces": [list(w) for w in c.faces],
+        "vertices": index(c.num_vertices),
+        "edges": [list(map(index, e)) for e in c.edges],
+        "faces": [list(map(index, w)) for w in c.faces],
     }
 
 

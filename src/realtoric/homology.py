@@ -122,9 +122,10 @@ def homology(c: CellComplex) -> HomologyProfile:
 
 def euler_from_cells(c: CellComplex) -> int:
     """Alternating cell count ``V - E + F`` of a complex that
-    ``check_chain_complex`` accepts, else InvalidComplex."""
+    ``check_chain_complex`` accepts, else InvalidComplex; ``V`` is read
+    through ``operator.index``, as the check reads it."""
     c.check_chain_complex()
-    return c.num_vertices - len(c.edges) + len(c.faces)
+    return index(c.num_vertices) - len(c.edges) + len(c.faces)
 
 
 class _Surface(NamedTuple):

@@ -19,7 +19,9 @@ below ``exp(-6)`` of the largest and the images stay apart however wide
 the polygon is. The samples, which do not depend on the fan, are drawn
 once per ``(seed, samples)``. Flat kernels take their images in blocks,
 build the grid's 1,024 images and sweep them for the closest pair, with
-the float operations, in the order, of a loop over single images.
+the float operations, in the order, of a loop over single images, but
+for the grid's additions of an exact +0.0, which change no bit and are
+left out (see ``_grid_images``).
 Sums are ``math.fsum`` or explicit ``+`` left to right, never ``sum``,
 which compensates since Python 3.12, so reports are bit-identical on 3.10
 to 3.13. The numerics back up the exact combinatorics; nothing downstream
@@ -218,23 +220,38 @@ def _axis_table(
 
 
 def _sums(pairs: list) -> list[float]:
-    """Per image, the d products ``p * q`` of the factor lists ``(p, q)`` in
+    """Per image, the products ``p * q`` of the factor lists ``(p, q)`` in
     ``pairs``, one pair per vertex, added from 0.0 left to right.
 
     A pass takes four vertices, ``t + p0*q0 + p1*q1 + p2*q2 + p3*q3``,
     which Python evaluates as ``(((t + p0*q0) + p1*q1) + p2*q2) + p3*q3``:
     the float operations, in the order, of four one-vertex passes. The
-    last ``d % 4`` vertices take one pass each.
+    last ``len(pairs) % 4`` vertices take one pass of that many, in the
+    same way.
     """
     s = [0.0] * len(_GRID) ** 2
-    for k in range(0, len(pairs) - 3, 4):
+    left = len(pairs) % 4
+    for k in range(0, len(pairs) - left, 4):
         s = [
             t + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3
             for t, p0, q0, p1, q1, p2, q2, p3, q3 in zip(s, *chain(*pairs[k : k + 4]))
         ]
-    for p, q in pairs[len(pairs) // 4 * 4 :]:
-        s = [t + a * b for t, a, b in zip(s, p, q)]
+    rest = chain(*pairs[len(pairs) - left :])
+    if left == 3:
+        s = [
+            t + p0 * q0 + p1 * q1 + p2 * q2
+            for t, p0, q0, p1, q1, p2, q2 in zip(s, *rest)
+        ]
+    elif left == 2:
+        s = [t + p0 * q0 + p1 * q1 for t, p0, q0, p1, q1 in zip(s, *rest)]
+    elif left == 1:
+        s = [t + p0 * q0 for t, p0, q0 in zip(s, *rest)]
     return s
+
+
+def _by_row(factors: Sequence[float]) -> list[float]:
+    # A vertex's row factors in image order: each once per column.
+    return list(chain(*map(repeat, factors, repeat(len(_GRID)))))
 
 
 def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
@@ -248,21 +265,31 @@ def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
     plain sums of the d products agree with ``moment_map``'s per-point
     form to rounding. Each vertex gets its factors in image order: its
     row factors, each repeated once per column, and its column factors,
-    repeated once per row. ``_sums`` then adds each image's d products
-    from 0.0, left to right, four vertices a pass and the rest one a pass:
-    the float operations of ``sum`` before Python 3.12.
+    repeated once per row. ``_sums`` then adds each image's products from
+    0.0, left to right: the float operations of ``sum`` before Python
+    3.12, but for the products that are exactly +0.0.
+
+    Those are left out: a vertex with x = 0 adds ``(wx * 0.0) * wy``, which
+    is +0.0, to the x sum, and one with y = 0 adds +0.0 to the y sum, and
+    no partial sum is -0.0, so ``t + 0.0`` is ``t`` bit for bit. Each
+    factor is a float of at least ``exp(-3) > 2**-5`` and each nonzero
+    coordinate has ``|c| >= 1``, so each product is at least
+    ``exp(-6) > 2**-9`` in size, a multiple of ``2**-61``, and so is every
+    rounded partial sum. A sum that cancels is therefore +0.0, never a
+    subnormal or -0.0. The total keeps every vertex, in order; the factor
+    lists of the left-out products are never built.
     """
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
     width = max(max(xs) - min(xs), max(ys) - min(ys), 1)
     n = len(_GRID)
-    rows = zip(*_axis_table(list(map(float, xs)), width))
-    columns = zip(*_axis_table(list(map(float, ys)), width))
-    wx, ux = ([list(chain(*map(repeat, f, repeat(n)))) for f in zip(*t)] for t in rows)
-    wy, uy = ([list(f) * n for f in zip(*t)] for t in columns)
+    row_w, row_u = (zip(*t) for t in zip(*_axis_table(list(map(float, xs)), width)))
+    col_w, col_u = (zip(*t) for t in zip(*_axis_table(list(map(float, ys)), width)))
+    wx = [_by_row(f) for f in row_w]
+    wy = [list(f) * n for f in col_w]
     total = _sums(list(zip(wx, wy)))
-    mx = _sums(list(zip(ux, wy)))
-    my = _sums(list(zip(wx, uy)))
+    mx = _sums([(_by_row(u), w) for u, w, c in zip(row_u, wy, xs) if c])
+    my = _sums([(w, list(u) * n) for w, u, c in zip(wx, col_u, ys) if c])
     return list(zip(map(truediv, mx, total), map(truediv, my, total)))
 
 

@@ -1,6 +1,7 @@
 """Homology profiles, surface recognition, and the verification pipeline."""
 
 import importlib
+import json
 import sys
 from fractions import Fraction
 
@@ -209,7 +210,9 @@ class TestCellIndices:
 
     def test_integers_as_operator_index_judges_them(self):
         # A bool or an int subclass is an integer index, and so is a count
-        # that only has __index__.
+        # that only has __index__. The cell count used to raise a bare
+        # TypeError on such a count, and the JSON export returned it as it
+        # was, which json.dumps refuses, and true for the bool entries.
         class Index(int):
             pass
 
@@ -224,6 +227,8 @@ class TestCellIndices:
         assert complex_to_dot(c) == complex_to_dot(plain)
         assert c.boundary_matrix_1() == plain.boundary_matrix_1()
         assert c.boundary_matrix_2() == plain.boundary_matrix_2()
+        assert euler_from_cells(c) == euler_from_cells(plain) == 1
+        assert json.dumps(complex_to_json(c)) == json.dumps(complex_to_json(plain))
 
 
 def closed_walk(draw, edges):

@@ -11,8 +11,6 @@ import subprocess
 import sys
 import time
 from array import array
-from functools import reduce
-from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -271,6 +269,10 @@ def _brute_force_separation(points):
     return math.sqrt(best)
 
 
+def _transposed(points):
+    return [(y, x) for x, y in points]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_min_separation_matches_all_pairs(seed):
     rng = random.Random(seed)
@@ -286,14 +288,19 @@ def test_min_separation_matches_all_pairs(seed):
         ]
     points += rng.sample(points, rng.randint(0, min(3, n)))
     rng.shuffle(points)
-    assert _min_separation(points) == _brute_force_separation(points)
+    want = _brute_force_separation(points)
+    assert _min_separation(points) == _min_separation(_transposed(points)) == want
 
 
 def test_min_separation_edge_cases():
-    assert _min_separation([]) == math.inf
-    assert _min_separation([(1.0, 2.0)]) == math.inf
-    assert _min_separation([(1.0, 2.0), (1.0, 2.0)]) == 0.0
-    assert _min_separation([(0.0, 0.0), (3.0, 4.0)]) == 5.0
+    for points, want in [
+        ([], math.inf),
+        ([(1.0, 2.0)], math.inf),
+        ([(1.0, 2.0), (1.0, 2.0)], 0.0),
+        ([(0.0, 0.0), (3.0, 4.0)], 5.0),
+        ([(0.0, 1.0), (2.0, 3.0), (0.0, 1.0), (2.0, -1.0)], 0.0),
+    ]:
+        assert _min_separation(points) == _min_separation(_transposed(points)) == want
 
 
 # (name, max_inequality_violation, min_mu_separation, translation_exact,
@@ -533,15 +540,11 @@ def _grid_vertices(name):
     return polygon_from_divisor(fan, find_ample(fan)).vertices
 
 
-def _left_sum(values):
-    # 0.0 + v0 + v1 + ..., left to right: the builtin sum before Python
-    # 3.12, which compensates its rounding from 3.12 on.
-    return reduce(add, values, 0.0)
-
-
 def _per_image_grid(vertices):
-    # One image at a time, three sums of d products each: the form the
-    # flat kernel must reproduce bit for bit.
+    # One image at a time, three sums of all d products each, added from
+    # 0.0 left to right as the builtin sum did before Python 3.12 (it
+    # compensates its rounding from 3.12 on): the form the flat kernel
+    # must reproduce bit for bit.
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
     width = max(max(xs) - min(xs), max(ys) - min(ys), 1)
@@ -549,11 +552,21 @@ def _per_image_grid(vertices):
     images = []
     for wx, ux in _axis_table(xs, width):
         for wy, uy in columns:
-            total = _left_sum(map(mul, wx, wy))
-            mx = _left_sum(map(mul, ux, wy))
-            my = _left_sum(map(mul, wx, uy))
+            total = mx = my = 0.0
+            for a, u, b, v in zip(wx, ux, wy, uy):
+                total += a * b
+                mx += u * b
+                my += a * v
             images.append((mx / total, my / total))
     return images
+
+
+def _bits(images):
+    # The exact bits of every coordinate, -0.0 and NaN payloads included: a
+    # stricter match than the reprs, cheaper to build, and on a mismatch
+    # pytest names the first differing byte instead of diffing two 40 kB
+    # strings, which can take seconds.
+    return array("d", [c for image in images for c in image]).tobytes()
 
 
 @pytest.mark.parametrize("name", list(GRID_FANS))
@@ -561,7 +574,69 @@ def test_grid_images_match_the_per_image_sums_bit_for_bit(name):
     vertices = _grid_vertices(name)
     images = _grid_images(vertices)
     assert len(images) == 1024
-    assert repr(images) == repr(_per_image_grid(vertices))
+    assert _bits(images) == _bits(_per_image_grid(vertices))
+
+
+def _translated(vertices):
+    # Off the axes, mostly: the kernel then leaves no product out.
+    return [(x + 3, y - 7) for x, y in vertices]
+
+
+@pytest.mark.parametrize("start", range(0, 200, 25))
+def test_grid_images_match_the_per_image_sums_on_random_fans(start):
+    # Every default polygon has a corner at the origin, whose products the
+    # kernel's x and y sums leave out, and most have another vertex on an
+    # axis; 3 to 16 vertices give every remainder mod 4.
+    for s in range(start, start + 25):
+        fan = random_fan(s, s % 13)
+        vertices = polygon_from_divisor(fan, find_ample(fan)).vertices
+        for v in (vertices, _translated(vertices)):
+            assert _bits(_grid_images(v)) == _bits(_per_image_grid(v)), (s, v)
+
+
+# Convex lattice polygons with one, two and three vertices on the axes (the
+# origin lies on both), and with 3 to 7 vertices: the sums over every
+# vertex, and over those off each axis, take every remainder mod 4.
+AXIS_POLYGONS = {
+    "one on an axis": [(0, 2), (3, 5), (-2, 6)],
+    "two on the x axis": [(1, 0), (4, 0), (3, 2), (2, 3)],
+    "pentagon at the origin": [(0, 0), (3, 0), (4, 2), (2, 4), (0, 3)],
+    "hexagon at the origin": [(0, 0), (2, 0), (4, 1), (4, 3), (2, 4), (0, 2)],
+    "heptagon at the origin": [(0, 0), (3, 0), (5, 1), (6, 3), (5, 5), (2, 5), (0, 2)],
+}
+
+
+def test_axis_polygons_cover_every_remainder():
+    polygons = AXIS_POLYGONS.values()
+    on_axes = [sum(1 for x, y in v if x * y == 0) for v in polygons]
+    assert on_axes == [1, 2, 3, 3, 3]
+    for axis in (0, 1):
+        off = {sum(1 for u in v if u[axis]) % 4 for v in polygons}
+        assert off == {0, 1, 2, 3}
+    assert {len(v) % 4 for v in polygons} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("name", list(AXIS_POLYGONS))
+def test_grid_images_match_the_per_image_sums_on_the_axes(name):
+    for v in (AXIS_POLYGONS[name], _translated(AXIS_POLYGONS[name])):
+        assert _bits(_grid_images(v)) == _bits(_per_image_grid(v))
+
+
+# Grid images with many ties and a lopsided spread: the unit square's 1,024
+# images share 106 x values; the wedge's spread wide in x, so transposed
+# they stand tall.
+SWEEP_POLYGONS = {
+    "unit square": [(0, 0), (1, 0), (1, 1), (0, 1)],
+    "wedge": _grid_vertices("wedge-1e2"),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_POLYGONS))
+def test_min_separation_of_a_grid_does_not_depend_on_the_axis(name):
+    images = _grid_images(SWEEP_POLYGONS[name])
+    want = _brute_force_separation(images)
+    assert repr(_min_separation(images)) == repr(want)
+    assert repr(_min_separation(_transposed(images))) == repr(want)
 
 
 @pytest.mark.parametrize("name", list(GRID_FANS)[:30])
@@ -646,8 +721,10 @@ def test_reports_keep_their_digest_on_every_other_python():
         )
         for exe in found.values()
     }
-    for exe, child in children.items():
-        out, err = child.communicate(timeout=120)
+    # Every child is waited for before any is judged, so that a failure
+    # leaves no open pipe for a later test to warn about.
+    results = [(exe, *child.communicate(timeout=120)) for exe, child in children.items()]
+    for (exe, out, err), child in zip(results, children.values()):
         assert (child.returncode, out.strip()) == (0, REPORT_DIGEST), (exe, err)
 
 

@@ -2,8 +2,10 @@
 catch it.
 
 A mutant that survives points at a check that cannot fail. Each mutant
-wraps one function or table where its caller looks it up. ``verify`` reads
-its helpers from the module ``realtoric.homology``, which is reached
+wraps one function or table where its caller looks it up, or, where the
+fault lies inside one function, replaces it with a copy compiled from its
+source with one expression changed. ``verify`` reads its helpers from the
+module ``realtoric.homology``, which is reached
 through ``sys.modules``: the package attribute of that name is the function
 ``homology`` (``from .homology import *`` rebinds it), so a patch through
 the package would change nothing. ``realtoric.gluing`` and
@@ -17,7 +19,9 @@ mutant, and so does every teardown, so that an entry made under a mutant
 cannot reach a later test. An ``ast`` guard keeps ``MEMOS`` complete.
 """
 
+import __future__
 import ast
+import inspect
 import json
 import math
 import sys
@@ -190,9 +194,9 @@ def _axes_swapped(fn):
 
 
 def _last_pass_skipped(fn):
-    # The grid's sums stop one pass short: the last vertex, or the last four
-    # where d is a multiple of 4, is left out of every image. A polygon of
-    # four vertices has one pass, which is kept, so that no image is 0/0.
+    # The grid's sums leave out their last vertex, or their last four where
+    # they take a multiple of 4, from every image. A sum of four vertices
+    # alone keeps them, so that no total is 0.0 and no image 0/0.
     def mutant(pairs):
         short = pairs[: -1 if len(pairs) % 4 else -4]
         return fn(short or pairs)
@@ -209,6 +213,27 @@ def _one_image_one_ulp_up(fn):
         return mx, my
 
     return mutant
+
+
+def _rewritten(old, new):
+    # A mutant inside one function: the function compiled again from its
+    # source with ``old``, which occurs there once, replaced by ``new``,
+    # under the globals of the original.
+    def wrap(fn):
+        source = inspect.getsource(fn)
+        assert source.count(old) == 1, old
+        code = compile(
+            source.replace(old, new),
+            inspect.getsourcefile(fn),
+            "exec",
+            flags=__future__.annotations.compiler_flag,
+            dont_inherit=True,
+        )
+        scope = {}
+        exec(code, fn.__globals__, scope)
+        return scope[fn.__name__]
+
+    return wrap
 
 
 def _last_column_dropped(fn):
@@ -254,6 +279,10 @@ MUTANTS = {
     "sample-images-axes-swapped": (MOMENT, "_sample_images", _axes_swapped),
     "translation-exact-one-ulp": (MOMENT, "_sample_images", _one_image_one_ulp_up),
     "grid-sums-drop-last-pass": (MOMENT, "_sums", _last_pass_skipped),
+    # The x sums leave out the vertices with y = 0, not those with x = 0.
+    "grid-zero-skip-wrong-axis": (
+        MOMENT, "_grid_images", _rewritten("zip(row_u, wy, xs)", "zip(row_u, wy, ys)")
+    ),
     "last-distinct-column-dropped": (HOMOLOGY, "_distinct_columns", _last_column_dropped),
     "smith-memo-keyed-by-shape": (HOMOLOGY, "_factors", _keyed_by_shape),
 }
@@ -470,27 +499,39 @@ def test_one_ulp_mutant_fails_criterion_7(monkeypatch):
         test_acceptance.test_criterion_7_moment_suite.__wrapped__()
 
 
-# Grid fans of tests/test_moment.py by their number of vertices: the sums
-# of a triangle take one-vertex passes only, a square's one pass of four,
-# a pentagon's a pass of four and one of one, an octagon's two of four.
+# Grid fans of tests/test_moment.py by their number of vertices.
 LAST_PASS_FANS = {3: "P2", 4: "F0", 5: "wedge-1e2", 8: "corpus8"}
 
 
 def test_dropped_last_pass_fails_the_grid_oracle_and_the_digest(monkeypatch):
-    # Where the sums have one pass, a square's, the mutant keeps it. Every
-    # other polygon loses a vertex or four from its grid images, which
-    # the per-image oracle and the report digest both see.
+    # A sum of four vertices alone keeps them, but every polygon here has a
+    # sum that loses a vertex or four: the triangle's and the pentagon's
+    # totals, the octagon's four of eight, and the square's x and y sums,
+    # which leave out the two vertices on their axis and take two. The
+    # per-image oracle and the report digest both see it.
     _apply(monkeypatch, "grid-sums-drop-last-pass")
     grid_test = test_moment.test_grid_images_match_the_per_image_sums_bit_for_bit
     for d, name in LAST_PASS_FANS.items():
         assert len(test_moment._grid_vertices(name)) == d
-        if d == 4:
+        with pytest.raises(AssertionError):
             grid_test(name)
-        else:
-            with pytest.raises(AssertionError):
-                grid_test(name)
     with pytest.raises(AssertionError):
         test_moment.test_reports_keep_their_digest()
+
+
+def test_zero_skip_on_the_wrong_axis_fails_the_grid_oracle(monkeypatch):
+    # The x sums leave out the vertices with y = 0: that loses a product
+    # where a vertex off the origin lies on the x axis, and only there.
+    # Of the polygons of tests/test_moment.py on the axes, only the
+    # triangle has none; of the default polygons of its 59 grid fans, 43
+    # have one. The kernel is reached through the module, so the oracle
+    # keeps its own, unmutated helpers.
+    _apply(monkeypatch, "grid-zero-skip-wrong-axis")
+    bits = test_moment._bits
+    for name, vertices in test_moment.AXIS_POLYGONS.items():
+        kernel = bits(MOMENT._grid_images(vertices))
+        oracle = bits(test_moment._per_image_grid(vertices))
+        assert (kernel != oracle) == any(x != 0 == y for x, y in vertices), name
 
 
 def test_dropped_column_mutant_fails_the_oracle(monkeypatch):
