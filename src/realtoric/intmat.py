@@ -14,11 +14,13 @@ from the others, and pick a new, smaller pivot while a remainder is left.
 Every step is a swap or adds a multiple of one row (column) to another, so
 it is unimodular and the factors are those of the input; they are unique,
 so any such reduction gives the same answer. The pivot search stops at the
-first unit, and the divisibility patch is skipped behind a unit pivot.
+first unit. Since diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)),
+a pairwise pass over the pivots above 1 makes the divisibility chain.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from operator import index
 from typing import NamedTuple, Sequence
 
@@ -29,18 +31,15 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def _int_rows(a: Sequence[Sequence[int]]) -> list[list[int]]:
     """The rows of ``a`` as lists of ints; a non-integer entry is a ValueError."""
-    try:
-        return [list(map(index, row)) for row in a]
-    except TypeError:
-        for i, row in enumerate(a):
-            for j, x in enumerate(row):
-                try:
-                    index(x)
-                except TypeError:
-                    raise ValueError(
-                        f"entry ({i}, {j}) is {x!r}, not an integer"
-                    ) from None
-        raise
+    rows = []
+    for i, row in enumerate(a):
+        rows.append(out := [])
+        for j, x in enumerate(row):
+            try:
+                out.append(index(x))
+            except TypeError:
+                raise ValueError(f"entry ({i}, {j}) is {x!r}, not an integer") from None
+    return rows
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -117,21 +116,17 @@ def _dense_diag(d: list[list[int]]) -> tuple[int, ...]:
                 for row in d:
                     row[j] -= q * row[t]
         # A remainder is smaller than |g|: pivot on the least entry again.
-        if any(top[t + 1 :]) or any(row[t] for row in d[t + 1 :]):
-            continue
-        if g not in (1, -1):
-            offender = next(
-                (i for i in range(t + 1, m) if any(x % g for x in d[i][t + 1 :])),
-                None,
-            )
-            if offender is not None:
-                d[t] = [x + y for x, y in zip(top, d[offender])]
-                continue
-        t += 1
+        if not (any(top[t + 1 :]) or any(row[t] for row in d[t + 1 :])):
+            t += 1
 
     # The loop stops at the first all-zero submatrix, so the nonzero
-    # pivots are d[0][0], ..., d[t-1][t-1]; only their signs are left.
-    return tuple(abs(d[i][i]) for i in range(t))
+    # pivots are d[0][0], ..., d[t-1][t-1]. Units divide everything, so
+    # they stay in front and a unit-heavy diagonal costs no pairs.
+    f = [abs(d[i][i]) for i in range(t) if d[i][i] not in (1, -1)]
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            f[i], f[j] = gcd(f[i], f[j]), lcm(f[i], f[j])
+    return (1,) * (t - len(f)) + tuple(f)
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
@@ -142,10 +137,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     subtracts its row and column, times the floor quotient, from every row
     and column with a nonzero quotient. A remainder left in the pivot row
     or column is smaller than the pivot, so searching again terminates.
-    Once both are clear, a divisibility failure is patched by adding the
-    offending row to the pivot row (skipped behind a unit pivot), and the
-    search starts again. Handles empty and all-zero matrices; a ragged
-    matrix or a non-integer entry is a ValueError.
+    Once both are clear, the next pivot is searched for in the submatrix
+    left. The pivots found are then replaced pairwise by their gcd and lcm
+    until each divides the next. Handles empty and all-zero matrices; a
+    ragged matrix or a non-integer entry is a ValueError.
 
     ``homology`` passes it the distinct columns of the faces-by-edges
     boundary of a real toric surface: 4 x 4 or 4 x 6, entries 0 and +-1,

@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 
 import realtoric
 import realtoric.cli as cli
-from realtoric import ToricDivisor, fan_to_json, hirzebruch_fan, random_fan, verify
+from realtoric import (
+    CellComplex,
+    ToricDivisor,
+    fan_to_json,
+    hirzebruch_fan,
+    random_fan,
+    verify,
+)
 
 P2_RAYS = {"rays": [[-1, -1], [1, 0], [0, 1]]}
 TEN_RAY_FAN = [
@@ -192,6 +199,26 @@ class TestInternalErrors:
             argv,
             "moment-check",
             "RuntimeError: sign profiles disagreed with the sign vectors",
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "classify", "corpus"])
+    def test_invalid_glued_complex(self, capsys, write, monkeypatch, command):
+        # The fan is valid, so a complex that homology refuses is the
+        # program's fault. verify reads the builder from its own module.
+        open_face = CellComplex(2, ((0, 1), (0, 1)), ((1, 1),))
+        monkeypatch.setattr(
+            sys.modules["realtoric.homology"], "build_real_complex", lambda fan: open_face
+        )
+        if command == "corpus":
+            argv = ["corpus", "--seed", "7", "--count", "2", "--jobs", "1"]
+        else:
+            argv = [command, write("fan.json", P2_RAYS)]
+        assert_internal_error(
+            capsys,
+            argv,
+            command,
+            "RuntimeError: the glued complex is invalid: face 1 is no closed walk: "
+            "entry 2 starts at vertex 0, entry 1 ends at vertex 1",
         )
 
 
@@ -982,27 +1009,36 @@ def test_polygon_benchmark_accepts_one_block(monkeypatch, tmp_path):
         polygon.check(fan, polygon.op(fan))
 
 
-# The fan each README example runs on; README calls every fan file fan.json.
+# The fan each README example on a fan file runs on, keyed by the command
+# and its flags; README calls every fan file fan.json.
+P2_BLOWN_UP_RAYS = {"rays": [[1, 0], [1, 1], [0, 1], [-1, -1]]}
 README_FANS = {
     "validate": P2_RAYS,
     "classify": P2_RAYS,
     "selfint": F4_RAYS,
+    "predict": F4_RAYS,
+    "surgery --blow-up 0": P2_RAYS,
+    "surgery --blow-down 1": P2_BLOWN_UP_RAYS,
+    "surgery --minimal": P2_BLOWN_UP_RAYS,
     "ample": F4_RAYS,
     "complex": P2_RAYS,
     "gkz-demo": P2_RAYS,
-    "moment-check": P2_RAYS,
+    "moment-check --seed 0 --samples 256": P2_RAYS,
 }
 
 
 def _readme_examples():
-    # (argv after the fan file, printed JSON) for each README_FANS command
-    # that README shows with its output
+    # (example, printed output) for each README example in README_FANS that
+    # README shows with its output
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8"
     ).splitlines()
     for i, line in enumerate(lines):
         words = line.split("#")[0].split()
-        if words[:2] != ["$", "realtoric"] or words[2] not in README_FANS:
+        if words[:2] != ["$", "realtoric"]:
+            continue
+        example = " ".join(words[2:3] + words[4:])
+        if example not in README_FANS:
             continue
         output = []
         for following in lines[i + 1 :]:
@@ -1010,26 +1046,31 @@ def _readme_examples():
                 break
             output.append(following)
         if output:
-            yield words[2], words[4:], "\n".join(output)
+            yield example, "\n".join(output)
 
 
 README_EXAMPLES = list(_readme_examples())
 
 
 def test_readme_examples_cover_every_command():
-    assert sorted(command for command, _, _ in README_EXAMPLES) == sorted(README_FANS)
+    assert sorted(example for example, _ in README_EXAMPLES) == sorted(README_FANS)
 
 
 @pytest.mark.parametrize(
-    "command, flags, printed",
+    "example, printed",
     README_EXAMPLES,
-    ids=[command for command, _, _ in README_EXAMPLES],
+    ids=[example for example, _ in README_EXAMPLES],
 )
-def test_readme_example_matches_cli(capsys, write, command, flags, printed):
-    fan = write("fan.json", README_FANS[command])
+def test_readme_example_matches_cli(capsys, write, example, printed):
+    command, *flags = example.split()
+    fan = write("fan.json", README_FANS[example])
     code, out, err = run_lines(capsys, [command, fan, *flags])
     assert (code, err) == (0, "")
-    assert json.loads(out) == json.loads(printed)
+    if command == "predict":
+        # the one command that prints plain text
+        assert out == printed + "\n"
+    else:
+        assert json.loads(out) == json.loads(printed)
 
 
 def run_captured(argv):

@@ -15,6 +15,7 @@ from realtoric import (
     apply_map,
     blow_down,
     blow_up,
+    corpus_tasks,
     cyclically_equal,
     fan_from_json,
     fan_to_json,
@@ -278,6 +279,34 @@ class TestRandomFan:
     def test_rejects_negative(self):
         with pytest.raises(InvalidInput):
             random_fan(1, -1)
+
+
+@pytest.mark.parametrize(
+    "count, max_blowups, message",
+    [
+        (-1, 0, "count must be nonnegative"),
+        (1, -1, "max_blowups must be nonnegative"),
+    ],
+)
+def test_corpus_tasks_refuse_negative_sizes(count, max_blowups, message):
+    with pytest.raises(InvalidInput) as refused:
+        corpus_tasks(1, count, max_blowups)
+    assert (type(refused.value), str(refused.value)) == (InvalidInput, message)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (hirzebruch_fan, (-1,), "the canonical 4-ray fan takes a >= 0"),
+        (apply_map, (P2, ((1, 0), (0.5, 1))), "map entries must be integers"),
+        (apply_map, (P2, ((True, 0), (0, 1))), "map entries must be integers"),
+    ],
+    ids=["hirzebruch-negative", "map-float", "map-bool"],
+)
+def test_fan_builders_refuse_bad_arguments(build, args, message):
+    with pytest.raises(InvalidInput) as refused:
+        build(*args)
+    assert (type(refused.value), str(refused.value)) == (InvalidInput, message)
 
 
 @given(seed=st.integers(0, 2**64 - 1), blowups=st.integers(0, 8))

@@ -307,3 +307,25 @@ class TestExport:
         flipped.check_chain_complex()
         text = complex_to_dot(flipped)
         assert "[" not in text.replace("[label", "") and '"e5"' in text
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_dot_of_a_rotated_face_keeps_plain_names(self, k):
+        # Face k's word started one entry later is still a closed walk, but
+        # its edges and their heads then sit at other positions than in
+        # the faces that share them, so no cell is labelled by copies.
+        c = build_real_complex(P2)
+        word = c.faces[k][1:] + c.faces[k][:1]
+        rotated = c._replace(faces=c.faces[:k] + (word,) + c.faces[k + 1 :])
+        assert complex_to_dot(rotated) == (
+            "digraph real_complex {\n"
+            '  v0 [label="v0"];\n'
+            '  v1 [label="v1"];\n'
+            '  v2 [label="v2"];\n'
+            '  v2 -> v0 [label="e0"];\n'
+            '  v2 -> v0 [label="e1"];\n'
+            '  v0 -> v1 [label="e2"];\n'
+            '  v0 -> v1 [label="e3"];\n'
+            '  v1 -> v2 [label="e4"];\n'
+            '  v1 -> v2 [label="e5"];\n'
+            "}\n"
+        )

@@ -668,6 +668,13 @@ class TestClassify:
         assert str(SurfaceType(False, 2)) == "Klein bottle"
         assert str(SurfaceType(False, 5)) == "connect sum of 5 copies of RP²"
 
+    @pytest.mark.parametrize(
+        "genus, text",
+        [(2, "orientable surface of genus 2"), (7, "orientable surface of genus 7")],
+    )
+    def test_orientable_display_strings_past_the_torus(self, genus, text):
+        assert str(SurfaceType(True, genus)) == text
+
     def test_genus_validation(self):
         with pytest.raises(ValueError):
             SurfaceType(orientable=False, genus=0)

@@ -34,6 +34,7 @@ from hypothesis import Phase, find, settings
 
 import realtoric.cli as cli
 import test_acceptance
+import test_intmat
 import test_linear_stages
 from realtoric import (
     CellComplex,
@@ -55,6 +56,7 @@ from test_moment import REPORT_DIGEST, digest_reports, report_digest
 
 GLUING = sys.modules["realtoric.gluing"]
 HOMOLOGY = sys.modules["realtoric.homology"]
+INTMAT = sys.modules["realtoric.intmat"]
 MOMENT = sys.modules["realtoric.moment"]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -285,6 +287,14 @@ MUTANTS = {
     ),
     "last-distinct-column-dropped": (HOMOLOGY, "_distinct_columns", _last_column_dropped),
     "smith-memo-keyed-by-shape": (HOMOLOGY, "_factors", _keyed_by_shape),
+    # The pivots returned as found, without the gcd/lcm pass.
+    "smith-diagonal-unnormalized": (
+        INTMAT,
+        "_dense_diag",
+        _rewritten(
+            "(1,) * (t - len(f)) + tuple(f)", "tuple(abs(d[i][i]) for i in range(t))"
+        ),
+    ),
 }
 
 # The mutants that verify's own comparisons catch, each with the fans of
@@ -406,8 +416,11 @@ def test_open_path_fails_without_the_closing_step(monkeypatch):
 
 def _counterexample(strategy, fails):
     # The first drawn example on which ``fails`` holds, unshrunk, or
-    # Hypothesis's NoSuchExample.
-    quick = settings(database=None, max_examples=600, phases=[Phase.generate])
+    # Hypothesis's NoSuchExample. Derandomized, so every run draws the same
+    # examples and a mutant caught once is caught every time.
+    quick = settings(
+        database=None, max_examples=600, phases=[Phase.generate], derandomize=True
+    )
     return find(strategy, fails, settings=quick)
 
 
@@ -580,6 +593,29 @@ def test_shape_keyed_memo_fails_the_memo_test(monkeypatch):
     HOMOLOGY._factors.cache_clear()
     rp2, profile = HAND_BUILT["RP2"]
     assert (homology(rp2), homology(test_homology.DISK[0])) == (profile, profile)
+
+
+def test_unnormalized_smith_diagonal_fails_the_oracles(monkeypatch):
+    # Real complexes give torsion (2,) or () with the raw pivots too, so
+    # verify cannot see the mutant. Pivots that divide no other, as in
+    # diag(2, 3) and diag(6, 4, 10), do show it, and so do criterion 4's
+    # seeded matrices and the unit-heavy matrices of tests/test_intmat.py.
+    # The elementary oracle stands in for sympy, whose import alone takes
+    # about 0.5 s.
+    _apply(monkeypatch, "smith-diagonal-unnormalized")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    examples = test_intmat.TestSmithExamples()
+    for pinned in (
+        examples.test_diagonal_needs_reordering,
+        examples.test_diagonal_of_three_needs_gcd_and_lcm,
+        test_acceptance.test_criterion_4_smith_suite.__wrapped__,
+    ):
+        with pytest.raises(AssertionError):
+            pinned()
+    smith, oracle = INTMAT.smith_normal_form, test_intmat.oracle_elementary_factors
+    _counterexample(
+        test_intmat.unit_heavy_matrices(), lambda a: smith(a).diag != oracle(a)
+    )
 
 
 def _is_lru_cache(node):
