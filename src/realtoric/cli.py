@@ -18,9 +18,8 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .corpus import corpus_tasks
 from .errors import InvalidInput, ToricError
 from .fan import (
     Fan,
@@ -40,19 +39,14 @@ from .gluing import (
 )
 from .homology import (
     euler_from_cells,
-    homology,
     predict_theorem,
     report_to_json,
     verify,
 )
-from .moment import run_moment_checks
-from .polytope import (
-    divisor_from_json,
-    divisor_to_json,
-    find_ample,
-    intersection_numbers,
-    polygon_from_divisor,
-)
+
+# The polygon layer (polytope, moment) and the corpus are imported inside
+# the commands that run them, so classify and the other exact commands
+# never load them.
 
 
 class _CliError(Exception):
@@ -139,6 +133,8 @@ def _cmd_complex(args) -> int:
     fan = _load_fan(args.fan)
     polygon = None
     if args.divisor is not None:
+        from .polytope import divisor_from_json, polygon_from_divisor
+
         # Checked under either rule, though only the affine rule reads it.
         divisor = divisor_from_json(_load_json(args.divisor))
         polygon = polygon_from_divisor(fan, divisor)
@@ -156,6 +152,8 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_gkz_demo(args) -> int:
+    from .polytope import divisor_to_json, find_ample, polygon_from_divisor
+
     fan = _load_fan(args.fan)
     divisor = find_ample(fan)
     parallel = build_real_complex(fan)
@@ -172,6 +170,8 @@ def _cmd_gkz_demo(args) -> int:
 
 
 def _cmd_ample(args) -> int:
+    from .polytope import divisor_to_json, find_ample, intersection_numbers
+
     fan = _load_fan(args.fan)
     divisor = find_ample(fan)
     _emit(
@@ -189,27 +189,33 @@ def _corpus_line(task: tuple[int, int]) -> dict:
 
 
 def _cmd_corpus(args) -> int:
+    from .corpus import corpus_tasks
+
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
     tasks = corpus_tasks(args.seed, args.count, args.max_blowups)
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs == 1:
-        reports = [_corpus_line(t) for t in tasks]
-    else:
-        # Imported here: the pool and multiprocessing cost every other
-        # command its start-up time.
-        from concurrent.futures import ProcessPoolExecutor
+        return _print_corpus(tasks, map(_corpus_line, tasks))
+    # Imported here: the pool and multiprocessing cost every other command
+    # its start-up time.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_corpus_line, tasks, chunksize=8))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return _print_corpus(tasks, pool.map(_corpus_line, tasks, chunksize=8))
+
+
+def _print_corpus(tasks: list[tuple[int, int]], reports: Iterable[dict]) -> int:
+    # Each report is printed as it arrives, in corpus order, so a run that
+    # stops at fan k has already printed the k - 1 before it.
     failing = []
     for task, report in zip(tasks, reports):
         _emit(report)
         if not report["all_consistent"]:
             failing.append(list(task))
     summary = {
-        "count": len(reports),
-        "consistent": len(reports) - len(failing),
+        "count": len(tasks),
+        "consistent": len(tasks) - len(failing),
         "all_consistent": not failing,
     }
     if failing:
@@ -220,6 +226,9 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_moment_check(args) -> int:
+    from .moment import run_moment_checks
+    from .polytope import divisor_to_json
+
     fan = _load_fan(args.fan)
     report = run_moment_checks(fan, seed=args.seed, samples=args.samples)
     if not report.signs_exact:
@@ -311,12 +320,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace | int:
+    # argparse exits once it has printed --help: hand back its status.
+    try:
+        return _build_parser().parse_args(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
 def run(argv: Sequence[str]) -> int:
     """Parse and execute one command line; returns the exit code."""
-    parser = _build_parser()
     stage = None
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(argv)
+        if isinstance(args, int):
+            return args
         stage = args.command
         return args.func(args)
     except _CliError as exc:

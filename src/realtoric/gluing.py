@@ -31,12 +31,14 @@ import enum
 from contextlib import suppress
 from itertools import accumulate
 from operator import index, itemgetter
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
 from .fan import Fan, Vec, self_intersections
 from .intmat import Matrix
-from .polytope import LatticePolygon
+
+if TYPE_CHECKING:  # an annotation only: classify never loads the polygon layer
+    from .polytope import LatticePolygon
 
 __all__ = [
     "SignHom",

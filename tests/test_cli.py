@@ -187,12 +187,13 @@ class TestInternalErrors:
         assert_internal_error(capsys, argv, "classify", "RuntimeError: boom")
 
     def test_moment_check_sign_disagreement(self, capsys, write, monkeypatch):
-        real = cli.run_moment_checks
+        moment = importlib.import_module("realtoric.moment")
+        real = moment.run_moment_checks
 
         def unsound_checks(fan, **kwargs):
             return real(fan, **kwargs)._replace(signs_exact=False)
 
-        monkeypatch.setattr(cli, "run_moment_checks", unsound_checks)
+        monkeypatch.setattr(moment, "run_moment_checks", unsound_checks)
         argv = ["moment-check", write("fan.json", P2_RAYS), "--samples", "4"]
         assert_internal_error(
             capsys,
@@ -382,7 +383,11 @@ def use_divisor(monkeypatch, coeffs):
     # gkz-demo and ample take no divisor: they ask find_ample for one.
     # This hands them ``coeffs`` instead, such as the divisor find_ample
     # gave before it built one from edge lengths.
-    monkeypatch.setattr(cli, "find_ample", lambda fan: ToricDivisor(tuple(coeffs)))
+    monkeypatch.setattr(
+        importlib.import_module("realtoric.polytope"),
+        "find_ample",
+        lambda fan: ToricDivisor(tuple(coeffs)),
+    )
 
 
 class TestDemosAndBulk:
@@ -454,6 +459,30 @@ class TestDemosAndBulk:
             "consistent": 4,
             "all_consistent": False,
             "failing": [[bad_seed, bad_n]],
+        }
+
+    def test_corpus_prints_each_report_before_a_failure(self, capsys, monkeypatch):
+        # A run that stops at fan k has printed the k - 1 reports before it.
+        argv = ["corpus", "--seed", "11", "--count", "5", "--max-blowups", "6"]
+        tasks = realtoric.corpus_tasks(11, 5, 6)
+        k = 3
+        real = cli._corpus_line
+        calls = []
+
+        def failing_at_k(task):
+            calls.append(task)
+            if len(calls) == k:
+                raise RuntimeError("boom")
+            return real(task)
+
+        monkeypatch.setattr(cli, "_corpus_line", failing_at_k)
+        code, out, err = run_lines(capsys, argv)
+        assert code == 3
+        assert out == "".join(json.dumps(real(t)) + "\n" for t in tasks[: k - 1])
+        assert json.loads(err) == {
+            "error": "Internal",
+            "stage": "corpus",
+            "detail": "RuntimeError: boom",
         }
 
     def test_corpus_parallel_matches_serial(self, capsys):
@@ -834,6 +863,84 @@ def test_import_does_not_load_the_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["--help"], "usage: realtoric "),
+        (["classify", "--help"], "usage: realtoric classify "),
+        (["corpus", "-h"], "usage: realtoric corpus "),
+    ],
+)
+def test_help_returns_zero(capsys, argv, usage):
+    # run returns the exit code, after help too, and leaves exiting to main.
+    code, out, err = run_lines(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
+
+
+LAZY_MODULES = ["realtoric.corpus", "realtoric.moment", "realtoric.polytope"]
+
+
+def test_exact_commands_load_only_the_exact_core(tmp_path):
+    # The polygon layer and the corpus load on first use, and no command
+    # of the exact pipeline uses them.
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(P2_RAYS))
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from realtoric import cli\n"
+        "commands = [['validate'], ['classify'], ['verify'], ['predict'], ['selfint'],\n"
+        "            ['surgery', '--blow-up', '0'], ['complex']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run([c[0], sys.argv[1], *c[1:]]) for c in commands]\n"
+        f"loaded = sorted(set({LAZY_MODULES!r}) & sys.modules.keys())\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(fan_file)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == {"codes": [0] * 7, "loaded": []}
+
+
+def test_dir_lists_the_lazy_names_before_they_load():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import json, sys, realtoric\n"
+        "print(json.dumps({\n"
+        "    'missing': sorted(set(realtoric.__all__) - set(dir(realtoric))),\n"
+        f"    'loaded': sorted(set({LAZY_MODULES!r}) & sys.modules.keys()),\n"
+        "}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == {"missing": [], "loaded": []}
+
+
+def test_lazy_names_read_the_module_binding(monkeypatch):
+    # The package serves the module's current function, so a patch shows
+    # through it and so does the patch's undo.
+    polytope = importlib.import_module("realtoric.polytope")
+    original = polytope.find_ample
+
+    def patched(fan):
+        return original(fan)
+
+    with monkeypatch.context() as m:
+        m.setattr(polytope, "find_ample", patched)
+        assert realtoric.find_ample is patched
+    assert realtoric.find_ample is original
+
+
 def _top_level_names(path):
     names = set()
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -997,6 +1104,22 @@ def test_every_benchmark_trace_target_resolves(monkeypatch):
         if not callable(target):
             missing.append(qualname)
     assert missing == []
+
+
+def test_benchmark_tracer_leaves_the_lazy_names_unwrapped(monkeypatch):
+    # bench/spans.py wraps only the names a module binds when it installs;
+    # a lazy name first looked up while it is installed must not keep the
+    # wrapper after the uninstall.
+    spans = _load_bench_module("spans", monkeypatch)
+    original = importlib.import_module("realtoric.moment").run_moment_checks
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert realtoric.run_moment_checks.__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    moment = sys.modules["realtoric.moment"]
+    assert realtoric.run_moment_checks is moment.run_moment_checks is original
 
 
 def test_polygon_benchmark_accepts_one_block(monkeypatch, tmp_path):

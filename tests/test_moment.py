@@ -914,7 +914,7 @@ def test_moment_check_runs_on_the_standard_library_alone(tmp_path):
 
 
 def test_import_does_not_load_numpy():
-    # numpy serves only the grid check inside run_moment_checks.
+    # The package uses the standard library only; numpy is not loaded.
     src = Path(__file__).resolve().parents[1] / "src"
     probe = "import sys, realtoric, realtoric.cli; print('numpy' in sys.modules)"
     result = subprocess.run(
