@@ -14,7 +14,7 @@ from . import errors, fan, gluing, homology, intmat, rng
 # (PEP 562), so a classify process loads the exact pipeline alone. Each
 # tuple is its module's __all__.
 _LAZY = {
-    "corpus": ("corpus_tasks", "corpus_fans"),
+    "corpus": ("iter_corpus_tasks", "corpus_tasks", "corpus_fans"),
     "moment": (
         "sign_profile",
         "moment_map",

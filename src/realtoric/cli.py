@@ -189,33 +189,35 @@ def _corpus_line(task: tuple[int, int]) -> dict:
 
 
 def _cmd_corpus(args) -> int:
-    from .corpus import corpus_tasks
+    from .corpus import iter_corpus_tasks
 
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
-    tasks = corpus_tasks(args.seed, args.count, args.max_blowups)
+    # Bad arguments are refused here, before the first line is printed.
+    tasks = iter_corpus_tasks(args.seed, args.count, args.max_blowups)
     jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs == 1:
-        return _print_corpus(tasks, map(_corpus_line, tasks))
+    if jobs == 1:  # one task drawn per report, so memory stays constant
+        return _print_corpus((task, _corpus_line(task)) for task in tasks)
     # Imported here: the pool and multiprocessing cost every other command
     # its start-up time.
     from concurrent.futures import ProcessPoolExecutor
 
+    tasks = list(tasks)  # pool.map submits every task at once
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _print_corpus(tasks, pool.map(_corpus_line, tasks, chunksize=8))
+        return _print_corpus(zip(tasks, pool.map(_corpus_line, tasks, chunksize=8)))
 
 
-def _print_corpus(tasks: list[tuple[int, int]], reports: Iterable[dict]) -> int:
-    # Each report is printed as it arrives, in corpus order, so a run that
-    # stops at fan k has already printed the k - 1 before it.
-    failing = []
-    for task, report in zip(tasks, reports):
+def _print_corpus(results: Iterable[tuple[tuple[int, int], dict]]) -> int:
+    # Each (task, report) pair is printed as it arrives, in corpus order, so
+    # a run that stops at fan k has already printed the k - 1 before it.
+    count, failing = 0, []
+    for count, (task, report) in enumerate(results, 1):
         _emit(report)
         if not report["all_consistent"]:
             failing.append(list(task))
     summary = {
-        "count": len(tasks),
-        "consistent": len(tasks) - len(failing),
+        "count": count,
+        "consistent": count - len(failing),
         "all_consistent": not failing,
     }
     if failing:

@@ -8,31 +8,48 @@ changing the output.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import InvalidInput
-from .fan import Fan, random_fan
+from .fan import Fan, integer_argument, random_fan
 from .rng import SplitMix64
 
-__all__ = ["corpus_tasks", "corpus_fans"]
+__all__ = ["iter_corpus_tasks", "corpus_tasks", "corpus_fans"]
 
 
-def corpus_tasks(seed: int, count: int, max_blowups: int) -> list[tuple[int, int]]:
-    """Derive the ``(seed, n_blowups)`` pair for each corpus entry.
+def iter_corpus_tasks(
+    seed: int, count: int, max_blowups: int
+) -> Iterator[tuple[int, int]]:
+    """The ``(seed, n_blowups)`` pair of each corpus entry, drawn as they
+    are consumed, so a corpus of any size takes constant memory.
 
-    Raises InvalidInput when ``count`` or ``max_blowups`` is negative.
+    The arguments are checked here, before the first pair is drawn:
+    InvalidInput when one is no integer, or ``count`` or ``max_blowups``
+    is negative.
     """
+    master = SplitMix64(integer_argument("seed", seed))
+    count = integer_argument("count", count)
+    max_blowups = integer_argument("max_blowups", max_blowups)
     if count < 0:
         raise InvalidInput("count must be nonnegative")
     if max_blowups < 0:
         raise InvalidInput("max_blowups must be nonnegative")
-    master = SplitMix64(seed)
-    tasks = []
+    return _draw_tasks(master, count, max_blowups + 1)
+
+
+def _draw_tasks(
+    master: SplitMix64, count: int, bound: int
+) -> Iterator[tuple[int, int]]:
     for _ in range(count):
-        n = master.below(max_blowups + 1)
-        entry_seed = master.next_u64()
-        tasks.append((entry_seed, n))
-    return tasks
+        n = master.below(bound)
+        yield master.next_u64(), n
+
+
+def corpus_tasks(seed: int, count: int, max_blowups: int) -> list[tuple[int, int]]:
+    """Every pair of :func:`iter_corpus_tasks`, in order, as a list."""
+    return list(iter_corpus_tasks(seed, count, max_blowups))
 
 
 def corpus_fans(seed: int, count: int, max_blowups: int) -> list[Fan]:
     """The corpus itself, in order."""
-    return [random_fan(s, n) for s, n in corpus_tasks(seed, count, max_blowups)]
+    return [random_fan(s, n) for s, n in iter_corpus_tasks(seed, count, max_blowups)]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 from math import gcd
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -236,8 +237,23 @@ def hirzebruch_fan(a: int) -> Fan:
     return normalize_fan([(1, 0), (0, 1), (-1, a), (0, -1)])
 
 
+# The bases random_fan draws from, in the order of its first draw: the
+# 3-ray fan, then the canonical 4-ray fans with parameter 0..4.
+_BASES = (projective_plane_fan(), *map(hirzebruch_fan, range(5)))
+
+
+def integer_argument(name: str, value: object) -> int:
+    """``value`` read through ``operator.index``; InvalidInput naming the
+    argument when it is no integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 def blow_up(fan: Fan, i: int) -> Fan:
     """Subdivide the cone between rays ``i`` and ``i+1`` by their sum."""
+    i = integer_argument("cone index", i)
     d = fan.d
     if not 0 <= i < d:
         raise IndexOutOfRange(f"cone index {i} out of range for {d} rays")
@@ -250,6 +266,7 @@ def blow_up(fan: Fan, i: int) -> Fan:
 
 def blow_down(fan: Fan, i: int) -> Fan:
     """Remove ray ``i``; requires ``d >= 4`` and self-intersection -1 there."""
+    i = integer_argument("ray index", i)
     d = fan.d
     if not 0 <= i < d:
         raise IndexOutOfRange(f"ray index {i} out of range for {d} rays")
@@ -304,14 +321,15 @@ def random_fan(seed: int, n_blowups: int) -> Fan:
 
     The base is drawn from the 3-ray fan and the canonical 4-ray fans with
     parameter 0..4; each subdivision picks a uniformly random cone. Output
-    depends only on ``(seed, n_blowups)``. Raises InvalidInput when
-    ``n_blowups`` is negative.
+    depends only on ``(seed, n_blowups)``. Raises InvalidInput when either
+    is no integer or ``n_blowups`` is negative.
     """
+    seed = integer_argument("seed", seed)
+    n_blowups = integer_argument("n_blowups", n_blowups)
     if n_blowups < 0:
         raise InvalidInput("n_blowups must be nonnegative")
     rng = SplitMix64(seed)
-    choice = rng.below(6)
-    fan = projective_plane_fan() if choice == 0 else hirzebruch_fan(choice - 1)
+    fan = _BASES[rng.below(len(_BASES))]
     for _ in range(n_blowups):
         fan = blow_up(fan, rng.below(fan.d))
     return fan

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import enum
 from contextlib import suppress
+from functools import lru_cache
 from itertools import accumulate
 from operator import index, itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
-from .fan import Fan, Vec, self_intersections
+from .fan import Fan, Vec, integer_argument, self_intersections
 from .intmat import Matrix
 
 if TYPE_CHECKING:  # an annotation only: classify never loads the polygon layer
@@ -103,6 +104,13 @@ class NeighborhoodType(enum.Enum):
     MOEBIUS_BAND = "moebius-band"
 
 
+@lru_cache(maxsize=16)
+def _signed_indices(num_edges: int) -> tuple:
+    # By signed entry, itself if it names an edge: (None, 1..E, -E..-1).
+    # One table per edge count, E = 2d on a real complex.
+    return (None, *range(1, num_edges + 1), *range(-num_edges, 0))
+
+
 def _names(table, x) -> bool:
     # Whether x is an integer, as operator.index judges it, and table[x] == x.
     try:
@@ -147,7 +155,9 @@ class CellComplex(NamedTuple):
                     row[s - 1] += 1
                 else:
                     row[-s - 1] -= 1
-        return tuple(zip(*rows)) if rows else ((),) * len(self.edges)
+        # Listed first: tuple() over the zip grows its result step by step,
+        # and on a long run those reallocations raise peak memory by 2 MB.
+        return tuple([*zip(*rows)]) if rows else ((),) * len(self.edges)
 
     def check_chain_complex(self) -> None:
         """Raise InvalidComplex unless ``num_vertices`` is an integer >= 0,
@@ -171,9 +181,9 @@ class CellComplex(NamedTuple):
         edges = self.edges
         tails, heads = zip(*edges) if edges else ((), ())
         # By signed entry: its edge's start, its end, and itself if valid.
-        starts = [None, *tails, *reversed(heads)]
-        ends = [None, *heads, *reversed(tails)]
-        named = [None, *range(1, len(edges) + 1), *range(-len(edges), 0)]
+        starts = (None,) + tails + heads[::-1]
+        ends = (None,) + heads + tails[::-1]
+        named = _signed_indices(len(edges))
         with suppress(IndexError, TypeError):
             if type(sum(tails, sum(heads))) is int and all(
                 len(w) > 1 and (at := itemgetter(*w))(named) == w
@@ -228,16 +238,15 @@ _EDGE_CLASSES = [
 ]
 
 
-def _glue(fan: Fan, anchors: Sequence[Vec]) -> CellComplex:
+def _glue(fan: Fan, codes: Sequence[int]) -> CellComplex:
     # The layout both builders share, and complex_to_dot reads back. Corner
-    # i joins rays i and i+1, anchors[i] lies on it, and its vertex classes
-    # are numbered in one block, corner by corner. The edge classes of ray
-    # i follow ray by ray, each running from corner i-1 to corner i. Face k
-    # is the copy ALL_SIGN_HOMS[k], and its i-th entry is its class on ray
-    # i, always positive. Consecutive anchors differ by a multiple of the
-    # ray's quarter-turn, so an edge class lies in one class at each end,
-    # and its first copy finds them.
-    codes = [(x & 1) << 1 | (y & 1) for x, y in anchors]
+    # i joins rays i and i+1, codes[i] is the parity code of an anchor on
+    # it, and its vertex classes are numbered in one block, corner by
+    # corner. The edge classes of ray i follow ray by ray, each running
+    # from corner i-1 to corner i. Face k is the copy ALL_SIGN_HOMS[k], and
+    # its i-th entry is its class on ray i, always positive. Consecutive
+    # anchors differ by a multiple of the ray's quarter-turn, so an edge
+    # class lies in one class at each end, and its first copy finds them.
     corners = list(map(_CORNER_CLASSES.__getitem__, codes))
     rays = [_EDGE_CLASSES[(x & 1) << 3 | (y & 1) << 2 | a]
             for (x, y), a in zip(fan.rays, codes)]
@@ -267,7 +276,7 @@ def build_real_complex(fan: Fan) -> CellComplex:
     two by their value on the ray's quarter-turn: ``d`` vertices, ``2d``
     edges and four faces, numbered as laid out in ``_glue``.
     """
-    return _glue(fan, ((0, 0),) * fan.d)
+    return _glue(fan, [0] * fan.d)
 
 
 def build_affine_span_complex(fan: Fan, polygon: LatticePolygon) -> CellComplex:
@@ -285,7 +294,7 @@ def build_affine_span_complex(fan: Fan, polygon: LatticePolygon) -> CellComplex:
         for a, b, v in zip(w[-1:] + w[:-1], w, fan.rays)
     ):
         raise PolygonFanMismatch("polygon does not fit this fan")
-    return _glue(fan, w)
+    return _glue(fan, [(x & 1) << 1 | (y & 1) for x, y in w])
 
 
 def tubular_neighborhood(fan: Fan, i: int) -> NeighborhoodType:
@@ -294,6 +303,7 @@ def tubular_neighborhood(fan: Fan, i: int) -> NeighborhoodType:
     The two edge copies close up to a circle whose neighborhood twists
     exactly when the ray's self-intersection number is odd.
     """
+    i = integer_argument("ray index", i)
     if not 0 <= i < fan.d:
         raise IndexOutOfRange(f"ray index {i} out of range for {fan.d} rays")
     a = self_intersections(fan)[i]

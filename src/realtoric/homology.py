@@ -23,7 +23,7 @@ characteristic ``4 - d`` is not compared with anything.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
+from operator import index, neg
 from typing import NamedTuple
 
 from .errors import InvalidComplex, NotAClosedSurfaceProfile
@@ -83,7 +83,7 @@ def _distinct_columns(c: CellComplex) -> Matrix:
     # is positive, in sorted order. Dropping a zero column or a repeat up
     # to sign is unimodular, so the invariant factors are unchanged.
     # InvalidComplex unless check_chain_complex accepts c.
-    distinct = {max(row, tuple(-x for x in row)) for row in set(c.boundary_matrix_2())}
+    distinct = {max(row, tuple(map(neg, row))) for row in set(c.boundary_matrix_2())}
     distinct.discard((0,) * len(c.faces))
     return tuple(zip(*sorted(distinct)))
 

@@ -45,7 +45,7 @@ from operator import itemgetter, mul, truediv
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateWeights, InvalidInput
-from .fan import Fan, Vec
+from .fan import Fan, Vec, integer_argument
 from .gluing import ALL_SIGN_HOMS, SignHom
 from .rng import SplitMix64
 from .polytope import ToricDivisor, find_ample, polygon_from_divisor
@@ -318,10 +318,12 @@ def run_moment_checks(
     ``[-3/W, 3/W]`` on the positive component, ``W`` the larger side of
     the polygon's bounding box and at least 1, measures the smallest
     distance between the moment images of two distinct grid points, found
-    by a closest-pair sweep. Raises InvalidInput when ``samples`` is less
-    than 1 or a ray, offset or vertex coordinate is 2**1000 or more in
-    absolute value.
+    by a closest-pair sweep. Raises InvalidInput when ``seed`` or
+    ``samples`` is no integer, ``samples`` is less than 1, or a ray, offset
+    or vertex coordinate is 2**1000 or more in absolute value.
     """
+    seed = integer_argument("seed", seed)
+    samples = integer_argument("samples", samples)
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
     if divisor is None:

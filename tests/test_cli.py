@@ -485,6 +485,31 @@ class TestDemosAndBulk:
             "detail": "RuntimeError: boom",
         }
 
+    def test_corpus_draws_each_task_as_it_goes(self, capsys, monkeypatch):
+        # With --jobs 1 the k-th fan is verified once k tasks are drawn, two
+        # words of the master stream each, so memory does not grow with
+        # --count.
+        corpus = importlib.import_module("realtoric.corpus")
+        words = []
+
+        class CountingStream(corpus.SplitMix64):
+            def next_u64(self):
+                words.append(None)
+                return super().next_u64()
+
+        real = cli._corpus_line
+        drawn = []
+
+        def counting_line(task):
+            drawn.append(len(words))
+            return real(task)
+
+        monkeypatch.setattr(corpus, "SplitMix64", CountingStream)
+        monkeypatch.setattr(cli, "_corpus_line", counting_line)
+        code, out, _ = run_lines(capsys, ["corpus", "--seed", "11", "--count", "5"])
+        assert code == 0 and len(out.splitlines()) == 6
+        assert drawn == [2, 4, 6, 8, 10]
+
     def test_corpus_parallel_matches_serial(self, capsys):
         base = ["corpus", "--seed", "3", "--count", "6", "--max-blowups", "5"]
         _, serial, _ = run_lines(capsys, base)

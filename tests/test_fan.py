@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,11 +23,14 @@ from realtoric import (
     fan_from_json,
     fan_to_json,
     hirzebruch_fan,
+    iter_corpus_tasks,
     minimal_model,
     normalize_fan,
     projective_plane_fan,
     random_fan,
+    run_moment_checks,
     self_intersections,
+    tubular_neighborhood,
 )
 
 P2 = projective_plane_fan()
@@ -292,6 +298,91 @@ def test_corpus_tasks_refuse_negative_sizes(count, max_blowups, message):
     with pytest.raises(InvalidInput) as refused:
         corpus_tasks(1, count, max_blowups)
     assert (type(refused.value), str(refused.value)) == (InvalidInput, message)
+
+
+def test_corpus_task_stream_refuses_before_the_first_draw():
+    # The stream is drawn lazily, but its arguments are checked eagerly.
+    with pytest.raises(InvalidInput, match="count must be nonnegative"):
+        iter_corpus_tasks(1, -1, 0)
+    assert list(iter_corpus_tasks(7, 2000, 12)) == corpus_tasks(7, 2000, 12)
+
+
+F1_BLOWN_UP = blow_up(hirzebruch_fan(1), 0)
+
+
+# Each argument is read through operator.index: a float is refused by
+# name, where it used to pass the range check and fail with a bare
+# TypeError, or give float blow-up counts.
+@pytest.mark.parametrize(
+    "call, args, kwargs, message",
+    [
+        (random_fan, (1, 2.5), {}, "n_blowups must be an integer, got 2.5"),
+        (random_fan, (1.5, 2), {}, "seed must be an integer, got 1.5"),
+        (corpus_tasks, (1, 3, 1.5), {}, "max_blowups must be an integer, got 1.5"),
+        (corpus_tasks, (1, 2.5, 1), {}, "count must be an integer, got 2.5"),
+        (corpus_tasks, (1.5, 3, 1), {}, "seed must be an integer, got 1.5"),
+        (
+            run_moment_checks,
+            (P2,),
+            {"samples": 2.5},
+            "samples must be an integer, got 2.5",
+        ),
+        (run_moment_checks, (P2,), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        (blow_up, (F1_BLOWN_UP, 1.0), {}, "cone index must be an integer, got 1.0"),
+        (blow_down, (F1_BLOWN_UP, 1.0), {}, "ray index must be an integer, got 1.0"),
+        (
+            tubular_neighborhood,
+            (F1_BLOWN_UP, 1.0),
+            {},
+            "ray index must be an integer, got 1.0",
+        ),
+    ],
+    ids=[
+        "random-fan-n-blowups",
+        "random-fan-seed",
+        "corpus-max-blowups",
+        "corpus-count",
+        "corpus-seed",
+        "moment-samples",
+        "moment-seed",
+        "blow-up",
+        "blow-down",
+        "tubular-neighborhood",
+    ],
+)
+def test_integer_arguments_refuse_floats_by_name(call, args, kwargs, message):
+    with pytest.raises(InvalidInput) as refused:
+        call(*args, **kwargs)
+    assert (type(refused.value), str(refused.value)) == (InvalidInput, message)
+
+
+def random_fan_digest(tasks) -> str:
+    """sha256 of the ``fan_to_json`` line of ``random_fan(s, n)`` for each
+    ``(s, n)`` in ``tasks``, in order."""
+    h = hashlib.sha256()
+    for s, n in tasks:
+        h.update(json.dumps(fan_to_json(random_fan(s, n))).encode() + b"\n")
+    return h.hexdigest()
+
+
+# random_fan pinned bit for bit: the pairs of corpus_tasks(2026, 2000, 12)
+# in four blocks of 500, then n = 64 and 256 for seeds 0, 1 and 2. Each
+# block has a digest of its own, so that a check can recompute one alone.
+_CORPUS = corpus_tasks(2026, 2000, 12)
+RANDOM_FAN_BLOCKS = [_CORPUS[k : k + 500] for k in range(0, 2000, 500)] + [
+    [(s, n) for s in range(3) for n in (64, 256)]
+]
+RANDOM_FAN_DIGESTS = [
+    "bb624e2155de78133e07dd0c08d793caccb81247e28b5699dbd06ee13ae72816",
+    "2c264f39e1b3ca3a736c874052146aac687d948983de9b22f83d835fe5fcb061",
+    "956b19d107f010f8d44cc287493616a63a7168fd72f7300476855127a96b1241",
+    "c1de526b8ac328c5131dedf41b6f86390ee32271b911fc9bed42ffa2f68d15eb",
+    "097293990f4cf8982284615f61b8f975a48ba8c078f0533d296b8270e52a2700",
+]
+
+
+def test_random_fan_digest():
+    assert [random_fan_digest(b) for b in RANDOM_FAN_BLOCKS] == RANDOM_FAN_DIGESTS
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from hypothesis import Phase, find, settings
 
 import realtoric.cli as cli
 import test_acceptance
+import test_fan
 import test_intmat
 import test_linear_stages
 from realtoric import (
@@ -54,6 +55,7 @@ from test_homology import HAND_BUILT, full_smith_profile
 import test_moment
 from test_moment import REPORT_DIGEST, digest_reports, report_digest
 
+FAN = sys.modules["realtoric.fan"]
 GLUING = sys.modules["realtoric.gluing"]
 HOMOLOGY = sys.modules["realtoric.homology"]
 INTMAT = sys.modules["realtoric.intmat"]
@@ -61,7 +63,12 @@ MOMENT = sys.modules["realtoric.moment"]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Every module-level memo in the package, as (module, name).
-MEMOS = [(cli, "_build_parser"), (HOMOLOGY, "_factors"), (MOMENT, "_draws")]
+MEMOS = [
+    (cli, "_build_parser"),
+    (GLUING, "_signed_indices"),
+    (HOMOLOGY, "_factors"),
+    (MOMENT, "_draws"),
+]
 
 P2 = projective_plane_fan()
 FANS = [
@@ -238,6 +245,21 @@ def _rewritten(old, new):
     return wrap
 
 
+def _rotated(table):
+    # random_fan's first draw picks the next base of the table.
+    return table[1:] + table[:1]
+
+
+def _one_size_up(fn):
+    # The signed-index table of a complex with one edge more: the entries
+    # E + 1 and -(E + 1) read as edges.
+    def mutant(num_edges):
+        return fn(num_edges + 1)
+
+    mutant.cache_clear = fn.cache_clear
+    return mutant
+
+
 def _last_column_dropped(fn):
     return lambda c: tuple(row[:-1] for row in fn(c))
 
@@ -261,6 +283,8 @@ def _keyed_by_shape(fn):
 MUTANTS = {
     "edge-class-swap": (HOMOLOGY, "build_real_complex", _swap_edge_classes),
     "edge-key-without-ray": (GLUING, "_EDGE_CLASSES", _anchor_only),
+    "random-fan-bases-rotated": (FAN, "_BASES", _rotated),
+    "signed-index-table-one-size-up": (GLUING, "_signed_indices", _one_size_up),
     "walk-test-without-closing-step": (
         CellComplex, "check_chain_complex", _without_closing_step
     ),
@@ -412,6 +436,28 @@ def test_open_path_fails_without_the_closing_step(monkeypatch):
     assert open_path.check_chain_complex() is None
     # A word of one entry is an open path too.
     assert open_path._replace(faces=((1,),)).check_chain_complex() is None
+
+
+def test_rotated_bases_move_the_random_fan_digest(monkeypatch):
+    # Every fan keeps its size and validity, so verify cannot see the
+    # mutant; the first block of tests/test_fan.py's digest does.
+    _apply(monkeypatch, "random-fan-bases-rotated")
+    assert all(verify(random_fan(s, 2)).all_consistent for s in range(6))
+    block = test_fan.RANDOM_FAN_BLOCKS[0]
+    assert test_fan.random_fan_digest(block) != test_fan.RANDOM_FAN_DIGESTS[0]
+
+
+def test_table_one_size_up_fails_the_entry_refusals(monkeypatch):
+    # Real complexes name only their own edges, so verify cannot see the
+    # mutant. An entry one past the edges passes as an edge, and the walk
+    # test decides what the refusal should have.
+    _apply(monkeypatch, "signed-index-table-one-size-up")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    assert CellComplex(2, ((0, 1), (1, 0)), ((3, 2),)).check_chain_complex() is None
+    with pytest.raises(AssertionError):
+        test_linear_stages.test_bad_complexes_raise_the_same_error(
+            "face entry past the edges"
+        )
 
 
 def _counterexample(strategy, fails):
