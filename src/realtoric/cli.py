@@ -1,14 +1,15 @@
 """Command line interface.
 
 Every subcommand reads fan (and divisor) JSON files, prints deterministic
-output to standard out, and uses four exit codes: 0 for success, 1 for a
+output to standard out, and uses five exit codes: 0 for success, 1 for a
 usage error or a ``ToricError``, an integer past the digit limit included
 (reported as an ``{"error", "detail"}`` object on standard error), 2 when
 a verification run finds an inconsistency between the computed and
 predicted answers (a glued complex that is not a closed surface counts,
 with ``"computed": null``), and 3 for any other exception, an internal
 ``ValueError`` included (reported as an ``{"error": "Internal", "stage",
-"detail"}`` object on standard error).
+"detail"}`` object on standard error), and 141, as for SIGPIPE, with
+nothing on standard error, when the reader closes standard out.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import functools
 import json
 import os
 import sys
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ToricError
 from .fan import (
-    Fan,
     blow_down,
     blow_up,
     fan_from_json,
@@ -74,10 +75,6 @@ def _load_json(path: str) -> object:
         raise InvalidInput(f"{path} nests too deeply to parse") from exc
 
 
-def _load_fan(path: str) -> Fan:
-    return fan_from_json(_load_json(path))
-
-
 def _emit(obj: object) -> None:
     try:
         text = json.dumps(obj)
@@ -87,19 +84,19 @@ def _emit(obj: object) -> None:
 
 
 def _cmd_validate(args) -> int:
-    _emit(fan_to_json(_load_fan(args.fan)))
+    _emit(fan_to_json(args.fan))
     return 0
 
 
 def _cmd_verify(args) -> int:
     # classify prints the same report but exits 0 even when it is inconsistent
-    report = verify(_load_fan(args.fan))
+    report = verify(args.fan)
     _emit(report_to_json(report))
     return 0 if report.all_consistent or args.command == "classify" else 2
 
 
 def _cmd_predict(args) -> int:
-    name = str(predict_theorem(_load_fan(args.fan)))
+    name = str(predict_theorem(args.fan))
     # Names such as RP² are not ASCII: escape what the stream cannot encode.
     encoding = sys.stdout.encoding or "utf-8"
     print(name.encode(encoding, "backslashreplace").decode(encoding))
@@ -107,43 +104,40 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_selfint(args) -> int:
-    _emit(list(self_intersections(_load_fan(args.fan))))
+    _emit(list(self_intersections(args.fan)))
     return 0
 
 
 def _cmd_surgery(args) -> int:
-    fan = _load_fan(args.fan)
     if args.minimal:
-        base, steps = minimal_model(fan)
+        base, steps = minimal_model(args.fan)
         _emit(
             {
                 "rays": fan_to_json(base)["rays"],
                 "steps": [s._asdict() for s in steps],
             }
         )
-        return 0
-    if args.blow_up is not None:
-        _emit(fan_to_json(blow_up(fan, args.blow_up)))
-        return 0
-    _emit(fan_to_json(blow_down(fan, args.blow_down)))
+    elif args.blow_up is not None:
+        _emit(fan_to_json(blow_up(args.fan, args.blow_up)))
+    else:
+        _emit(fan_to_json(blow_down(args.fan, args.blow_down)))
     return 0
 
 
 def _cmd_complex(args) -> int:
-    fan = _load_fan(args.fan)
     polygon = None
     if args.divisor is not None:
         from .polytope import divisor_from_json, polygon_from_divisor
 
         # Checked under either rule, though only the affine rule reads it.
         divisor = divisor_from_json(_load_json(args.divisor))
-        polygon = polygon_from_divisor(fan, divisor)
+        polygon = polygon_from_divisor(args.fan, divisor)
     if args.rule == "parallel":
-        complex_ = build_real_complex(fan)
+        complex_ = build_real_complex(args.fan)
     elif polygon is None:
         raise _CliError("--rule affine requires --divisor")
     else:
-        complex_ = build_affine_span_complex(fan, polygon)
+        complex_ = build_affine_span_complex(args.fan, polygon)
     if args.format == "dot":
         sys.stdout.write(complex_to_dot(complex_))
     else:
@@ -154,10 +148,10 @@ def _cmd_complex(args) -> int:
 def _cmd_gkz_demo(args) -> int:
     from .polytope import divisor_to_json, find_ample, polygon_from_divisor
 
-    fan = _load_fan(args.fan)
-    divisor = find_ample(fan)
-    parallel = build_real_complex(fan)
-    affine = build_affine_span_complex(fan, polygon_from_divisor(fan, divisor))
+    divisor = find_ample(args.fan)
+    parallel = build_real_complex(args.fan)
+    polygon = polygon_from_divisor(args.fan, divisor)
+    affine = build_affine_span_complex(args.fan, polygon)
     _emit(
         {
             "divisor": divisor_to_json(divisor)["coeffs"],
@@ -172,15 +166,17 @@ def _cmd_gkz_demo(args) -> int:
 def _cmd_ample(args) -> int:
     from .polytope import divisor_to_json, find_ample, intersection_numbers
 
-    fan = _load_fan(args.fan)
-    divisor = find_ample(fan)
+    divisor = find_ample(args.fan)
     _emit(
         {
             "coeffs": divisor_to_json(divisor)["coeffs"],
-            "intersection_numbers": list(intersection_numbers(fan, divisor)),
+            "intersection_numbers": list(intersection_numbers(args.fan, divisor)),
         }
     )
     return 0
+
+
+_WINDOW = 512  # corpus tasks handed to the process pool at a time
 
 
 def _corpus_line(task: tuple[int, int]) -> dict:
@@ -202,9 +198,16 @@ def _cmd_corpus(args) -> int:
     # its start-up time.
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = list(tasks)  # pool.map submits every task at once
+    # pool.map submits every task it is given at once, so it gets them in
+    # windows of _WINDOW: memory stays constant, and a run that stops
+    # waits for one window, not for the rest of the corpus.
+    windows = iter(lambda: list(islice(tasks, _WINDOW)), [])
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _print_corpus(zip(tasks, pool.map(_corpus_line, tasks, chunksize=8)))
+        return _print_corpus(
+            pair
+            for window in windows
+            for pair in zip(window, pool.map(_corpus_line, window, chunksize=8))
+        )
 
 
 def _print_corpus(results: Iterable[tuple[tuple[int, int], dict]]) -> int:
@@ -231,8 +234,7 @@ def _cmd_moment_check(args) -> int:
     from .moment import run_moment_checks
     from .polytope import divisor_to_json
 
-    fan = _load_fan(args.fan)
-    report = run_moment_checks(fan, seed=args.seed, samples=args.samples)
+    report = run_moment_checks(args.fan, seed=args.seed, samples=args.samples)
     if not report.signs_exact:
         raise RuntimeError("sign profiles disagreed with the sign vectors")
     _emit(
@@ -259,65 +261,39 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="canonicalize a fan file")
-    p.add_argument("fan")
-    p.set_defaults(func=_cmd_validate)
+    def add(name, help, func, fan=True):
+        p = sub.add_parser(name, help=help)
+        if fan:  # run reads the file and hands the handler its Fan
+            p.add_argument("fan")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("classify", help="full pipeline, print the report")
-    p.add_argument("fan")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("predict", help="surface type from the fan alone")
-    p.add_argument("fan")
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("verify", help="classify and exit 2 on inconsistency")
-    p.add_argument("fan")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("selfint", help="self-intersection sequence")
-    p.add_argument("fan")
-    p.set_defaults(func=_cmd_selfint)
-
-    p = sub.add_parser("surgery", help="blow up, blow down, or minimalize")
-    p.add_argument("fan")
+    add("validate", "canonicalize a fan file", _cmd_validate)
+    add("classify", "full pipeline, print the report", _cmd_verify)
+    add("predict", "surface type from the fan alone", _cmd_predict)
+    add("verify", "classify and exit 2 on inconsistency", _cmd_verify)
+    add("selfint", "self-intersection sequence", _cmd_selfint)
+    p = add("surgery", "blow up, blow down, or minimalize", _cmd_surgery)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--blow-up", type=int, metavar="I")
     group.add_argument("--blow-down", type=int, metavar="I")
     group.add_argument("--minimal", action="store_true")
-    p.set_defaults(func=_cmd_surgery)
-
-    p = sub.add_parser("complex", help="glued cell complex as JSON or DOT")
-    p.add_argument("fan")
+    p = add("complex", "glued cell complex as JSON or DOT", _cmd_complex)
     p.add_argument("--rule", choices=["parallel", "affine"], default="parallel")
     p.add_argument("--divisor", metavar="DIV")
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.set_defaults(func=_cmd_complex)
-
-    p = sub.add_parser(
-        "gkz-demo", help="compare the correct and affine-span gluing rules"
-    )
-    p.add_argument("fan")
-    p.set_defaults(func=_cmd_gkz_demo)
-
-    p = sub.add_parser("ample", help="construct an ample divisor")
-    p.add_argument("fan")
-    p.set_defaults(func=_cmd_ample)
-
-    p = sub.add_parser("corpus", help="verify a seeded corpus of random fans")
+    add("gkz-demo", "compare the correct and affine-span gluing rules", _cmd_gkz_demo)
+    add("ample", "construct an ample divisor", _cmd_ample)
+    p = add("corpus", "verify a seeded corpus of random fans", _cmd_corpus, fan=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--max-blowups", type=int, default=8)
     p.add_argument(
         "--jobs", type=int, default=1, help="worker processes, at most the CPU count"
     )
-    p.set_defaults(func=_cmd_corpus)
-
-    p = sub.add_parser("moment-check", help="numeric moment-map suite")
-    p.add_argument("fan")
+    p = add("moment-check", "numeric moment-map suite", _cmd_moment_check)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=256)
-    p.set_defaults(func=_cmd_moment_check)
 
     return parser
 
@@ -338,7 +314,13 @@ def run(argv: Sequence[str]) -> int:
         if isinstance(args, int):
             return args
         stage = args.command
-        return args.func(args)
+        if "fan" in args:
+            args.fan = fan_from_json(_load_json(args.fan))
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: stop, as on SIGPIPE
+        return 141
     except _CliError as exc:
         print(json.dumps({"error": "Usage", "detail": str(exc)}), file=sys.stderr)
         return 1
@@ -357,7 +339,12 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == 141:
+        # What stdout still buffers goes to devnull, so that the flush at
+        # exit raises and prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -227,11 +227,21 @@ def projective_plane_fan() -> Fan:
     return normalize_fan([(1, 0), (0, 1), (-1, -1)])
 
 
+def integer_argument(name: str, value: object) -> int:
+    """``value`` read through ``operator.index``; InvalidInput naming the
+    argument when it is no integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 def hirzebruch_fan(a: int) -> Fan:
     """Canonical 4-ray fan ``(1,0), (0,1), (-1,a), (0,-1)`` for ``a >= 0``.
 
-    Raises InvalidInput when ``a`` is negative.
+    Raises InvalidInput when ``a`` is no integer or negative.
     """
+    a = integer_argument("a", a)
     if a < 0:
         raise InvalidInput("the canonical 4-ray fan takes a >= 0")
     return normalize_fan([(1, 0), (0, 1), (-1, a), (0, -1)])
@@ -240,15 +250,6 @@ def hirzebruch_fan(a: int) -> Fan:
 # The bases random_fan draws from, in the order of its first draw: the
 # 3-ray fan, then the canonical 4-ray fans with parameter 0..4.
 _BASES = (projective_plane_fan(), *map(hirzebruch_fan, range(5)))
-
-
-def integer_argument(name: str, value: object) -> int:
-    """``value`` read through ``operator.index``; InvalidInput naming the
-    argument when it is no integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
 
 
 def blow_up(fan: Fan, i: int) -> Fan:

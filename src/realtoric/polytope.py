@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInput, LengthMismatch, NotAmple
-from .fan import Fan, Vec, det2, self_intersections
+from .fan import Fan, Vec, det2, integer_argument, self_intersections
 
 __all__ = [
     "ToricDivisor",
@@ -51,16 +51,22 @@ class LatticePolygon(NamedTuple):
     vertices: tuple[Vec, ...]
 
 
-def _check_length(fan: Fan, div: ToricDivisor) -> None:
+def _check_divisor(fan: Fan, div: ToricDivisor) -> None:
     if len(div.coeffs) != fan.d:
         raise LengthMismatch(
             f"divisor has {len(div.coeffs)} coefficients for {fan.d} rays"
         )
+    for i, c in enumerate(div.coeffs):
+        integer_argument(f"coefficient {i}", c)
 
 
 def intersection_numbers(fan: Fan, div: ToricDivisor) -> tuple[int, ...]:
-    """Degree of the divisor against each ray divisor, exactly."""
-    _check_length(fan, div)
+    """Degree of the divisor against each ray divisor, exactly.
+
+    Raises LengthMismatch, or InvalidInput naming a coefficient that is no
+    integer.
+    """
+    _check_divisor(fan, div)
     b = div.coeffs
     a = self_intersections(fan)
     d = fan.d
@@ -170,14 +176,12 @@ def translate_divisor(fan: Fan, div: ToricDivisor, u: Vec) -> ToricDivisor:
     """Shift coefficients by the character ``u``: ``b[i] += <u, v[i]>``.
 
     This translates the polygon by ``-u`` and leaves every intersection
-    number unchanged.
+    number unchanged. Raises InvalidInput when ``u`` is no integer pair.
     """
-    _check_length(fan, div)
+    _check_divisor(fan, div)
+    u0, u1 = integer_argument("u[0]", u[0]), integer_argument("u[1]", u[1])
     return ToricDivisor(
-        tuple(
-            b + u[0] * v[0] + u[1] * v[1]
-            for b, v in zip(div.coeffs, fan.rays)
-        )
+        tuple(b + u0 * v[0] + u1 * v[1] for b, v in zip(div.coeffs, fan.rays))
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process."""
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -390,6 +391,33 @@ def use_divisor(monkeypatch, coeffs):
     )
 
 
+def use_in_process_pool(monkeypatch, cpus):
+    # ProcessPoolExecutor is replaced by a pool that runs its tasks in
+    # process, on a machine with `cpus` CPUs; returns each pool's size.
+    import concurrent.futures
+
+    created = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", InProcessPool, raising=False
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return created
+
+
 class TestDemosAndBulk:
     def test_gkz_demo(self, capsys, write, monkeypatch):
         use_divisor(monkeypatch, [1, 1, 1])
@@ -487,8 +515,8 @@ class TestDemosAndBulk:
 
     def test_corpus_draws_each_task_as_it_goes(self, capsys, monkeypatch):
         # With --jobs 1 the k-th fan is verified once k tasks are drawn, two
-        # words of the master stream each, so memory does not grow with
-        # --count.
+        # words of the master stream each; with --jobs 2, once the window
+        # that holds it is drawn. So memory does not grow with --count.
         corpus = importlib.import_module("realtoric.corpus")
         words = []
 
@@ -506,9 +534,21 @@ class TestDemosAndBulk:
 
         monkeypatch.setattr(corpus, "SplitMix64", CountingStream)
         monkeypatch.setattr(cli, "_corpus_line", counting_line)
-        code, out, _ = run_lines(capsys, ["corpus", "--seed", "11", "--count", "5"])
-        assert code == 0 and len(out.splitlines()) == 6
-        assert drawn == [2, 4, 6, 8, 10]
+
+        def words_drawn_per_fan(count, jobs):
+            words.clear()
+            drawn.clear()
+            argv = ["corpus", "--seed", "11", "--count", str(count)]
+            code, out, _ = run_lines(capsys, argv + ["--jobs", str(jobs)])
+            assert code == 0 and len(out.splitlines()) == count + 1
+            return drawn
+
+        assert words_drawn_per_fan(5, 1) == [2, 4, 6, 8, 10]
+        use_in_process_pool(monkeypatch, cpus=2)
+        window = cli._WINDOW
+        count = 2 * window + 3
+        ends = [min(count, window * (k // window + 1)) for k in range(count)]
+        assert words_drawn_per_fan(count, 2) == [2 * end for end in ends]
 
     def test_corpus_parallel_matches_serial(self, capsys):
         base = ["corpus", "--seed", "3", "--count", "6", "--max-blowups", "5"]
@@ -517,28 +557,7 @@ class TestDemosAndBulk:
         assert serial == parallel
 
     def test_corpus_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
-        import concurrent.futures
-
-        created = []
-
-        class RecordingPool:
-            # Stands in for ProcessPoolExecutor and runs the tasks in process.
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", RecordingPool, raising=False
-        )
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        created = use_in_process_pool(monkeypatch, cpus=2)
         base = ["corpus", "--seed", "3", "--count", "3", "--max-blowups", "2"]
         code, out, _ = run_lines(capsys, base + ["--jobs", "64"])
         assert code == 0
@@ -903,6 +922,228 @@ def test_help_returns_zero(capsys, argv, usage):
     assert out.startswith(usage)
 
 
+# Each subcommand, in order: name, help, handler and its arguments, each
+# as (option strings, dest, type, default, choices, metavar, required,
+# help, (index, required) of its exclusive group or None); argparse's own
+# -h is left out. Recorded before the subcommands shared one helper.
+FAN_ARG = ((), "fan", None, None, None, None, True, None, None)
+SEED_ARG = (("--seed",), "seed", "int", 0, None, None, False, None, None)
+PARSER_STRUCTURE = [
+    ("validate", "canonicalize a fan file", "_cmd_validate", [FAN_ARG]),
+    ("classify", "full pipeline, print the report", "_cmd_verify", [FAN_ARG]),
+    ("predict", "surface type from the fan alone", "_cmd_predict", [FAN_ARG]),
+    ("verify", "classify and exit 2 on inconsistency", "_cmd_verify", [FAN_ARG]),
+    ("selfint", "self-intersection sequence", "_cmd_selfint", [FAN_ARG]),
+    (
+        "surgery",
+        "blow up, blow down, or minimalize",
+        "_cmd_surgery",
+        [
+            FAN_ARG,
+            (("--blow-up",), "blow_up", "int", None, None, "I", False, None, (0, True)),
+            (
+                ("--blow-down",),
+                "blow_down",
+                "int",
+                None,
+                None,
+                "I",
+                False,
+                None,
+                (0, True),
+            ),
+            (
+                ("--minimal",),
+                "minimal",
+                None,
+                False,
+                None,
+                None,
+                False,
+                None,
+                (0, True),
+            ),
+        ],
+    ),
+    (
+        "complex",
+        "glued cell complex as JSON or DOT",
+        "_cmd_complex",
+        [
+            FAN_ARG,
+            (
+                ("--rule",),
+                "rule",
+                None,
+                "parallel",
+                ["parallel", "affine"],
+                None,
+                False,
+                None,
+                None,
+            ),
+            (("--divisor",), "divisor", None, None, None, "DIV", False, None, None),
+            (
+                ("--format",),
+                "format",
+                None,
+                "json",
+                ["json", "dot"],
+                None,
+                False,
+                None,
+                None,
+            ),
+        ],
+    ),
+    (
+        "gkz-demo",
+        "compare the correct and affine-span gluing rules",
+        "_cmd_gkz_demo",
+        [FAN_ARG],
+    ),
+    ("ample", "construct an ample divisor", "_cmd_ample", [FAN_ARG]),
+    (
+        "corpus",
+        "verify a seeded corpus of random fans",
+        "_cmd_corpus",
+        [
+            SEED_ARG,
+            (("--count",), "count", "int", 20, None, None, False, None, None),
+            (
+                ("--max-blowups",),
+                "max_blowups",
+                "int",
+                8,
+                None,
+                None,
+                False,
+                None,
+                None,
+            ),
+            (
+                ("--jobs",),
+                "jobs",
+                "int",
+                1,
+                None,
+                None,
+                False,
+                "worker processes, at most the CPU count",
+                None,
+            ),
+        ],
+    ),
+    (
+        "moment-check",
+        "numeric moment-map suite",
+        "_cmd_moment_check",
+        [
+            FAN_ARG,
+            SEED_ARG,
+            (("--samples",), "samples", "int", 256, None, None, False, None, None),
+        ],
+    ),
+]
+
+
+def _parser_structure(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    structure = []
+    for choice in sub._choices_actions:
+        command = sub.choices[choice.dest]
+        groups = {
+            a: (i, g.required)
+            for i, g in enumerate(command._mutually_exclusive_groups)
+            for a in g._group_actions
+        }
+        arguments = [
+            (
+                tuple(a.option_strings),
+                a.dest,
+                getattr(a.type, "__name__", a.type),
+                a.default,
+                a.choices,
+                a.metavar,
+                a.required,
+                a.help,
+                groups.get(a),
+            )
+            for a in command._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        handler = command.get_default("func").__name__
+        structure.append((choice.dest, choice.help, handler, arguments))
+    return structure
+
+
+def test_parser_structure():
+    assert _parser_structure(cli._build_parser()) == PARSER_STRUCTURE
+
+
+FAN_COMMAND_LINES = [
+    ["validate"],
+    ["classify"],
+    ["predict"],
+    ["verify"],
+    ["selfint"],
+    ["surgery", "--blow-up", "99"],
+    ["complex", "--rule", "affine"],
+    ["gkz-demo"],
+    ["ample"],
+    ["moment-check", "--samples", "0"],
+]
+
+
+def test_fan_command_lines_cover_every_fan_command():
+    fan_commands = [name for name, _, _, args in PARSER_STRUCTURE if FAN_ARG in args]
+    assert [argv[0] for argv in FAN_COMMAND_LINES] == fan_commands
+
+
+@pytest.mark.parametrize("command", FAN_COMMAND_LINES, ids=lambda c: c[0])
+def test_missing_fan_file_is_refused_first(capsys, tmp_path, command):
+    # The fan file is read before any other argument is checked: before
+    # --rule affine asks for --divisor, --samples 0 is refused and
+    # --blow-up 99 is found out of range.
+    path = str(tmp_path / "nope.json")
+    code, out, err = run_lines(capsys, [command[0], path, *command[1:]])
+    assert (code, out) == (1, "")
+    refusal = json.loads(err)
+    assert refusal["error"] == "InvalidInput"
+    assert refusal["detail"].startswith(f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        (["corpus", "--count", "2000", "--jobs", "1"], 1),
+        (["corpus", "--count", "2000", "--jobs", "2"], 1),
+        (["classify", "{fan}"], 0),
+    ],
+    ids=["corpus-jobs-1", "corpus-jobs-2", "classify"],
+)
+def test_closed_stdout_exits_141_silently(tmp_path, argv, lines_read):
+    # 141 is 128 + SIGPIPE, what a shell reports for a closed pipe; the
+    # unwritten output is dropped without a word on stderr.
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(P2_RAYS))
+    argv = [arg.format(fan=fan_file) for arg in argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "realtoric.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+        os.close(write_end)
+        for _ in range(lines_read):
+            assert reader.readline().startswith(b'{"fan": ')
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 LAZY_MODULES = ["realtoric.corpus", "realtoric.moment", "realtoric.polytope"]
 
 
@@ -1095,7 +1336,8 @@ def test_only_internal_checks_raise_value_error():
         for site in _value_error_raises(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert sites == INTERNAL_VALUE_ERRORS
-    # The exception type alone decides exit 1: no handler guesses at it.
+    # The exception type alone decides exit 1: no handler guesses at it. A
+    # closed stdout exits 141, before any other handler sees it.
     module = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
     (run,) = [n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "run"]
     handlers = [
@@ -1104,7 +1346,7 @@ def test_only_internal_checks_raise_value_error():
         if isinstance(node, ast.Try)
         for h in node.handlers
     ]
-    assert handlers == ["_CliError", "ToricError", "Exception"]
+    assert handlers == ["BrokenPipeError", "_CliError", "ToricError", "Exception"]
 
 
 def _load_bench_module(name, monkeypatch):

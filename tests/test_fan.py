@@ -389,10 +389,11 @@ def test_random_fan_digest():
     "build, args, message",
     [
         (hirzebruch_fan, (-1,), "the canonical 4-ray fan takes a >= 0"),
+        (hirzebruch_fan, (1.5,), "a must be an integer, got 1.5"),
         (apply_map, (P2, ((1, 0), (0.5, 1))), "map entries must be integers"),
         (apply_map, (P2, ((True, 0), (0, 1))), "map entries must be integers"),
     ],
-    ids=["hirzebruch-negative", "map-float", "map-bool"],
+    ids=["hirzebruch-negative", "hirzebruch-float", "map-float", "map-bool"],
 )
 def test_fan_builders_refuse_bad_arguments(build, args, message):
     with pytest.raises(InvalidInput) as refused:

@@ -22,6 +22,7 @@ from realtoric import (
     polygon_from_divisor,
     projective_plane_fan,
     random_fan,
+    run_moment_checks,
     translate_divisor,
 )
 from realtoric.errors import InvalidInput
@@ -291,3 +292,57 @@ class TestJson:
             divisor_from_json({"coeffs": [1, "2"]})
         with pytest.raises(InvalidInput):
             divisor_from_json([1, 2])
+
+
+F1 = hirzebruch_fan(1)
+UNIT = ToricDivisor((0, 0, 1, 1))
+
+
+# Each coefficient and each coordinate of u is read through
+# operator.index: a float or a string is refused by name, where it used to
+# give a float polygon, float coefficients or a bare TypeError.
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (
+            intersection_numbers,
+            (F1, ToricDivisor((0, 0, 1.5, 1))),
+            "coefficient 2 must be an integer, got 1.5",
+        ),
+        (
+            is_ample,
+            (F1, ToricDivisor((0, 0, "a", 1))),
+            "coefficient 2 must be an integer, got 'a'",
+        ),
+        (
+            polygon_from_divisor,
+            (F1, ToricDivisor((0, 0, 1.5, 1))),
+            "coefficient 2 must be an integer, got 1.5",
+        ),
+        (
+            translate_divisor,
+            (F1, ToricDivisor((0.5, 0, 1, 1)), (0, 0)),
+            "coefficient 0 must be an integer, got 0.5",
+        ),
+        (translate_divisor, (F1, UNIT, (0.5, 0)), "u[0] must be an integer, got 0.5"),
+        (translate_divisor, (F1, UNIT, (0, "1")), "u[1] must be an integer, got '1'"),
+        (
+            run_moment_checks,
+            (F1, ToricDivisor((0, 0, 1.0, 1))),
+            "coefficient 2 must be an integer, got 1.0",
+        ),
+    ],
+    ids=[
+        "intersection-numbers",
+        "is-ample",
+        "polygon",
+        "translate-coefficient",
+        "translate-u0",
+        "translate-u1",
+        "moment-checks",
+    ],
+)
+def test_divisors_and_characters_must_be_integers(call, args, message):
+    with pytest.raises(InvalidInput) as refused:
+        call(*args)
+    assert (type(refused.value), str(refused.value)) == (InvalidInput, message)
