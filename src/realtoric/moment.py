@@ -18,10 +18,10 @@ side of its bounding box (at least 1), so that no vertex weight falls
 below ``exp(-6)`` of the largest and the images stay apart however wide
 the polygon is. The samples, which do not depend on the fan, are drawn
 once per ``(seed, samples)``. Flat kernels take their images in blocks,
-build the grid's 1,024 images and sweep them for the closest pair, with
-the float operations, in the order, of a loop over single images, but
-for the grid's additions of an exact +0.0, which change no bit and are
-left out (see ``_grid_images``).
+build the grid's 1,024 images from one flat factor table per axis and
+sweep them for the closest pair, with the float operations, in the
+order, of a loop over single images, but for the grid's additions of an
+exact +0.0, which change no bit and are left out (see ``_grid_images``).
 Sums are ``math.fsum`` or explicit ``+`` left to right, never ``sum``,
 which compensates since Python 3.12, so reports are bit-identical on 3.10
 to 3.13. The numerics back up the exact combinatorics; nothing downstream
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter, mul, truediv
 from typing import NamedTuple, Sequence
 
@@ -172,26 +172,25 @@ def _sample_images(lx: Sequence, ly: Sequence, xs: list, ys: list) -> tuple[list
 
 
 def _min_separation(points: Sequence[tuple[float, float]]) -> float:
-    """Smallest Euclidean distance between two entries of ``points``.
+    """Smallest Euclidean distance between two entries of ``points``, which
+    must be finite, as grid images always are.
 
     Sorts by x into two flat coordinate lists and scans forward from each
     point until the squared x gap alone reaches the best squared distance
-    so far. Rounding is monotone and ``dy*dy`` is nonnegative, so no
+    so far. The x list ends at ``inf``, whose gap from any finite x is
+    ``inf``, so every scan ends there at the latest with no bound check.
+    Rounding is monotone and ``dy*dy`` is nonnegative, so no
     skipped pair is closer, and a pair's ``dx*dx + dy*dy`` does not depend
     on its order: the result equals the all-pairs minimum of
     ``sqrt(dx*dx + dy*dy)`` bit for bit, however ties in x are ordered.
     Repeated points give 0.0; fewer than two give ``inf``.
     """
     pts = sorted(points, key=itemgetter(0))
-    xs = [p[0] for p in pts]
+    xs = [p[0] for p in pts] + [math.inf]
     ys = [p[1] for p in pts]
-    n = len(pts)
     best = math.inf
-    for i in range(n):
-        x0 = xs[i]
-        y0 = ys[i]
-        j = i + 1
-        while j < n:
+    for j, (x0, y0) in enumerate(pts, 1):
+        while True:
             dx = xs[j] - x0
             dx2 = dx * dx
             if dx2 >= best:
@@ -204,19 +203,18 @@ def _min_separation(points: Sequence[tuple[float, float]]) -> float:
     return math.sqrt(best)
 
 
-def _axis_table(
-    coords: Sequence[float], width: int
-) -> list[tuple[list[float], list[float]]]:
-    """Per log-coordinate ``g`` of ``_GRID``: the factors
-    ``exp(c * g/width - max)`` over ``coords``, and those times ``coords``.
+def _axis_table(coords: Sequence[float], width: int) -> tuple[list, list]:
+    """Per ``g`` of ``_GRID``, a row of the factors ``exp(c * (g/width) - max)``
+    over ``coords``, the max taken over that row, and a row of those times
+    ``coords``: two flat lists of rows, so that coordinate ``k``'s factors
+    are the slice ``[k::d]``. One pass builds each list, with ``g / width``
+    once per row and the float operations of a loop over single rows.
     """
-    rows = []
-    for g in _GRID:
-        logs = [c * (g / width) for c in coords]
-        top = max(logs)
-        weights = [math.exp(v - top) for v in logs]
-        rows.append((weights, list(map(mul, weights, coords))))
-    return rows
+    d = len(coords)
+    logs = [c * t for t in [g / width for g in _GRID] for c in coords]
+    rows = list(zip(*[iter(logs)] * d))
+    w = [math.exp(v - top) for top, row in zip(map(max, rows), rows) for v in row]
+    return w, list(map(mul, w, coords * len(_GRID)))
 
 
 def _sums(pairs: list) -> list[float]:
@@ -251,7 +249,11 @@ def _sums(pairs: list) -> list[float]:
 
 def _by_row(factors: Sequence[float]) -> list[float]:
     # A vertex's row factors in image order: each once per column.
-    return list(chain(*map(repeat, factors, repeat(len(_GRID)))))
+    n = len(_GRID)
+    out = [0.0] * n * n
+    for j in range(n):
+        out[j::n] = factors
+    return out
 
 
 def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
@@ -263,11 +265,12 @@ def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
     Each factor lies in ``[exp(-3), 1]``, as ``|c * g/W - max| <= 3``, so
     no weight underflows or dominates however wide the polygon is, and
     plain sums of the d products agree with ``moment_map``'s per-point
-    form to rounding. Each vertex gets its factors in image order: its
-    row factors, each repeated once per column, and its column factors,
-    repeated once per row. ``_sums`` then adds each image's products from
-    0.0, left to right: the float operations of ``sum`` before Python
-    3.12, but for the products that are exactly +0.0.
+    form to rounding. Each vertex gets its factors, strided slices of the
+    tables, in image order: its row factors, each repeated once per
+    column, and its column factors, repeated once per row. ``_sums`` then
+    adds each image's products from 0.0, left to right: the float
+    operations of ``sum`` before Python 3.12, but for the products that
+    are exactly +0.0.
 
     Those are left out: a vertex with x = 0 adds ``(wx * 0.0) * wy``, which
     is +0.0, to the x sum, and one with y = 0 adds +0.0 to the y sum, and
@@ -282,14 +285,14 @@ def _grid_images(vertices: Sequence[Vec]) -> list[tuple[float, float]]:
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
     width = max(max(xs) - min(xs), max(ys) - min(ys), 1)
-    n = len(_GRID)
-    row_w, row_u = (zip(*t) for t in zip(*_axis_table(list(map(float, xs)), width)))
-    col_w, col_u = (zip(*t) for t in zip(*_axis_table(list(map(float, ys)), width)))
-    wx = [_by_row(f) for f in row_w]
-    wy = [list(f) * n for f in col_w]
+    n, d = len(_GRID), len(vertices)
+    row_w, row_u = _axis_table(list(map(float, xs)), width)
+    col_w, col_u = _axis_table(list(map(float, ys)), width)
+    wx = [_by_row(row_w[v::d]) for v in range(d)]
+    wy = [col_w[v::d] * n for v in range(d)]
     total = _sums(list(zip(wx, wy)))
-    mx = _sums([(_by_row(u), w) for u, w, c in zip(row_u, wy, xs) if c])
-    my = _sums([(w, list(u) * n) for w, u, c in zip(wx, col_u, ys) if c])
+    mx = _sums([(_by_row(row_u[v::d]), wy[v]) for v, c in enumerate(xs) if c])
+    my = _sums([(wx[v], col_u[v::d] * n) for v, c in enumerate(ys) if c])
     return list(zip(map(truediv, mx, total), map(truediv, my, total)))
 
 

@@ -57,6 +57,8 @@ def _check_divisor(fan: Fan, div: ToricDivisor) -> None:
             f"divisor has {len(div.coeffs)} coefficients for {fan.d} rays"
         )
     for i, c in enumerate(div.coeffs):
+        if isinstance(c, bool):
+            raise InvalidInput(f"coefficient {i} must be an integer, got {c!r}")
         integer_argument(f"coefficient {i}", c)
 
 
@@ -64,7 +66,7 @@ def intersection_numbers(fan: Fan, div: ToricDivisor) -> tuple[int, ...]:
     """Degree of the divisor against each ray divisor, exactly.
 
     Raises LengthMismatch, or InvalidInput naming a coefficient that is no
-    integer.
+    integer or is a bool.
     """
     _check_divisor(fan, div)
     b = div.coeffs
@@ -176,10 +178,14 @@ def translate_divisor(fan: Fan, div: ToricDivisor, u: Vec) -> ToricDivisor:
     """Shift coefficients by the character ``u``: ``b[i] += <u, v[i]>``.
 
     This translates the polygon by ``-u`` and leaves every intersection
-    number unchanged. Raises InvalidInput when ``u`` is no integer pair.
+    number unchanged. Raises InvalidInput when ``u`` is not two integers.
     """
     _check_divisor(fan, div)
-    u0, u1 = integer_argument("u[0]", u[0]), integer_argument("u[1]", u[1])
+    try:
+        u0, u1 = u
+    except (TypeError, ValueError):
+        raise InvalidInput(f"u must be two integers, got {u!r}") from None
+    u0, u1 = integer_argument("u[0]", u0), integer_argument("u[1]", u1)
     return ToricDivisor(
         tuple(b + u0 * v[0] + u1 * v[1] for b, v in zip(div.coeffs, fan.rays))
     )

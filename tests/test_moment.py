@@ -39,7 +39,6 @@ from realtoric import (
 from realtoric.moment import (
     _BLOCK,
     _GRID,
-    _axis_table,
     _draws,
     _grid_images,
     _min_separation,
@@ -299,6 +298,12 @@ def test_min_separation_edge_cases():
         ([(1.0, 2.0), (1.0, 2.0)], 0.0),
         ([(0.0, 0.0), (3.0, 4.0)], 5.0),
         ([(0.0, 1.0), (2.0, 3.0), (0.0, 1.0), (2.0, -1.0)], 0.0),
+        # exactly two points, the larger x first
+        ([(2.0, 0.0), (-1.0, 4.0)], 5.0),
+        # several points share the largest x, the closest pair among them
+        ([(5.0, 1.0), (0.0, 0.0), (5.0, -3.0), (5.0, 4.0)], 3.0),
+        # every point on one x
+        ([(2.0, 7.0), (2.0, 1.0), (2.0, 3.5)], 2.5),
     ]:
         assert _min_separation(points) == _min_separation(_transposed(points)) == want
 
@@ -540,17 +545,30 @@ def _grid_vertices(name):
     return polygon_from_divisor(fan, find_ample(fan)).vertices
 
 
+def _factor_rows(coords, width):
+    # Per g of _GRID: the factors exp(c * (g / width) - max) over coords,
+    # the max taken over that g alone, and those times coords.
+    rows = []
+    for g in _GRID:
+        logs = [c * (g / width) for c in coords]
+        top = max(logs)
+        weights = [math.exp(v - top) for v in logs]
+        rows.append((weights, [w * c for w, c in zip(weights, coords)]))
+    return rows
+
+
 def _per_image_grid(vertices):
     # One image at a time, three sums of all d products each, added from
     # 0.0 left to right as the builtin sum did before Python 3.12 (it
     # compensates its rounding from 3.12 on): the form the flat kernel
-    # must reproduce bit for bit.
+    # must reproduce bit for bit. The factor rows are its own, so that a
+    # fault in the kernel's table shows too.
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
     width = max(max(xs) - min(xs), max(ys) - min(ys), 1)
-    columns = _axis_table(ys, width)
+    columns = _factor_rows(ys, width)
     images = []
-    for wx, ux in _axis_table(xs, width):
+    for wx, ux in _factor_rows(xs, width):
         for wy, uy in columns:
             total = mx = my = 0.0
             for a, u, b, v in zip(wx, ux, wy, uy):

@@ -300,6 +300,12 @@ MUTANTS = {
         HOMOLOGY, "_spanning_forest_size", _loop_edge_a_merge
     ),
     "grid-width-one": (MOMENT, "_axis_table", _unit_grid_width),
+    # One max over the whole table, not one per row of it.
+    "axis-table-one-max": (
+        MOMENT,
+        "_axis_table",
+        _rewritten("zip(map(max, rows), rows)", "zip([max(logs)] * len(rows), rows)"),
+    ),
     "closest-pair-adjacent-only": (MOMENT, "_min_separation", _adjacent_pairs_only),
     "sample-sign-flipped": (MOMENT, "sign_profile", _x_sign_flipped),
     "sample-images-axes-swapped": (MOMENT, "_sample_images", _axes_swapped),
@@ -307,7 +313,7 @@ MUTANTS = {
     "grid-sums-drop-last-pass": (MOMENT, "_sums", _last_pass_skipped),
     # The x sums leave out the vertices with y = 0, not those with x = 0.
     "grid-zero-skip-wrong-axis": (
-        MOMENT, "_grid_images", _rewritten("zip(row_u, wy, xs)", "zip(row_u, wy, ys)")
+        MOMENT, "_grid_images", _rewritten("enumerate(xs)", "enumerate(ys)")
     ),
     "last-distinct-column-dropped": (HOMOLOGY, "_distinct_columns", _last_column_dropped),
     "smith-memo-keyed-by-shape": (HOMOLOGY, "_factors", _keyed_by_shape),
@@ -591,6 +597,20 @@ def test_zero_skip_on_the_wrong_axis_fails_the_grid_oracle(monkeypatch):
         kernel = bits(MOMENT._grid_images(vertices))
         oracle = bits(test_moment._per_image_grid(vertices))
         assert (kernel != oracle) == any(x != 0 == y for x, y in vertices), name
+
+
+def test_one_max_table_fails_the_grid_oracle_and_the_digest(monkeypatch):
+    # One max over the whole table scales each row of factors by
+    # exp(row max - max): the images' ratios cancel it, but not their
+    # rounding. Sums over the kernel's own table would still agree with
+    # the kernel; the oracle's own factor rows and the report digest do not.
+    _apply(monkeypatch, "axis-table-one-max")
+    grid_test = test_moment.test_grid_images_match_the_per_image_sums_bit_for_bit
+    for name in LAST_PASS_FANS.values():
+        with pytest.raises(AssertionError):
+            grid_test(name)
+    with pytest.raises(AssertionError):
+        test_moment.test_reports_keep_their_digest()
 
 
 def test_dropped_column_mutant_fails_the_oracle(monkeypatch):

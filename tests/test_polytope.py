@@ -300,7 +300,9 @@ UNIT = ToricDivisor((0, 0, 1, 1))
 
 # Each coefficient and each coordinate of u is read through
 # operator.index: a float or a string is refused by name, where it used to
-# give a float polygon, float coefficients or a bare TypeError.
+# give a float polygon, float coefficients or a bare TypeError. A bool
+# coefficient is refused too, as divisor_from_json refuses it, and a u of
+# other than two entries, which gave a bare IndexError or lost its third.
 @pytest.mark.parametrize(
     "call, args, message",
     [
@@ -326,10 +328,26 @@ UNIT = ToricDivisor((0, 0, 1, 1))
         ),
         (translate_divisor, (F1, UNIT, (0.5, 0)), "u[0] must be an integer, got 0.5"),
         (translate_divisor, (F1, UNIT, (0, "1")), "u[1] must be an integer, got '1'"),
+        (translate_divisor, (F1, UNIT, (1,)), "u must be two integers, got (1,)"),
+        (
+            translate_divisor,
+            (F1, UNIT, (1, 0, 5)),
+            "u must be two integers, got (1, 0, 5)",
+        ),
         (
             run_moment_checks,
             (F1, ToricDivisor((0, 0, 1.0, 1))),
             "coefficient 2 must be an integer, got 1.0",
+        ),
+        (
+            intersection_numbers,
+            (F1, ToricDivisor((0, 0, True, 1))),
+            "coefficient 2 must be an integer, got True",
+        ),
+        (
+            run_moment_checks,
+            (F1, ToricDivisor((0, 0, True, 1)), 0, 1),
+            "coefficient 2 must be an integer, got True",
         ),
     ],
     ids=[
@@ -339,7 +357,11 @@ UNIT = ToricDivisor((0, 0, 1, 1))
         "translate-coefficient",
         "translate-u0",
         "translate-u1",
+        "translate-u-short",
+        "translate-u-long",
         "moment-checks",
+        "intersection-numbers-bool",
+        "moment-checks-bool",
     ],
 )
 def test_divisors_and_characters_must_be_integers(call, args, message):
