@@ -10,11 +10,11 @@ from importlib import import_module as _import_module
 
 from . import errors, fan, gluing, homology, intmat, rng
 
-# The polygon layer and the corpus load on first use of one of their names
-# (PEP 562), so a classify process loads the exact pipeline alone. Each
-# tuple is its module's __all__.
+# The polygon layer loads on first use of one of its names (PEP 562), so a
+# classify process loads the exact pipeline alone. Each tuple is the one
+# list of its module's names: the module sets its __all__ from it, which it
+# can, as this package always finishes before a submodule loads.
 _LAZY = {
-    "corpus": ("iter_corpus_tasks", "corpus_tasks", "corpus_fans"),
     "moment": (
         "sign_profile",
         "moment_map",

@@ -28,6 +28,7 @@ from .fan import (
     blow_up,
     fan_from_json,
     fan_to_json,
+    iter_corpus_tasks,
     minimal_model,
     random_fan,
     self_intersections,
@@ -45,9 +46,8 @@ from .homology import (
     verify,
 )
 
-# The polygon layer (polytope, moment) and the corpus are imported inside
-# the commands that run them, so classify and the other exact commands
-# never load them.
+# The polygon layer (polytope, moment) is imported inside the commands that
+# run it, so classify and the other exact commands never load it.
 
 
 class _CliError(Exception):
@@ -185,8 +185,6 @@ def _corpus_line(task: tuple[int, int]) -> dict:
 
 
 def _cmd_corpus(args) -> int:
-    from .corpus import iter_corpus_tasks
-
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
     # Bad arguments are refused here, before the first line is printed.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from math import gcd
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateRay,
@@ -56,6 +56,9 @@ __all__ = [
     "BlowDownStep",
     "minimal_model",
     "random_fan",
+    "iter_corpus_tasks",
+    "corpus_tasks",
+    "corpus_fans",
 ]
 
 Vec = tuple[int, int]
@@ -198,9 +201,13 @@ def apply_map(fan: Fan, m: Mat2) -> Fan:
 
     Raises NotUnimodular unless ``det(m)`` is +1 or -1. The result is
     re-normalized, so a determinant -1 map (which reverses the cyclic
-    order) still yields a canonical fan.
+    order) still yields a canonical fan. Raises InvalidInput unless ``m``
+    is two pairs of integers.
     """
-    (a, b), (c, e) = m
+    try:
+        (a, b), (c, e) = m
+    except (TypeError, ValueError):  # not two rows of two entries
+        raise InvalidInput(f"a map must be two pairs of integers, got {m!r}") from None
     for entry in (a, b, c, e):
         if isinstance(entry, bool) or not isinstance(entry, int):
             raise InvalidInput("map entries must be integers")
@@ -334,3 +341,45 @@ def random_fan(seed: int, n_blowups: int) -> Fan:
     for _ in range(n_blowups):
         fan = blow_up(fan, rng.below(fan.d))
     return fan
+
+
+# A corpus: a master stream derives one ``(seed, n_blowups)`` pair per fan,
+# so the corpus for a given ``(seed, count, max_blowups)`` triple is fixed
+# forever and each entry can be verified independently (and in parallel)
+# without changing the output.
+def iter_corpus_tasks(
+    seed: int, count: int, max_blowups: int
+) -> Iterator[tuple[int, int]]:
+    """The ``(seed, n_blowups)`` pair of each corpus entry, drawn as they
+    are consumed, so a corpus of any size takes constant memory.
+
+    The arguments are checked here, before the first pair is drawn:
+    InvalidInput when one is no integer, or ``count`` or ``max_blowups``
+    is negative.
+    """
+    master = SplitMix64(integer_argument("seed", seed))
+    count = integer_argument("count", count)
+    max_blowups = integer_argument("max_blowups", max_blowups)
+    if count < 0:
+        raise InvalidInput("count must be nonnegative")
+    if max_blowups < 0:
+        raise InvalidInput("max_blowups must be nonnegative")
+    return _draw_tasks(master, count, max_blowups + 1)
+
+
+def _draw_tasks(
+    master: SplitMix64, count: int, bound: int
+) -> Iterator[tuple[int, int]]:
+    for _ in range(count):
+        n = master.below(bound)
+        yield master.next_u64(), n
+
+
+def corpus_tasks(seed: int, count: int, max_blowups: int) -> list[tuple[int, int]]:
+    """Every pair of :func:`iter_corpus_tasks`, in order, as a list."""
+    return list(iter_corpus_tasks(seed, count, max_blowups))
+
+
+def corpus_fans(seed: int, count: int, max_blowups: int) -> list[Fan]:
+    """The corpus itself, in order."""
+    return [random_fan(s, n) for s, n in iter_corpus_tasks(seed, count, max_blowups)]

@@ -28,11 +28,12 @@ one anchored at the origin.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from contextlib import suppress
 from functools import lru_cache
 from itertools import accumulate
 from operator import index, itemgetter
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
 from .fan import Fan, Vec, integer_argument, self_intersections
@@ -119,6 +120,14 @@ def _names(table, x) -> bool:
         return False
 
 
+def _sequence(cells, name: str, what: str, size: int | None = None) -> Sequence:
+    # cells, if it is a sequence (of ``size`` entries, when one is given);
+    # else InvalidComplex naming it.
+    if not isinstance(cells, Sequence) or size not in (None, len(cells)):
+        raise InvalidComplex(f"{name} is {cells!r}, not {what}")
+    return cells
+
+
 class CellComplex(NamedTuple):
     """A 2-dimensional CW complex with oriented edges and faces.
 
@@ -168,7 +177,9 @@ class CellComplex(NamedTuple):
         The count is checked first. C-level lookups then accept int
         endpoints in range and words of 2 or more entries. Else one pass
         decides: bad indices first, edges then faces, then the first break
-        of a walk from face 1, its closing step last.
+        of a walk from face 1, its closing step last. A field, an edge or a
+        face that is no sequence, or an edge of other than two entries, is
+        refused in that pass, in its place.
         """
         try:
             nv = index(self.num_vertices)
@@ -179,12 +190,13 @@ class CellComplex(NamedTuple):
                 f"num_vertices is {self.num_vertices!r}, not an integer >= 0"
             )
         edges = self.edges
-        tails, heads = zip(*edges) if edges else ((), ())
-        # By signed entry: its edge's start, its end, and itself if valid.
-        starts = (None,) + tails + heads[::-1]
-        ends = (None,) + heads + tails[::-1]
-        named = _signed_indices(len(edges))
-        with suppress(IndexError, TypeError):
+        with suppress(IndexError, TypeError, ValueError):
+            tails, heads = zip(*edges) if edges else ((), ())
+            # By signed entry: its edge's start, its end, and itself if valid.
+            # They exist once the edges pass the loop below.
+            starts = (None,) + tails + heads[::-1]
+            ends = (None,) + heads + tails[::-1]
+            named = _signed_indices(len(edges))
             if type(sum(tails, sum(heads))) is int and all(
                 len(w) > 1 and (at := itemgetter(*w))(named) == w
                 and at(starts) == itemgetter(w[-1], *w[:-1])(ends)
@@ -195,20 +207,21 @@ class CellComplex(NamedTuple):
                         break
                 else:
                     return
-        for j, (tail, head) in enumerate(edges, 1):
+        for j, edge in enumerate(_sequence(edges, "edges", "a sequence"), 1):
+            tail, head = _sequence(edge, f"edge {j}", "a pair of vertex indices", 2)
             if not (_names(range(nv), tail) and _names(range(nv), head)):
                 raise InvalidComplex(
                     f"edge {j} is {(tail, head)}, with an endpoint outside 0..{nv - 1}"
                 )
-        for j, word in enumerate(self.faces, 1):
-            for signed in word:
+        for j, word in enumerate(_sequence(self.faces, "faces", "a sequence"), 1):
+            for signed in _sequence(word, f"face {j}", "a word of signed edge indices"):
                 if not _names(named, signed):
                     raise InvalidComplex(
                         f"face {j} has entry {signed!r}, not a signed edge index "
                         f"in 1..{len(edges)}"
                     )
         for j, word in enumerate(self.faces, 1):
-            for k, (s, t) in enumerate(zip(word, word[1:] + word[:1]), 1):
+            for k, (s, t) in enumerate(zip(word, (*word[1:], *word[:1])), 1):
                 if starts[t] != ends[s]:
                     raise InvalidComplex(
                         f"face {j} is no closed walk: entry {k % len(word) + 1} starts"

@@ -176,9 +176,9 @@ def classify_surface(profile: HomologyProfile) -> SurfaceType:
         )
     chi = profile.euler_characteristic
     if profile.b2 == 1 and not profile.torsion:
-        if profile.b1 % 2 == 0:
+        if profile.b1 % 2 == 0 and profile.b1 >= 0:
             return SurfaceType(orientable=True, genus=profile.b1 // 2)
-    if profile.b2 == 0 and profile.torsion == (2,):
+    if profile.b2 == 0 and profile.torsion == (2,) and profile.b1 >= 0:
         return SurfaceType(orientable=False, genus=2 - chi)
     raise NotAClosedSurfaceProfile(
         f"betti ({profile.b0}, {profile.b1}, {profile.b2}) with torsion "

@@ -44,19 +44,14 @@ from itertools import chain
 from operator import itemgetter, mul, truediv
 from typing import NamedTuple, Sequence
 
+from . import _LAZY
 from .errors import DegenerateWeights, InvalidInput
 from .fan import Fan, Vec, integer_argument
 from .gluing import ALL_SIGN_HOMS, SignHom
 from .rng import SplitMix64
 from .polytope import ToricDivisor, find_ample, polygon_from_divisor
 
-__all__ = [
-    "sign_profile",
-    "moment_map",
-    "sample_T_epsilon",
-    "MomentCheckReport",
-    "run_moment_checks",
-]
+__all__ = _LAZY["moment"]
 
 TorusPoint = tuple[float, float]
 

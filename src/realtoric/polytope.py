@@ -15,21 +15,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from . import _LAZY
 from .errors import InvalidInput, LengthMismatch, NotAmple
 from .fan import Fan, Vec, det2, integer_argument, self_intersections
 
-__all__ = [
-    "ToricDivisor",
-    "LatticePolygon",
-    "intersection_numbers",
-    "is_ample",
-    "find_ample",
-    "polygon_from_divisor",
-    "lattice_points",
-    "translate_divisor",
-    "divisor_to_json",
-    "divisor_from_json",
-]
+__all__ = _LAZY["polytope"]
 
 
 class ToricDivisor(NamedTuple):

@@ -517,13 +517,26 @@ class TestDemosAndBulk:
         # With --jobs 1 the k-th fan is verified once k tasks are drawn, two
         # words of the master stream each; with --jobs 2, once the window
         # that holds it is drawn. So memory does not grow with --count.
-        corpus = importlib.import_module("realtoric.corpus")
+        # Only the master stream is counted: random_fan draws from streams
+        # of the same class.
+        fan = importlib.import_module("realtoric.fan")
+        draw_tasks = fan._draw_tasks
         words = []
 
-        class CountingStream(corpus.SplitMix64):
+        class CountingStream:
+            def __init__(self, master):
+                self.master = master
+
             def next_u64(self):
                 words.append(None)
-                return super().next_u64()
+                return self.master.next_u64()
+
+            def below(self, n):  # one word, as below reads one output
+                words.append(None)
+                return self.master.below(n)
+
+        def counting_draw(master, count, bound):
+            return draw_tasks(CountingStream(master), count, bound)
 
         real = cli._corpus_line
         drawn = []
@@ -532,7 +545,7 @@ class TestDemosAndBulk:
             drawn.append(len(words))
             return real(task)
 
-        monkeypatch.setattr(corpus, "SplitMix64", CountingStream)
+        monkeypatch.setattr(fan, "_draw_tasks", counting_draw)
         monkeypatch.setattr(cli, "_corpus_line", counting_line)
 
         def words_drawn_per_fan(count, jobs):
@@ -1144,12 +1157,12 @@ def test_closed_stdout_exits_141_silently(tmp_path, argv, lines_read):
     assert (proc.returncode, err) == (141, b"")
 
 
-LAZY_MODULES = ["realtoric.corpus", "realtoric.moment", "realtoric.polytope"]
+LAZY_MODULES = ["realtoric.moment", "realtoric.polytope"]
 
 
 def test_exact_commands_load_only_the_exact_core(tmp_path):
-    # The polygon layer and the corpus load on first use, and no command
-    # of the exact pipeline uses them.
+    # The polygon layer loads on first use, and no command of the exact
+    # pipeline uses it.
     fan_file = tmp_path / "fan.json"
     fan_file.write_text(json.dumps(P2_RAYS))
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1242,6 +1255,33 @@ def test_every_exported_name_resolves():
         text=True,
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_each_public_name_is_declared_once():
+    # A name is declared in its module's __all__ literal or, for a module
+    # that loads on first use, in the package's _LAZY table, which that
+    # module's __all__ reads. The package imports each library module
+    # eagerly or lists it in _LAZY.
+    package = Path(__file__).resolve().parents[1] / "src" / "realtoric"
+    declared, eager = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            target = node.targets[0] if isinstance(node, ast.Assign) else None
+            if isinstance(target, ast.Name) and target.id == "__all__":
+                if isinstance(node.value, (ast.List, ast.Tuple)):
+                    declared += [ast.literal_eval(e) for e in node.value.elts]
+            elif isinstance(target, ast.Name) and target.id == "_LAZY":
+                for names in ast.literal_eval(node.value).values():
+                    declared += names
+            elif path.stem == "__init__" and isinstance(node, ast.ImportFrom):
+                if node.level == 1 and node.module is None:
+                    eager += [alias.name for alias in node.names]
+    assert len(declared) == len(set(declared))
+    assert sorted(declared) == realtoric.__all__
+    modules = sorted(path.stem for path in package.glob("*.py"))
+    assert sorted([*eager, *realtoric._LAZY]) == [
+        stem for stem in modules if stem not in ("__init__", "cli")
+    ]
 
 
 # Scripted callers match on these codes, so a renamed class is a changed code.

@@ -385,6 +385,9 @@ def test_random_fan_digest():
     assert [random_fan_digest(b) for b in RANDOM_FAN_BLOCKS] == RANDOM_FAN_DIGESTS
 
 
+_BAD_MAP = "a map must be two pairs of integers, got %s"
+
+
 @pytest.mark.parametrize(
     "build, args, message",
     [
@@ -392,8 +395,25 @@ def test_random_fan_digest():
         (hirzebruch_fan, (1.5,), "a must be an integer, got 1.5"),
         (apply_map, (P2, ((1, 0), (0.5, 1))), "map entries must be integers"),
         (apply_map, (P2, ((True, 0), (0, 1))), "map entries must be integers"),
+        (
+            apply_map,
+            (P2, ((1, 0), (0, 1), (0, 0))),
+            _BAD_MAP % "((1, 0), (0, 1), (0, 0))",
+        ),
+        (apply_map, (P2, ((1, 0), (0,))), _BAD_MAP % "((1, 0), (0,))"),
+        (apply_map, (P2, "ab"), _BAD_MAP % "'ab'"),
+        (apply_map, (P2, None), _BAD_MAP % "None"),
     ],
-    ids=["hirzebruch-negative", "hirzebruch-float", "map-float", "map-bool"],
+    ids=[
+        "hirzebruch-negative",
+        "hirzebruch-float",
+        "map-float",
+        "map-bool",
+        "map-three-rows",
+        "map-short-row",
+        "map-string",
+        "map-none",
+    ],
 )
 def test_fan_builders_refuse_bad_arguments(build, args, message):
     with pytest.raises(InvalidInput) as refused:

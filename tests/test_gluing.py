@@ -1,6 +1,7 @@
 """Sign vectors, the glued complex, and the two identification rules."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +32,24 @@ from realtoric import (
     translate_divisor,
     tubular_neighborhood,
 )
-from test_homology import HAND_BUILT
+from test_homology import HAND_BUILT, mod2_class, mod2_classes, mod2_word
 
 P2 = projective_plane_fan()
+PAIRS = list(itertools.combinations(enumerate(ALL_SIGN_HOMS), 2))
+
+
+def assert_glued_by_rule(fan, anchors, c):
+    # Copies k and k' share their i-th face entry exactly when they agree
+    # on the quarter-turn of ray i and on corner i, and their i-th edges
+    # share a head exactly when they agree on corner i.
+    for i, (x, y) in enumerate(fan.rays):
+        for (k, e), (m, f) in PAIRS:
+            corner = evaluate(e, anchors[i]) == evaluate(f, anchors[i])
+            edge = corner and evaluate(e, (-y, x)) == evaluate(f, (-y, x))
+            a, b = c.faces[k][i], c.faces[m][i]
+            assert (a == b) == edge, (fan, anchors, i, k, m)
+            heads = c.edges[a - 1][1], c.edges[b - 1][1]
+            assert (heads[0] == heads[1]) == corner, (fan, anchors, i, k, m)
 
 
 def connected(c):
@@ -201,27 +217,23 @@ class TestPolytopeBuilders:
         assert a == b
 
     def test_rule_by_definition(self):
-        # Copies k and k' share their i-th face entry exactly when they
-        # agree on the quarter-turn of ray i and on corner i, and their
-        # i-th edges share a head exactly when they agree on corner i. The
-        # anchors are the origin and the ample polygon moved by each parity.
+        # The anchors are the origin and the ample polygon moved by each
+        # parity.
         fans = corpus_fans(20260817, 200, 16) + [hirzebruch_fan(a) for a in range(21)]
-        pairs = list(itertools.combinations(enumerate(ALL_SIGN_HOMS), 2))
         for fan in fans:
-            glued = [([(0, 0)] * fan.d, build_real_complex(fan))]
+            assert_glued_by_rule(fan, [(0, 0)] * fan.d, build_real_complex(fan))
             div = find_ample(fan)
             for u in ((0, 0), (1, 0), (0, 1), (1, 1)):
                 poly = polygon_from_divisor(fan, translate_divisor(fan, div, u))
-                glued.append((poly.vertices, build_affine_span_complex(fan, poly)))
-            for anchors, c in glued:
-                for i, (x, y) in enumerate(fan.rays):
-                    for (k, e), (m, f) in pairs:
-                        corner = evaluate(e, anchors[i]) == evaluate(f, anchors[i])
-                        edge = corner and evaluate(e, (-y, x)) == evaluate(f, (-y, x))
-                        a, b = c.faces[k][i], c.faces[m][i]
-                        assert (a == b) == edge, (fan, anchors, i, k, m)
-                        heads = c.edges[a - 1][1], c.edges[b - 1][1]
-                        assert (heads[0] == heads[1]) == corner, (fan, anchors, i, k, m)
+                c = build_affine_span_complex(fan, poly)
+                assert_glued_by_rule(fan, poly.vertices, c)
+
+    def test_rule_on_every_mod2_class(self):
+        # A fault on one local pattern of parities, such as a long run of
+        # two alternating ones, can leave the homology as it is and miss
+        # the seeded fans; every class has each pattern up to 14 rays.
+        for fan in mod2_classes(14).values():
+            assert_glued_by_rule(fan, [(0, 0)] * fan.d, build_real_complex(fan))
 
     def test_fan_mismatch_rejected(self):
         poly = polygon_from_divisor(P2, ToricDivisor((1, 1, 1)))
@@ -329,3 +341,19 @@ class TestExport:
             '  v1 -> v2 [label="e5"];\n'
             "}\n"
         )
+
+
+def test_fans_with_one_mod2_word_glue_one_complex():
+    # The glued complex depends on the rays mod 2 alone: 6,040 fans in
+    # 1,253 words, each fan's JSON the same bytes as the first of its word.
+    # Each word's class is one the sweep over mod-2 classes verifies.
+    fans = [random_fan(s, s % 9) for s in range(6000)]
+    fans += [hirzebruch_fan(a) for a in range(40)]
+    classes = mod2_classes(14)
+    first = {}
+    for fan in fans:
+        word = mod2_word(fan)
+        text = json.dumps(complex_to_json(build_real_complex(fan)))
+        assert first.setdefault(word, text) == text, fan
+        assert mod2_class(word) in classes, fan
+    assert len(first) == 1253

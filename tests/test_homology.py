@@ -2,8 +2,12 @@
 
 import importlib
 import json
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -99,6 +103,19 @@ class TestProfiles:
                 assert smith_normal_form(boundary).rank == rational_rank(boundary)
 
 
+def _entry_points(c):
+    # Each reads the complex only once check_chain_complex accepts it.
+    return (
+        c.boundary_matrix_1,
+        c.boundary_matrix_2,
+        c.check_chain_complex,
+        lambda: homology(c),
+        lambda: euler_from_cells(c),
+        lambda: complex_to_json(c),
+        lambda: complex_to_dot(c),
+    )
+
+
 class TestCellIndices:
     # Python's negative indexing used to read these as other cells.
     def test_negative_vertex(self):
@@ -173,15 +190,7 @@ class TestCellIndices:
     )
     def test_index_that_is_no_integer(self, c, message):
         # Each entry point checks every index of the complex.
-        for build in (
-            c.boundary_matrix_1,
-            c.boundary_matrix_2,
-            c.check_chain_complex,
-            lambda: homology(c),
-            lambda: euler_from_cells(c),
-            lambda: complex_to_json(c),
-            lambda: complex_to_dot(c),
-        ):
+        for build in _entry_points(c):
             with pytest.raises(InvalidComplex, match=message):
                 build()
 
@@ -196,15 +205,7 @@ class TestCellIndices:
         ],
     )
     def test_negative_vertex_count(self, c):
-        for build in (
-            c.boundary_matrix_1,
-            c.boundary_matrix_2,
-            c.check_chain_complex,
-            lambda: homology(c),
-            lambda: euler_from_cells(c),
-            lambda: complex_to_json(c),
-            lambda: complex_to_dot(c),
-        ):
+        for build in _entry_points(c):
             with pytest.raises(InvalidComplex, match="num_vertices is -1, not an"):
                 build()
 
@@ -229,6 +230,63 @@ class TestCellIndices:
         assert c.boundary_matrix_2() == plain.boundary_matrix_2()
         assert euler_from_cells(c) == euler_from_cells(plain) == 1
         assert json.dumps(complex_to_json(c)) == json.dumps(complex_to_json(plain))
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            pytest.param(
+                CellComplex(2, ((0, 1), (1, 0, 5)), ((1, 2),)),
+                r"edge 2 is \(1, 0, 5\), not a pair of vertex indices",
+                id="edge of three entries",
+            ),
+            pytest.param(
+                CellComplex(2, ((0, 1), (1,)), ((1, 2),)),
+                r"edge 2 is \(1,\), not a pair",
+                id="edge of one entry",
+            ),
+            pytest.param(
+                CellComplex(2, ((0, 1), 7), ()),
+                "edge 2 is 7, not a pair",
+                id="int edge",
+            ),
+            pytest.param(
+                CellComplex(2, None, ()), "edges is None, not a sequence", id="no edges"
+            ),
+            pytest.param(
+                CellComplex(2, ((0, 1), (1, 0)), None),
+                "faces is None, not a sequence",
+                id="no faces",
+            ),
+            pytest.param(
+                CellComplex(2, ((0, 1), (1, 0)), ((1, 2), 5)),
+                "face 2 is 5, not a word of signed edge indices",
+                id="int face",
+            ),
+            pytest.param(
+                CellComplex(2, ((0, 1), (1, 0)), ({1, 2},)),
+                r"face 1 is \{1, 2\}, not a word",
+                id="set face",
+            ),
+            # Edges are checked before faces.
+            pytest.param(
+                CellComplex(2, ((0, 1), (1,)), None),
+                r"edge 2 is \(1,\), not a pair",
+                id="short edge and no faces",
+            ),
+        ],
+    )
+    def test_cell_that_is_no_sequence(self, c, message):
+        # Each used to escape as a bare ValueError or TypeError.
+        for build in _entry_points(c):
+            with pytest.raises(InvalidComplex, match=message):
+                build()
+
+    def test_any_sequence_is_a_cell(self):
+        # A walk is read off any sequence, not only off a tuple.
+        c = CellComplex(2, [[0, 1], range(1, -1, -1)], [range(1, 3), [1, 2]])
+        plain = CellComplex(2, ((0, 1), (1, 0)), ((1, 2),) * 2)
+        assert homology(c) == homology(plain)
+        assert complex_to_json(c) == complex_to_json(plain)
 
 
 def closed_walk(draw, edges):
@@ -662,6 +720,19 @@ class TestClassify:
         with pytest.raises(NotAClosedSurfaceProfile):
             classify_surface(HomologyProfile(1, 4, 2, ()))
 
+    @pytest.mark.parametrize(
+        "profile, betti",
+        [
+            (HomologyProfile(1, -2, 1, ()), "(1, -2, 1) with torsion []"),
+            (HomologyProfile(1, -1, 0, (2,)), "(1, -1, 0) with torsion [2]"),
+        ],
+    )
+    def test_rejects_negative_first_betti(self, profile, betti):
+        # No surface has a negative genus; the profile is refused as input,
+        # not left to SurfaceType's internal ValueError.
+        with pytest.raises(NotAClosedSurfaceProfile, match=re.escape(betti)):
+            classify_surface(profile)
+
     def test_display_strings(self):
         assert str(SurfaceType(True, 1)) == "torus S¹×S¹"
         assert str(SurfaceType(False, 1)) == "RP²"
@@ -801,3 +872,71 @@ class TestVerify:
         assert report.profile == HomologyProfile(1, 10_001, 0, (2,))
         assert report.computed == SurfaceType(False, 10_002)
         assert report.all_consistent
+
+
+def mod2_word(fan):
+    # Each ray's parity class as a code (x mod 2) << 1 | (y mod 2), 1 to 3,
+    # in ray order. The glued complex reads a fan only through it.
+    return tuple((x & 1) << 1 | (y & 1) for x, y in fan.rays)
+
+
+def mod2_class(word):
+    # The least word under rotation, reversal and GL2(Z/2), which permutes
+    # the three codes as S3: one key per class.
+    d = len(word)
+    return min(
+        view[j : j + d]
+        for p in permutations((1, 2, 3))
+        for mapped in [tuple(p[c - 1] for c in word)]
+        for view in (mapped * 2, mapped[::-1] * 2)
+        for j in range(d)
+    )
+
+
+@lru_cache(maxsize=None)
+def mod2_classes(max_rays):
+    """One fan per mod-2 class of smooth complete fans with at most
+    ``max_rays`` rays, keyed by its class.
+
+    Every such fan is a blow-up of P2 or of some F_a (Oda, Convex Bodies
+    and Algebraic Geometry, 1988), F_a is F_0 or F_1 mod 2, and a blow-up
+    inserts between two neighbours the sum of their codes. So blowing up
+    one fan per class at d rays, in every cone, reaches every class at
+    d + 1, and only the class of each result is computed before it is new.
+    """
+    level = {
+        mod2_class(mod2_word(fan)): fan
+        for fan in (P2, hirzebruch_fan(0), hirzebruch_fan(1))
+    }
+    classes = dict(level)
+    while level:
+        new = {}
+        for fan in level.values():
+            if fan.d == max_rays:
+                continue
+            word = mod2_word(fan)
+            for i, code in enumerate(word):
+                inserted = code ^ word[(i + 1) % fan.d]
+                key = mod2_class((*word[: i + 1], inserted, *word[i + 1 :]))
+                if key not in classes and key not in new:
+                    new[key] = blow_up(fan, i)
+        classes.update(new)
+        level = new
+    return classes
+
+
+# Classes by number of rays; 305 in all.
+MOD2_CLASS_COUNTS = {
+    3: 1, 4: 2, 5: 1, 6: 3, 7: 3, 8: 7, 9: 8, 10: 17, 11: 21, 12: 47, 13: 63, 14: 132
+}
+
+
+def test_every_mod2_class_up_to_fourteen_rays_verifies():
+    # Every smooth complete fan of up to 14 rays glues the complex of one of
+    # these fans, so verify is consistent on all of them, not only on a
+    # sample.
+    classes = mod2_classes(14)
+    assert Counter(fan.d for fan in classes.values()) == MOD2_CLASS_COUNTS
+    for key, fan in classes.items():
+        assert mod2_class(mod2_word(fan)) == key
+        assert verify(fan).all_consistent, fan
