@@ -216,8 +216,8 @@ def apply_map(fan: Fan, m: Mat2) -> Fan:
     return normalize_fan([(a * x + b * y, c * x + e * y) for x, y in fan.rays])
 
 
-def cyclically_equal(a: Sequence[int], b: Sequence[int], reversal: bool = True) -> bool:
-    """True when two cyclic sequences agree up to rotation (and reversal)."""
+def cyclically_equal(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True when two cyclic sequences agree up to rotation and reversal."""
     if len(a) != len(b):
         return False
     target, base = tuple(a), tuple(b)
@@ -225,7 +225,7 @@ def cyclically_equal(a: Sequence[int], b: Sequence[int], reversal: bool = True) 
     if not d:
         return True
     # The rotations of b are the length-d windows of b twice over.
-    views = [base * 2, base[::-1] * 2] if reversal else [base * 2]
+    views = [base * 2, base[::-1] * 2]
     return any(view[j:j + d] == target for view in views for j in range(d))
 
 
@@ -236,9 +236,9 @@ def projective_plane_fan() -> Fan:
 
 def integer_argument(name: str, value: object) -> int:
     """``value`` read through ``operator.index``; InvalidInput naming the
-    argument when it is no integer."""
+    argument when it is no integer or is a bool."""
     try:
-        return index(value)
+        return index(None if isinstance(value, bool) else value)
     except TypeError:
         raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
 

@@ -17,11 +17,11 @@ log-coordinates in ``[-3/W, 3/W]``, where ``W`` is the polygon's larger
 side of its bounding box (at least 1), so that no vertex weight falls
 below ``exp(-6)`` of the largest and the images stay apart however wide
 the polygon is. The samples, which do not depend on the fan, are drawn
-once per ``(seed, samples)``. Flat kernels take their images in blocks,
-build the grid's 1,024 images from one flat factor table per axis and
-sweep them for the closest pair, with the float operations, in the
-order, of a loop over single images, but for the grid's additions of an
-exact +0.0, which change no bit and are left out (see ``_grid_images``).
+once per ``(seed, samples)``. A flat kernel builds the grid's 1,024
+images from one factor table per axis, and a sweep finds their closest
+pair, with the float operations, in the order, of a loop over single
+images, but for the grid's additions of an exact +0.0, which change no
+bit and are left out (see ``_grid_images``).
 Sums are ``math.fsum`` or explicit ``+`` left to right, never ``sum``,
 which compensates since Python 3.12, so reports are bit-identical on 3.10
 to 3.13. The numerics back up the exact combinatorics; nothing downstream
@@ -61,7 +61,7 @@ _RADIUS = 3.0
 # 32 evenly spaced log-coordinates for the injectivity grid, before that
 # division. The last is set, not computed, so it is exactly _RADIUS.
 _GRID = [-_RADIUS + i * (2.0 * _RADIUS / 31) for i in range(31)] + [_RADIUS]
-# Sample points per flat pass, which holds O(d) floats for each of them.
+# Sample points whose images are held at once.
 _BLOCK = 4 * 1024
 # Ray, offset and vertex coordinates below this bound convert to floats, and
 # sums of up to 2**23 of them stay finite.
@@ -69,8 +69,9 @@ _COORD_BOUND = 2**1000
 
 
 def sign_profile(x: TorusPoint) -> SignHom:
-    """The sign component containing ``x``."""
-    if x[0] == 0.0 or x[1] == 0.0:
+    """The sign component containing ``x``; ValueError when a coordinate
+    is 0 or NaN, which lies on no component."""
+    if not (abs(x[0]) > 0.0 and abs(x[1]) > 0.0):
         raise ValueError("torus points have nonzero coordinates")
     return SignHom(1 if x[0] > 0 else -1, 1 if x[1] > 0 else -1)
 
@@ -80,13 +81,32 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
 
     Weights are computed as ``exp(<u, log|x|> - max)`` so the largest is
     exactly 1 and nothing overflows. Depends on the coordinates only
-    through their absolute values, bit for bit.
+    through their absolute values, bit for bit. Raises DegenerateWeights
+    when ``points`` is empty, ValueError when a coordinate of ``x`` is 0,
+    and InvalidInput when ``x`` is not two numbers, naming the first point
+    that is not two numbers below 2**1000 in magnitude.
     """
     if not points:
         raise DegenerateWeights("no points to average")
-    if x[0] == 0.0 or x[1] == 0.0:
+    try:
+        x0, x1 = x
+        magnitudes = abs(x0), abs(x1)
+    except (TypeError, ValueError):
+        raise InvalidInput("x must be two numbers") from None
+    if 0.0 in magnitudes:
         raise ValueError("torus points have nonzero coordinates")
-    return _average(x, [u[0] for u in points], [u[1] for u in points])
+    coords = []
+    for k, u in enumerate(points):
+        try:
+            a, b = u
+            if abs(a) < _COORD_BOUND and abs(b) < _COORD_BOUND:
+                coords.append((float(a), float(b)))
+                continue
+        except (TypeError, ValueError):
+            pass
+        raise InvalidInput(f"point {k} must be two numbers below 2**1000 in magnitude")
+    xs, ys = zip(*coords)
+    return _average(magnitudes, xs, ys)
 
 
 def _average(
@@ -134,12 +154,11 @@ class MomentCheckReport(NamedTuple):
 
 
 @lru_cache(maxsize=4)
-def _draws(seed: int, samples: int) -> tuple[bool, Sequence, Sequence, Sequence]:
-    """What the sample checks need that does not depend on the fan: whether
-    each sign profile is its component's, the magnitudes, x and y in turn,
-    and their logs per axis, for ``samples`` points on ``ALL_SIGN_HOMS[k]``
-    from ``seed + k``; the floats are kept as 8-byte doubles.
-    """
+def _draws(seed: int, samples: int) -> tuple[bool, Sequence]:
+    """Whether each sign profile is its component's, and the magnitudes, x
+    and y in turn, of ``samples`` points on ``ALL_SIGN_HOMS[k]`` from
+    ``seed + k``, as 8-byte doubles: what the sample checks need that does
+    not depend on the fan."""
     from array import array  # loaded here, not on every command line start
     signs_exact = True
     magnitudes = array("d")
@@ -147,23 +166,7 @@ def _draws(seed: int, samples: int) -> tuple[bool, Sequence, Sequence, Sequence]
         for x in sample_T_epsilon(eps, seed + k, samples):
             signs_exact = sign_profile(x) == eps and signs_exact
             magnitudes.extend((abs(x[0]), abs(x[1])))
-    lx = array("d", map(math.log, magnitudes[0::2]))
-    ly = array("d", map(math.log, magnitudes[1::2]))
-    return signs_exact, magnitudes, lx, ly
-
-
-def _sample_images(lx: Sequence, ly: Sequence, xs: list, ys: list) -> tuple[list, list]:
-    """``_average``'s images, x and y apart, of the points with log-coordinates
-    ``lx``, ``ly``: one pass over all the logs, in ``_average``'s order."""
-    d = len(xs)
-    xy = list(zip(xs, ys))
-    logs = [a * u + b * v for u, v in zip(lx, ly) for a, b in xy]
-    rows = list(zip(*[iter(logs)] * d))
-    weights = [math.exp(v - top) for top, row in zip(map(max, rows), rows) for v in row]
-    total = list(map(math.fsum, zip(*[iter(weights)] * d)))
-    mx = map(math.fsum, zip(*[map(mul, weights, xs * len(lx))] * d))
-    my = map(math.fsum, zip(*[map(mul, weights, ys * len(lx))] * d))
-    return list(map(truediv, mx, total)), list(map(truediv, my, total))
+    return signs_exact, magnitudes
 
 
 def _min_separation(points: Sequence[tuple[float, float]]) -> float:
@@ -305,13 +308,12 @@ def run_moment_checks(
     components, ``samples`` seeded points with log-coordinates in
     ``[-3, 3]`` are checked for (a) a sign profile equal to the
     component's sign vector, which makes ``sign(x^u)`` agree with it on
-    every polygon lattice point (see the module docstring), (b) the moment
-    image lying inside the polygon up to float slack, and (c) the moment
-    image equal, bit for bit, to ``moment_map`` at the point's magnitudes,
-    so that no sign flip moves it. The points and their sign verdicts are
-    drawn once per ``(seed, samples)``, and flat passes of 1,024 points per
-    component take their images. The grid's sums are explicit adds, so the
-    report is the same bit for bit on Python 3.10 to 3.13.
+    every polygon lattice point, and (b) the moment image lying inside the
+    polygon up to float slack. (c) Each image is ``moment_map``'s
+    arithmetic at the point's magnitudes, which no sign flip moves, so
+    ``translation_exact`` is true by construction. The points and their
+    sign verdicts are drawn once per ``(seed, samples)``, and their images
+    are taken ``_BLOCK`` points at a time.
     Separately, a fixed 32 x 32 grid of evenly spaced log-coordinates in
     ``[-3/W, 3/W]`` on the positive component, ``W`` the larger side of
     the polygon's bounding box and at least 1, measures the smallest
@@ -334,17 +336,15 @@ def run_moment_checks(
             "polygon offsets and coordinates must be below 2**1000 in absolute value"
         )
 
-    signs_exact, magnitudes, lx, ly = _draws(seed, samples)
+    signs_exact, magnitudes = _draws(seed, samples)
     vx, vy = (list(map(float, c)) for c in zip(*vertices))
-    worst_violation, translation_exact = 0.0, True
-    for i in range(0, len(lx), _BLOCK):
-        mx, my = _sample_images(lx[i : i + _BLOCK], ly[i : i + _BLOCK], vx, vy)
+    worst_violation = 0.0
+    for i in range(0, len(magnitudes), 2 * _BLOCK):
+        pairs = iter(magnitudes[i : i + 2 * _BLOCK])
+        images = [_average(m, vx, vy) for m in zip(pairs, pairs)]
         for (a, c), b in zip(polygon.fan.rays, polygon.offsets):
-            slack = min([x * a + y * c + b for x, y in zip(mx, my)])
+            slack = min([x * a + y * c + b for x, y in images])
             worst_violation = max(worst_violation, -slack)
-        pairs = iter(magnitudes[2 * i : 2 * (i + _BLOCK)])
-        images = zip(zip(pairs, pairs), mx, my)
-        translation_exact &= all(_average(m, vx, vy) == (x, y) for m, x, y in images)
 
     min_sep = _min_separation(_grid_images(vertices))
 
@@ -353,7 +353,7 @@ def run_moment_checks(
         divisor=divisor,
         samples=samples,
         max_inequality_violation=worst_violation,
-        translation_exact=translation_exact,
+        translation_exact=True,
         min_mu_separation=min_sep,
         signs_exact=signs_exact,
     )

@@ -47,8 +47,6 @@ def _check_divisor(fan: Fan, div: ToricDivisor) -> None:
             f"divisor has {len(div.coeffs)} coefficients for {fan.d} rays"
         )
     for i, c in enumerate(div.coeffs):
-        if isinstance(c, bool):
-            raise InvalidInput(f"coefficient {i} must be an integer, got {c!r}")
         integer_argument(f"coefficient {i}", c)
 
 

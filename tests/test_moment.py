@@ -42,7 +42,6 @@ from realtoric.moment import (
     _draws,
     _grid_images,
     _min_separation,
-    _sample_images,
 )
 
 P2 = projective_plane_fan()
@@ -59,6 +58,12 @@ class TestSignProfile:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             sign_profile((0.0, 1.0))
+
+    @pytest.mark.parametrize("x", [(math.nan, 1.0), (-1.0, -math.nan)])
+    def test_rejects_nan(self, x):
+        # NaN compares false with 0 either way, so it read as negative.
+        with pytest.raises(ValueError, match="nonzero coordinates"):
+            sign_profile(x)
 
     def test_sign_of_character_contract(self):
         # sign(x^u) is the sign vector of x evaluated on u, exactly
@@ -110,6 +115,29 @@ class TestMomentMap:
     def test_rejects_empty_support(self):
         with pytest.raises(DegenerateWeights):
             moment_map((1.0, 1.0), [])
+
+    @pytest.mark.parametrize(
+        "x, points, message",
+        [
+            ((1.0, 1.0), [(0, 1), (2**2000, 0)], "point 1 must be two numbers"),
+            ((1.0, 1.0), [("a", 0), (0, 1)], "point 0 must be two numbers"),
+            ((1.0, 1.0), [(0, 1), (1, 0, 0)], "point 1 must be two numbers"),
+            ((1.0, 1.0), [(math.nan, 0)], "point 0 must be two numbers"),
+            ((1.0,), [(0, 0), (1, 0)], "x must be two numbers"),
+            (("a", 1.0), [(0, 0), (1, 0)], "x must be two numbers"),
+            ((1.0, 2.0, 3.0), [(0, 0), (1, 0)], "x must be two numbers"),
+        ],
+        ids=[
+            "overflow", "string", "three-coordinates", "nan", "short-x", "string-x", "long-x"
+        ],
+    )
+    def test_refuses_malformed_input(self, x, points, message):
+        # These escaped as a bare OverflowError, TypeError or IndexError, or
+        # were read in part.
+        with pytest.raises(InvalidInput) as refused:
+            moment_map(x, points)
+        assert type(refused.value) is InvalidInput
+        assert str(refused.value).startswith(message)
 
     def test_huge_exponents_stay_finite(self):
         # direct monomials would overflow; the shifted form must not
@@ -773,7 +801,7 @@ def test_moment_sums_no_floats_with_the_builtin_sum():
 
 
 # The digest fans, the longest edges of the checks' gates and the fan that
-# once overflowed, for the flat sample pass.
+# once overflowed, for the sample checks.
 SAMPLE_FANS = [
     *DIGEST_FANS,
     hirzebruch_fan(10**12),
@@ -791,8 +819,8 @@ def _sample_points(seed, samples):
 
 
 def _per_sample_violation(polygon, images):
-    # The per-sample loop the flat pass replaced: each image against each
-    # ray inequality, the largest excess kept.
+    # One image at a time against each ray inequality, the largest excess
+    # kept.
     worst = 0.0
     for mu in images:
         for v, b in zip(polygon.fan.rays, polygon.offsets):
@@ -802,22 +830,23 @@ def _per_sample_violation(polygon, images):
     return worst
 
 
+def _assert_violation_of_moment_map_images(fans, seed, samples):
+    # Each report's violation against the per-sample loop over moment_map's
+    # images of the same points, bit for bit.
+    points = _sample_points(seed, samples)
+    for fan in fans:
+        polygon = polygon_from_divisor(fan, find_ample(fan))
+        expected = [moment_map(x, polygon.vertices) for x in points]
+        report = run_moment_checks(fan, seed=seed, samples=samples)
+        assert report.translation_exact and report.signs_exact
+        violation = _per_sample_violation(polygon, expected)
+        assert repr(report.max_inequality_violation) == repr(violation), fan.rays
+
+
 @pytest.mark.parametrize("samples", [1, 16, 256])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_sample_images_match_moment_map_bit_for_bit(seed, samples):
-    points = _sample_points(seed, samples)
-    _, _, lx, ly = _draws(seed, samples)
-    for fan in SAMPLE_FANS:
-        polygon = polygon_from_divisor(fan, find_ample(fan))
-        vertices = polygon.vertices
-        expected = [moment_map(x, vertices) for x in points]
-        vx = [float(v[0]) for v in vertices]
-        vy = [float(v[1]) for v in vertices]
-        mx, my = _sample_images(lx, ly, vx, vy)
-        assert repr(list(zip(mx, my))) == repr(expected), fan.rays
-        report = run_moment_checks(fan, seed=seed, samples=samples)
-        violation = _per_sample_violation(polygon, expected)
-        assert repr(report.max_inequality_violation) == repr(violation), fan.rays
+    _assert_violation_of_moment_map_images(SAMPLE_FANS, seed, samples)
 
 
 def test_draws_are_kept_per_seed_and_sample_count():
@@ -828,32 +857,21 @@ def test_draws_are_kept_per_seed_and_sample_count():
     for (seed, samples), entry in zip(keys, entries):
         assert _draws(seed, samples) is entry
         assert entry == _draws.__wrapped__(seed, samples)
-        signs_exact, magnitudes, lx, ly = entry
+        signs_exact, magnitudes = entry
         assert signs_exact is True
         # Compact: 8-byte doubles, not a float object per coordinate.
-        assert all(type(part) is array for part in (magnitudes, lx, ly))
-        assert {part.typecode for part in (magnitudes, lx, ly)} == {"d"}
-        assert len(magnitudes) == 2 * len(lx) == 2 * len(ly) == 8 * samples
+        assert type(magnitudes) is array and magnitudes.typecode == "d"
+        assert len(magnitudes) == 8 * samples
         points = _sample_points(seed, samples)
         assert list(magnitudes) == [abs(c) for x in points for c in x]
-        assert list(lx) == [math.log(abs(x)) for x, _ in points]
-        assert list(ly) == [math.log(abs(y)) for _, y in points]
     assert len({entry[1].tobytes() for entry in entries}) == len(keys)
 
 
 def test_sample_passes_in_blocks_match_moment_map_bit_for_bit():
-    # 1,100 samples per component take two flat passes, the second of 304
-    # points: every image against moment_map, and the report's violation
-    # against the per-sample loop over all of them.
-    points = _sample_points(3, 1100)
-    assert len(points) > _BLOCK
-    for fan in (P2, hirzebruch_fan(3), _wedge(10**9)):
-        polygon = polygon_from_divisor(fan, find_ample(fan))
-        expected = [moment_map(x, polygon.vertices) for x in points]
-        report = run_moment_checks(fan, seed=3, samples=1100)
-        assert report.translation_exact and report.signs_exact
-        violation = _per_sample_violation(polygon, expected)
-        assert repr(report.max_inequality_violation) == repr(violation), fan.rays
+    # 1,100 samples per component take two blocks, the second of 304
+    # points.
+    assert 4 * 1100 > _BLOCK
+    _assert_violation_of_moment_map_images((P2, hirzebruch_fan(3), _wedge(10**9)), 3, 1100)
 
 
 def test_sample_memory_stays_bounded():

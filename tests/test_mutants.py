@@ -12,8 +12,8 @@ the package would change nothing. ``realtoric.gluing`` and
 ``realtoric.moment`` are reached the same way, for uniformity, and a
 method is wrapped on its class. Where ``realtoric.cli`` binds the same
 function itself, the mutant replaces it there too. The package keeps a
-few module-level memos, such as the samples' sign verdicts and logs per
-``(seed, samples)`` and the invariant factors per Smith-form input:
+few module-level memos, such as the samples' sign verdicts and magnitudes
+per ``(seed, samples)`` and the invariant factors per Smith-form input:
 ``_apply`` empties every one of them, so that a warm entry cannot hide a
 mutant, and so does every teardown, so that an entry made under a mutant
 cannot reach a later test. An ``ast`` guard keeps ``MEMOS`` complete.
@@ -198,7 +198,7 @@ def _x_sign_flipped(fn):
 
 
 def _axes_swapped(fn):
-    # The flat sample pass gives its images as (y, x).
+    # Each sample image comes as (y, x).
     return lambda *args: fn(*args)[::-1]
 
 
@@ -213,13 +213,12 @@ def _last_pass_skipped(fn):
     return mutant
 
 
-def _one_image_one_ulp_up(fn):
-    # The flat sample pass moves the x coordinate of its first image up by
-    # one ulp, far inside any containment tolerance.
+def _one_ulp_up(fn):
+    # Each sample image's x coordinate one ulp up, far inside any
+    # containment tolerance.
     def mutant(*args):
-        mx, my = fn(*args)
-        mx[0] = math.nextafter(mx[0], math.inf)
-        return mx, my
+        x, y = fn(*args)
+        return math.nextafter(x, math.inf), y
 
     return mutant
 
@@ -308,8 +307,8 @@ MUTANTS = {
     ),
     "closest-pair-adjacent-only": (MOMENT, "_min_separation", _adjacent_pairs_only),
     "sample-sign-flipped": (MOMENT, "sign_profile", _x_sign_flipped),
-    "sample-images-axes-swapped": (MOMENT, "_sample_images", _axes_swapped),
-    "translation-exact-one-ulp": (MOMENT, "_sample_images", _one_image_one_ulp_up),
+    "sample-images-axes-swapped": (MOMENT, "_average", _axes_swapped),
+    "sample-images-one-ulp-up": (MOMENT, "_average", _one_ulp_up),
     "grid-sums-drop-last-pass": (MOMENT, "_sums", _last_pass_skipped),
     # The x sums leave out the vertices with y = 0, not those with x = 0.
     "grid-zero-skip-wrong-axis": (
@@ -545,23 +544,27 @@ def test_sign_flipped_mutant_fails_criterion_7(monkeypatch, capsys, tmp_path):
 
 def test_axes_swapped_mutant_fails_the_violation_gate_and_the_digest(monkeypatch):
     # The acceptance gate asks for a violation of at most 1e-9; only the 8
-    # polygons symmetric in the diagonal keep swapped images inside. A
-    # swapped image also differs from moment_map's at the magnitudes.
+    # polygons symmetric in the diagonal keep swapped images inside.
     _digest_reports_unmutated()
     _apply(monkeypatch, "sample-images-axes-swapped")
     after = digest_reports()
     assert report_digest(after) != REPORT_DIGEST
     outside = [r for r in after if r.max_inequality_violation > 1e-9]
     assert len(outside) == 64
-    assert not any(r.translation_exact for r in after)
 
 
-def test_one_ulp_mutant_fails_criterion_7(monkeypatch):
-    # One image one ulp off stays inside the polygon by far, and no sign
-    # moves: only the bit-for-bit comparison with moment_map sees it.
-    _apply(monkeypatch, "translation-exact-one-ulp")
-    with pytest.raises(AssertionError, match="translation_exact"):
-        test_acceptance.test_criterion_7_moment_suite.__wrapped__()
+def test_one_ulp_mutant_moves_the_report_digest(monkeypatch):
+    # Images one ulp off stay inside the polygon by far, and no sign moves,
+    # so criterion 7 passes. The digest pins the violations bit for bit,
+    # and one of them moves from 3.55e-15 to 7.11e-15.
+    before = _digest_reports_unmutated()
+    _apply(monkeypatch, "sample-images-one-ulp-up")
+    test_acceptance.test_criterion_7_moment_suite.__wrapped__()
+    after = digest_reports()
+    assert report_digest(after) != REPORT_DIGEST
+    [(a, b)] = [(a, b) for a, b in zip(after, before) if a != b]
+    assert a.max_inequality_violation == 2 * b.max_inequality_violation
+    assert a._replace(max_inequality_violation=b.max_inequality_violation) == b
 
 
 # Grid fans of tests/test_moment.py by their number of vertices.
@@ -720,3 +723,23 @@ def test_every_package_memo_is_small_and_cleared():
                 faults.append((path.name, f"bare {ast.unparse(node)}"))
     assert faults == []
     assert found == {(module.__name__, name) for module, name in MEMOS}
+
+
+def test_every_mutant_has_a_target_and_a_test():
+    # A mutant whose target is gone fails here by name, not as an
+    # AttributeError inside the tests that apply it. Each wrapper builds on
+    # its target, and each key is applied by a test: by name through
+    # _apply, or through CAUGHT_BY_VERIFY.
+    missing = [name for name, (where, attr, _) in MUTANTS.items() if not hasattr(where, attr)]
+    assert missing == []
+    for where, target, wrap in MUTANTS.values():
+        wrap(getattr(where, target))
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    applied = {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_apply"
+        and isinstance(node.args[1], ast.Constant)
+    }
+    assert sorted(MUTANTS.keys() - applied - CAUGHT_BY_VERIFY.keys()) == []

@@ -328,6 +328,8 @@ UNIT = ToricDivisor((0, 0, 1, 1))
         ),
         (translate_divisor, (F1, UNIT, (0.5, 0)), "u[0] must be an integer, got 0.5"),
         (translate_divisor, (F1, UNIT, (0, "1")), "u[1] must be an integer, got '1'"),
+        (translate_divisor, (F1, UNIT, (True, 0)), "u[0] must be an integer, got True"),
+        (translate_divisor, (F1, UNIT, (0, False)), "u[1] must be an integer, got False"),
         (translate_divisor, (F1, UNIT, (1,)), "u must be two integers, got (1,)"),
         (
             translate_divisor,
@@ -357,6 +359,8 @@ UNIT = ToricDivisor((0, 0, 1, 1))
         "translate-coefficient",
         "translate-u0",
         "translate-u1",
+        "translate-u0-bool",
+        "translate-u1-bool",
         "translate-u-short",
         "translate-u-long",
         "moment-checks",
