@@ -10,11 +10,17 @@ with ``"computed": null``), and 3 for any other exception, an internal
 ``ValueError`` included (reported as an ``{"error": "Internal", "stage",
 "detail"}`` object on standard error), and 141, as for SIGPIPE, with
 nothing on standard error, when the reader closes standard out.
+
+``main`` ends the process as soon as standard out (unless the reader
+closed it) and standard error are flushed, with ``os._exit`` and without
+interpreter teardown, so the exit hooks of the modules it loads do not
+run. ``run`` only returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -338,11 +344,10 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     code = run(sys.argv[1:])
-    if code == 141:
-        # What stdout still buffers goes to devnull, so that the flush at
-        # exit raises and prints nothing.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    with contextlib.suppress(BrokenPipeError):  # a closed stdout drops its buffer
+        sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)  # the output is out: no interpreter teardown
 
 
 if __name__ == "__main__":

@@ -318,7 +318,11 @@ def minimal_model(fan: Fan) -> tuple[Fan, tuple[BlowDownStep, ...]]:
                 index=i,
             )
         )
-        current = blow_down(current, i)
+        # What blow_down would check holds (ray i is a -1 ray and d >= 4),
+        # so the fan without ray i is re-normalized directly.
+        rays = list(current.rays)
+        del rays[i]
+        current = normalize_fan(rays)
     if current.d >= 5:
         raise RuntimeError("no -1 ray found on a fan with 5 or more rays")
     return current, tuple(steps)

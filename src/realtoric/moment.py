@@ -70,9 +70,9 @@ _COORD_BOUND = 2**1000
 
 def sign_profile(x: TorusPoint) -> SignHom:
     """The sign component containing ``x``; ValueError when a coordinate
-    is 0 or NaN, which lies on no component."""
-    if not (abs(x[0]) > 0.0 and abs(x[1]) > 0.0):
-        raise ValueError("torus points have nonzero coordinates")
+    is 0, infinite or NaN, which lies on no component."""
+    if not (0.0 < abs(x[0]) < math.inf and 0.0 < abs(x[1]) < math.inf):
+        raise ValueError("torus points have finite, nonzero coordinates")
     return SignHom(1 if x[0] > 0 else -1, 1 if x[1] > 0 else -1)
 
 
@@ -83,8 +83,8 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
     exactly 1 and nothing overflows. Depends on the coordinates only
     through their absolute values, bit for bit. Raises DegenerateWeights
     when ``points`` is empty, ValueError when a coordinate of ``x`` is 0,
-    and InvalidInput when ``x`` is not two numbers, naming the first point
-    that is not two numbers below 2**1000 in magnitude.
+    and InvalidInput when ``x`` is not two finite numbers, naming the
+    first point that is not two numbers below 2**1000 in magnitude.
     """
     if not points:
         raise DegenerateWeights("no points to average")
@@ -93,6 +93,8 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
         magnitudes = abs(x0), abs(x1)
     except (TypeError, ValueError):
         raise InvalidInput("x must be two numbers") from None
+    if not (magnitudes[0] < math.inf and magnitudes[1] < math.inf):  # inf, NaN
+        raise InvalidInput(f"x must be two numbers, both finite, got {x!r}")
     if 0.0 in magnitudes:
         raise ValueError("torus points have nonzero coordinates")
     coords = []

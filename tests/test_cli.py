@@ -28,6 +28,7 @@ from realtoric import (
     random_fan,
     verify,
 )
+from test_main import child_env
 
 P2_RAYS = {"rays": [[-1, -1], [1, 0], [0, 1]]}
 TEN_RAY_FAN = [
@@ -1137,16 +1138,16 @@ def test_missing_fan_file_is_refused_first(capsys, tmp_path, command):
 )
 def test_closed_stdout_exits_141_silently(tmp_path, argv, lines_read):
     # 141 is 128 + SIGPIPE, what a shell reports for a closed pipe; the
-    # unwritten output is dropped without a word on stderr.
+    # unwritten output is dropped without a word on stderr. With stdout
+    # buffered, what run leaves in the buffer must not be flushed at exit.
     fan_file = tmp_path / "fan.json"
     fan_file.write_text(json.dumps(P2_RAYS))
     argv = [arg.format(fan=fan_file) for arg in argv]
-    src = Path(__file__).resolve().parents[1] / "src"
     read_end, write_end = os.pipe()
     with os.fdopen(read_end, "rb") as reader:
         proc = subprocess.Popen(
             [sys.executable, "-m", "realtoric.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=child_env(),
             stdout=write_end,
             stderr=subprocess.PIPE,
         )

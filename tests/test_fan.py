@@ -225,6 +225,9 @@ class TestSurgery:
             blow_down(P2, 7)
 
 
+MINIMAL_MODEL_DIGEST = "9d2dea0ade4de77e9f9bb209edf7b7a5fe78931842e442c8d5cd6ad525fb291a"
+
+
 class TestMinimalModel:
     def test_plane_is_already_minimal(self):
         base, steps = minimal_model(P2)
@@ -258,6 +261,15 @@ class TestMinimalModel:
                 )
                 current = blow_up(current, spot)
             assert current == fan
+
+    def test_contractions_keep_their_digest(self):
+        # minimal_model removes each -1 ray itself, not through blow_down:
+        # the sha256 of repr((base, steps)) over random_fan(s, s % 41),
+        # s < 300, as recorded when it still called blow_down.
+        digest = hashlib.sha256()
+        for s in range(300):
+            digest.update(repr(minimal_model(random_fan(s, s % 41))).encode())
+        assert digest.hexdigest() == MINIMAL_MODEL_DIGEST
 
     def test_removed_ray_is_neighbor_sum(self):
         fan = random_fan(99, 6)

@@ -48,6 +48,17 @@ P2 = projective_plane_fan()
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+# Torus points with an infinite or NaN coordinate, which lie on no component.
+NOT_FINITE = [
+    (c, 1.0) if first else (1.0, c)
+    for first in (True, False)
+    for c in (math.inf, -math.inf, math.nan)
+]
+NOT_FINITE_IDS = [
+    f"{axis}-{name}" for axis in ("x0", "x1") for name in ("inf", "-inf", "nan")
+]
+
+
 class TestSignProfile:
     def test_quadrants(self):
         assert sign_profile((3.5, 0.1)) == SignHom(1, 1)
@@ -63,6 +74,12 @@ class TestSignProfile:
     def test_rejects_nan(self, x):
         # NaN compares false with 0 either way, so it read as negative.
         with pytest.raises(ValueError, match="nonzero coordinates"):
+            sign_profile(x)
+
+    @pytest.mark.parametrize("x", NOT_FINITE, ids=NOT_FINITE_IDS)
+    def test_rejects_points_that_are_not_finite(self, x):
+        # An infinite coordinate read as a point of the component.
+        with pytest.raises(ValueError, match="finite, nonzero coordinates"):
             sign_profile(x)
 
     def test_sign_of_character_contract(self):
@@ -138,6 +155,15 @@ class TestMomentMap:
             moment_map(x, points)
         assert type(refused.value) is InvalidInput
         assert str(refused.value).startswith(message)
+
+    @pytest.mark.parametrize("x", NOT_FINITE, ids=NOT_FINITE_IDS)
+    def test_refuses_points_that_are_not_finite(self, x):
+        # These ended in DegenerateWeights, which blames the points.
+        pts = [(0, 0), (1, 0), (0, 1)]
+        with pytest.raises(InvalidInput) as refused:
+            moment_map(x, pts)
+        assert type(refused.value) is InvalidInput
+        assert str(refused.value) == f"x must be two numbers, both finite, got {x!r}"
 
     def test_huge_exponents_stay_finite(self):
         # direct monomials would overflow; the shifted form must not
