@@ -32,9 +32,9 @@ from .errors import InvalidInput, ToricError
 from .fan import (
     blow_down,
     blow_up,
+    corpus_tasks,
     fan_from_json,
     fan_to_json,
-    iter_corpus_tasks,
     minimal_model,
     random_fan,
     self_intersections,
@@ -194,7 +194,7 @@ def _cmd_corpus(args) -> int:
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
     # Bad arguments are refused here, before the first line is printed.
-    tasks = iter_corpus_tasks(args.seed, args.count, args.max_blowups)
+    tasks = corpus_tasks(args.seed, args.count, args.max_blowups)
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs == 1:  # one task drawn per report, so memory stays constant
         return _print_corpus((task, _corpus_line(task)) for task in tasks)

@@ -56,7 +56,6 @@ __all__ = [
     "BlowDownStep",
     "minimal_model",
     "random_fan",
-    "iter_corpus_tasks",
     "corpus_tasks",
     "corpus_fans",
 ]
@@ -94,10 +93,9 @@ def _ccw_cmp(u: Vec, v: Vec) -> int:
     qu, qv = quadrant(u), quadrant(v)
     if qu != qv:
         return -1 if qu < qv else 1
-    c = det2(u, v)
-    if c == 0:
-        return 0
-    return -1 if c > 0 else 1
+    # Never 0: normalize_fan sorts distinct primitive rays, and two of them
+    # in one quadrant are never parallel.
+    return -1 if det2(u, v) > 0 else 1
 
 
 class Fan(NamedTuple):
@@ -273,16 +271,21 @@ def blow_up(fan: Fan, i: int) -> Fan:
 
 
 def blow_down(fan: Fan, i: int) -> Fan:
-    """Remove ray ``i``; requires ``d >= 4`` and self-intersection -1 there."""
+    """Remove ray ``i``; requires ``d >= 4`` and self-intersection -1 there.
+
+    Only ray ``i`` and its two neighbors are read: in a valid fan
+    ``a[i] == -1`` exactly when ``v[i-1] + v[i+1] == v[i]``.
+    """
     i = integer_argument("ray index", i)
     d = fan.d
     if not 0 <= i < d:
         raise IndexOutOfRange(f"ray index {i} out of range for {d} rays")
     if d < 4:
         raise TooFewRays("cannot contract a 3-ray fan")
-    if self_intersections(fan)[i] != -1:
-        raise NotExceptional(f"ray {i} has self-intersection != -1")
     rays = list(fan.rays)
+    (p0, p1), (q0, q1) = rays[i - 1], rays[(i + 1) % d]
+    if (p0 + q0, p1 + q1) != rays[i]:
+        raise NotExceptional(f"ray {i} has self-intersection != -1")
     del rays[i]
     return normalize_fan(rays)
 
@@ -297,7 +300,8 @@ class BlowDownStep(NamedTuple):
 
 
 def minimal_model(fan: Fan) -> tuple[Fan, tuple[BlowDownStep, ...]]:
-    """Contract -1 rays (always the lowest index) until none remain.
+    """Contract -1 rays with :func:`blow_down`, always the lowest index,
+    until none remain.
 
     The result has 3 or 4 rays; undoing the recorded steps in reverse
     order reproduces the input fan exactly.
@@ -305,24 +309,13 @@ def minimal_model(fan: Fan) -> tuple[Fan, tuple[BlowDownStep, ...]]:
     steps: list[BlowDownStep] = []
     current = fan
     while current.d >= 4:
-        selfints = self_intersections(current)
         try:
-            i = selfints.index(-1)
+            i = self_intersections(current).index(-1)
         except ValueError:
             break
-        steps.append(
-            BlowDownStep(
-                ray=current.rays[i],
-                left=current.rays[i - 1],
-                right=current.rays[(i + 1) % current.d],
-                index=i,
-            )
-        )
-        # What blow_down would check holds (ray i is a -1 ray and d >= 4),
-        # so the fan without ray i is re-normalized directly.
-        rays = list(current.rays)
-        del rays[i]
-        current = normalize_fan(rays)
+        rays = current.rays
+        steps.append(BlowDownStep(rays[i], rays[i - 1], rays[(i + 1) % current.d], i))
+        current = blow_down(current, i)
     if current.d >= 5:
         raise RuntimeError("no -1 ray found on a fan with 5 or more rays")
     return current, tuple(steps)
@@ -350,12 +343,13 @@ def random_fan(seed: int, n_blowups: int) -> Fan:
 # A corpus: a master stream derives one ``(seed, n_blowups)`` pair per fan,
 # so the corpus for a given ``(seed, count, max_blowups)`` triple is fixed
 # forever and each entry can be verified independently (and in parallel)
-# without changing the output.
-def iter_corpus_tasks(
+# without changing the output. The pairs are drawn as they are consumed.
+def corpus_tasks(
     seed: int, count: int, max_blowups: int
 ) -> Iterator[tuple[int, int]]:
-    """The ``(seed, n_blowups)`` pair of each corpus entry, drawn as they
-    are consumed, so a corpus of any size takes constant memory.
+    """The ``(seed, n_blowups)`` pair of each corpus entry, in order, as a
+    lazy stream: a corpus of any size takes constant memory, and
+    ``list(corpus_tasks(...))`` gives the pairs as a list.
 
     The arguments are checked here, before the first pair is drawn:
     InvalidInput when one is no integer, or ``count`` or ``max_blowups``
@@ -379,11 +373,6 @@ def _draw_tasks(
         yield master.next_u64(), n
 
 
-def corpus_tasks(seed: int, count: int, max_blowups: int) -> list[tuple[int, int]]:
-    """Every pair of :func:`iter_corpus_tasks`, in order, as a list."""
-    return list(iter_corpus_tasks(seed, count, max_blowups))
-
-
 def corpus_fans(seed: int, count: int, max_blowups: int) -> list[Fan]:
     """The corpus itself, in order."""
-    return [random_fan(s, n) for s, n in iter_corpus_tasks(seed, count, max_blowups)]
+    return [random_fan(s, n) for s, n in corpus_tasks(seed, count, max_blowups)]

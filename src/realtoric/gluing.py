@@ -174,12 +174,13 @@ class CellComplex(NamedTuple):
         it, and every face word is a closed walk, so that ∂1∂2 = 0 with
         neither matrix formed.
 
-        The count is checked first. C-level lookups then accept int
-        endpoints in range and words of 2 or more entries. Else one pass
-        decides: bad indices first, edges then faces, then the first break
-        of a walk from face 1, its closing step last. A field, an edge or a
-        face that is no sequence, or an edge of other than two entries, is
-        refused in that pass, in its place.
+        The count is checked first. C-level lookups then accept tuple or
+        list fields, edges that are sequences of two int endpoints in range,
+        and words of 2 or more entries. Else one pass decides: bad indices
+        first, edges then faces, then the first break of a walk from face
+        1, its closing step last. A field, an edge or a face that is no
+        sequence, or an edge of other than two entries, is refused in that
+        pass, in its place.
         """
         try:
             nv = index(self.num_vertices)
@@ -189,7 +190,7 @@ class CellComplex(NamedTuple):
             raise InvalidComplex(
                 f"num_vertices is {self.num_vertices!r}, not an integer >= 0"
             )
-        edges = self.edges
+        edges, faces = self.edges, self.faces
         with suppress(IndexError, TypeError, ValueError):
             tails, heads = zip(*edges) if edges else ((), ())
             # By signed entry: its edge's start, its end, and itself if valid.
@@ -197,14 +198,19 @@ class CellComplex(NamedTuple):
             starts = (None,) + tails + heads[::-1]
             ends = (None,) + heads + tails[::-1]
             named = _signed_indices(len(edges))
-            if type(sum(tails, sum(heads))) is int and all(
+            # Only tuple or list fields, and edges that the sequence pattern
+            # matches: a set, a mapping or an iterator takes the pass below.
+            arrays = type(edges) in (tuple, list) and type(faces) in (tuple, list)
+            if arrays and type(sum(tails, sum(heads))) is int and all(
                 len(w) > 1 and (at := itemgetter(*w))(named) == w
                 and at(starts) == itemgetter(w[-1], *w[:-1])(ends)
-                for w in self.faces
+                for w in faces
             ):
-                for tail, head in edges:  # ints, so compared as they are
-                    if not (0 <= tail < nv and 0 <= head < nv):
-                        break
+                for edge in edges:  # ints, so compared as they are
+                    match edge:
+                        case (tail, head) if 0 <= tail < nv and 0 <= head < nv:
+                            continue
+                    break
                 else:
                     return
         for j, edge in enumerate(_sequence(edges, "edges", "a sequence"), 1):
@@ -213,14 +219,14 @@ class CellComplex(NamedTuple):
                 raise InvalidComplex(
                     f"edge {j} is {(tail, head)}, with an endpoint outside 0..{nv - 1}"
                 )
-        for j, word in enumerate(_sequence(self.faces, "faces", "a sequence"), 1):
+        for j, word in enumerate(_sequence(faces, "faces", "a sequence"), 1):
             for signed in _sequence(word, f"face {j}", "a word of signed edge indices"):
                 if not _names(named, signed):
                     raise InvalidComplex(
                         f"face {j} has entry {signed!r}, not a signed edge index "
                         f"in 1..{len(edges)}"
                     )
-        for j, word in enumerate(self.faces, 1):
+        for j, word in enumerate(faces, 1):
             for k, (s, t) in enumerate(zip(word, (*word[1:], *word[:1])), 1):
                 if starts[t] != ends[s]:
                     raise InvalidComplex(

@@ -39,6 +39,7 @@ parity classes of ``w``, ``w + e1`` and ``w + e2``, and no character of
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, mul, truediv
@@ -161,7 +162,6 @@ def _draws(seed: int, samples: int) -> tuple[bool, Sequence]:
     and y in turn, of ``samples`` points on ``ALL_SIGN_HOMS[k]`` from
     ``seed + k``, as 8-byte doubles: what the sample checks need that does
     not depend on the fan."""
-    from array import array  # loaded here, not on every command line start
     signs_exact = True
     magnitudes = array("d")
     for k, eps in enumerate(ALL_SIGN_HOMS):

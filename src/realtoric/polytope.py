@@ -46,8 +46,11 @@ def _check_divisor(fan: Fan, div: ToricDivisor) -> None:
         raise LengthMismatch(
             f"divisor has {len(div.coeffs)} coefficients for {fan.d} rays"
         )
+    # An int, as divisor_from_json asks: an __index__ type brings its own
+    # arithmetic, which may wrap around.
     for i, c in enumerate(div.coeffs):
-        integer_argument(f"coefficient {i}", c)
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise InvalidInput(f"coefficient {i} must be an integer, got {c!r}")
 
 
 def intersection_numbers(fan: Fan, div: ToricDivisor) -> tuple[int, ...]:

@@ -469,7 +469,7 @@ class TestDemosAndBulk:
 
     def test_corpus_names_failing_seeds(self, capsys, monkeypatch):
         argv = ["corpus", "--seed", "11", "--count", "5", "--max-blowups", "6"]
-        tasks = realtoric.corpus_tasks(11, 5, 6)
+        tasks = list(realtoric.corpus_tasks(11, 5, 6))
         bad_seed, bad_n = tasks[2]
         bad_fan = random_fan(bad_seed, bad_n)
 
@@ -493,7 +493,7 @@ class TestDemosAndBulk:
     def test_corpus_prints_each_report_before_a_failure(self, capsys, monkeypatch):
         # A run that stops at fan k has printed the k - 1 reports before it.
         argv = ["corpus", "--seed", "11", "--count", "5", "--max-blowups", "6"]
-        tasks = realtoric.corpus_tasks(11, 5, 6)
+        tasks = list(realtoric.corpus_tasks(11, 5, 6))
         k = 3
         real = cli._corpus_line
         calls = []
@@ -1438,6 +1438,32 @@ def test_polygon_benchmark_accepts_one_block(monkeypatch, tmp_path):
     polygon = workloads.Polygon(realtoric, 1, tmp_path)
     for _, fan in itertools.islice(polygon.stream(), polygon.block):
         polygon.check(fan, polygon.op(fan))
+
+
+# Every workload's setup draws from corpus_tasks, so each gets a smoke test
+# of its own: a change to the package that breaks a workload's command or
+# its check shows here, not first in a benchmark run.
+def test_corpus_small_benchmark_accepts_one_block(monkeypatch, tmp_path):
+    workloads = _load_bench_module("workloads", monkeypatch)
+    corpus = workloads.CorpusSmall(realtoric, 1, tmp_path)
+    for _, payload in itertools.islice(corpus.stream(), corpus.block):
+        corpus.check(payload, corpus.op(payload))
+    # Its oracle too: sympy's Smith forms of the first fans' matrices.
+    assert corpus.oracle() == []
+
+
+def test_large_d_benchmark_accepts_one_block(monkeypatch, tmp_path):
+    workloads = _load_bench_module("workloads", monkeypatch)
+    large = workloads.LargeD(realtoric, 1, tmp_path)
+    for _, fan in itertools.islice(large.stream(), large.block):
+        large.check(fan, large.op(fan))
+
+
+def test_cli_cold_benchmark_accepts_one_operation(monkeypatch, tmp_path):
+    workloads = _load_bench_module("workloads", monkeypatch)
+    cold = workloads.CliCold(realtoric, 1, tmp_path)
+    _, path = next(cold.stream())
+    cold.check(path, cold.op(path))
 
 
 # The fan each README example on a fan file runs on, keyed by the command

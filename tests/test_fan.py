@@ -23,7 +23,6 @@ from realtoric import (
     fan_from_json,
     fan_to_json,
     hirzebruch_fan,
-    iter_corpus_tasks,
     minimal_model,
     normalize_fan,
     projective_plane_fan,
@@ -263,9 +262,9 @@ class TestMinimalModel:
             assert current == fan
 
     def test_contractions_keep_their_digest(self):
-        # minimal_model removes each -1 ray itself, not through blow_down:
-        # the sha256 of repr((base, steps)) over random_fan(s, s % 41),
-        # s < 300, as recorded when it still called blow_down.
+        # The sha256 of repr((base, steps)) over random_fan(s, s % 41),
+        # s < 300, as recorded before and after each rewrite of the
+        # contraction; minimal_model contracts through blow_down.
         digest = hashlib.sha256()
         for s in range(300):
             digest.update(repr(minimal_model(random_fan(s, s % 41))).encode())
@@ -311,8 +310,9 @@ def test_corpus_tasks_refuse_negative_sizes(count, max_blowups, message):
 def test_corpus_task_stream_refuses_before_the_first_draw():
     # The stream is drawn lazily, but its arguments are checked eagerly.
     with pytest.raises(InvalidInput, match="count must be nonnegative"):
-        iter_corpus_tasks(1, -1, 0)
-    assert list(iter_corpus_tasks(7, 2000, 12)) == corpus_tasks(7, 2000, 12)
+        corpus_tasks(1, -1, 0)
+    stream = corpus_tasks(7, 2000, 12)
+    assert iter(stream) is stream
 
 
 F1_BLOWN_UP = blow_up(hirzebruch_fan(1), 0)
@@ -396,7 +396,7 @@ def random_fan_digest(tasks) -> str:
 # random_fan pinned bit for bit: the pairs of corpus_tasks(2026, 2000, 12)
 # in four blocks of 500, then n = 64 and 256 for seeds 0, 1 and 2. Each
 # block has a digest of its own, so that a check can recompute one alone.
-_CORPUS = corpus_tasks(2026, 2000, 12)
+_CORPUS = list(corpus_tasks(2026, 2000, 12))
 RANDOM_FAN_BLOCKS = [_CORPUS[k : k + 500] for k in range(0, 2000, 500)] + [
     [(s, n) for s in range(3) for n in (64, 256)]
 ]

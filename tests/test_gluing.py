@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,33 @@ class TestExport:
         flipped.check_chain_complex()
         text = complex_to_dot(flipped)
         assert "[" not in text.replace("[label", "") and '"e5"' in text
+
+    @pytest.mark.parametrize("a", range(6))
+    def test_dot_labels_the_papers_hirzebruch_example(self, a):
+        # The paper's F_a: its four copies P_eps are labelled
+        # (eps(e1*), eps(e2*)), all four meet at each corner, and along the
+        # edge on ray (x, y) the copies glued together are exactly those
+        # with equal eps(u_F), u_F = (-y, x) being the edge's direction.
+        # eps(u) = s1^(u1 mod 2) * s2^(u2 mod 2) is read off the label here,
+        # not through evaluate or the gluing tables.
+        def eps(label, u):
+            s1, s2 = (1 if sign == "+" else -1 for sign in label)
+            return s1 ** (u[0] % 2) * s2 ** (u[1] % 2)
+
+        fan = hirzebruch_fan(a)
+        text = complex_to_dot(build_real_complex(fan))
+        vertices = re.findall(r'^  v\d+ \[label="([^"]*)"\]', text, re.M)
+        assert vertices == ["w0", "w1", "w2", "w3"]
+        edges = re.findall(r'-> v\d+ \[label="E(\d+)\[([^]]*)\]"\]', text)
+        assert len(edges) == 8
+        copies = ["++", "+-", "-+", "--"]
+        for i, (x, y) in enumerate(fan.rays):
+            on_ray = [sorted(labels.split(",")) for j, labels in edges if j == str(i)]
+            assert [len(c) for c in on_ray] == [2, 2], i
+            classes = [
+                sorted(c for c in copies if eps(c, (-y, x)) == sign) for sign in (1, -1)
+            ]
+            assert sorted(on_ray) == sorted(classes), (i, on_ray)
 
     @pytest.mark.parametrize("k", range(4))
     def test_dot_of_a_rotated_face_keeps_plain_names(self, k):

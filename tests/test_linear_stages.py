@@ -317,6 +317,50 @@ def test_zero_boundary_that_is_no_walk_is_refused():
         assert str(refused.value) == message
 
 
+# Each container kind, at each level of a plain complex: the edges, edge 1,
+# the faces and face 1. The dict iterates as the cells do, so an edge
+# {0: 0, 1: 1} reads as (0, 1).
+CONTAINERS = {
+    "tuple": tuple,
+    "list": list,
+    "set": set,
+    "frozenset": frozenset,
+    "dict": lambda cells: dict(zip(cells, cells)),
+    "generator": lambda cells: (cell for cell in cells),
+    "str": lambda cells: "".join(map(str, cells)),
+}
+
+
+def _probe(level, kind):
+    make = CONTAINERS[kind]
+    edges, faces = ((0, 1), (1, 0)), ((1, 2),)
+    if level == "edges":
+        edges = make(edges)
+    elif level == "edge":
+        edges = (make(edges[0]), edges[1])
+    elif level == "faces":
+        faces = make(faces)
+    else:
+        faces = (make(faces[0]),)
+    return CellComplex(2, edges, faces)
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+@pytest.mark.parametrize("level", ["edges", "edge", "faces", "word"])
+def test_the_fast_path_gives_the_per_cell_verdict(monkeypatch, level, kind):
+    # A set, a mapping or an iterator of cells, or an edge that is one,
+    # used to pass the C-level lookups whenever its walks closed: its
+    # iteration order then decided the complex, where the pass that checks
+    # one cell at a time refuses it as no sequence. With those lookups
+    # refused, that pass alone decides; the plain complex shows it runs.
+    fast = _outcome(_probe(level, kind).check_chain_complex)
+    cells, names = [], GLUING._names
+    monkeypatch.setattr(GLUING, "_names", lambda t, x: cells.append(x) or names(t, x))
+    monkeypatch.setattr(GLUING, "itemgetter", None)
+    assert _probe("edges", "tuple").check_chain_complex() is None and cells
+    assert fast == _outcome(_probe(level, kind).check_chain_complex)
+
+
 def orientable_by_self_intersections(fan):
     return all(a % 2 == 0 for a in self_intersections(fan))
 

@@ -295,7 +295,7 @@ def _golden_fan(name):
         return P2
     if name.startswith("F"):
         return hirzebruch_fan(int(name[1:]))
-    seed, n = corpus_tasks(4242, 6, 3)[int(name[len("corpus") :])]
+    seed, n = list(corpus_tasks(4242, 6, 3))[int(name[len("corpus") :])]
     return random_fan(seed, n)
 
 
@@ -448,7 +448,7 @@ def _report_fan(name):
     if name == "ten-ray":
         return normalize_fan(TEN_RAY_FAN)
     if name.startswith("corpus"):
-        seed, n = corpus_tasks(5151, 12, 3)[int(name[len("corpus") :])]
+        seed, n = list(corpus_tasks(5151, 12, 3))[int(name[len("corpus") :])]
         return random_fan(seed, n)
     return _golden_fan(name)
 
@@ -547,7 +547,7 @@ def _reference_moment_map(x, points):
 @pytest.mark.parametrize("seed", range(12))
 def test_moment_map_matches_per_point_reference(seed):
     rng = random.Random(seed)
-    seed_fan, n = corpus_tasks(seed, 1, 3)[0]
+    seed_fan, n = list(corpus_tasks(seed, 1, 3))[0]
     fan = random_fan(seed_fan, n)
     points = lattice_points(polygon_from_divisor(fan, find_ample(fan)))
     rng.shuffle(points)

@@ -25,6 +25,7 @@ import inspect
 import json
 import math
 import sys
+import textwrap
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -40,6 +41,7 @@ import test_linear_stages
 from realtoric import (
     CellComplex,
     InvalidComplex,
+    NotExceptional,
     SurfaceType,
     blow_up,
     fan_to_json,
@@ -224,11 +226,11 @@ def _one_ulp_up(fn):
 
 
 def _rewritten(old, new):
-    # A mutant inside one function: the function compiled again from its
-    # source with ``old``, which occurs there once, replaced by ``new``,
-    # under the globals of the original.
+    # A mutant inside one function or method: the function compiled again
+    # from its source with ``old``, which occurs there once, replaced by
+    # ``new``, under the globals of the original.
     def wrap(fn):
-        source = inspect.getsource(fn)
+        source = textwrap.dedent(inspect.getsource(fn))
         assert source.count(old) == 1, old
         code = compile(
             source.replace(old, new),
@@ -284,6 +286,27 @@ MUTANTS = {
     "edge-key-without-ray": (GLUING, "_EDGE_CLASSES", _anchor_only),
     "random-fan-bases-rotated": (FAN, "_BASES", _rotated),
     "signed-index-table-one-size-up": (GLUING, "_signed_indices", _one_size_up),
+    # The -1 test reads ray i - 1 twice: 2 v[i-1] == v[i] holds for no ray
+    # of a valid fan, so no ray can be contracted.
+    "blow-down-left-neighbor-twice": (
+        FAN,
+        "blow_down",
+        _rewritten("rays[i - 1], rays[(i + 1) % d]", "rays[i - 1], rays[i - 1]"),
+    ),
+    # The fast path takes any field its lookups can read: a set or a
+    # mapping of edges or faces, or an iterator of them.
+    "container-guard-removed": (
+        CellComplex,
+        "check_chain_complex",
+        _rewritten(
+            "arrays = type(edges) in (tuple, list) and type(faces) in (tuple, list)",
+            "arrays = True",
+        ),
+    ),
+    # The fast path takes any iterable edge of two entries, as a set.
+    "edge-pattern-any-iterable": (
+        CellComplex, "check_chain_complex", _rewritten("match edge:", "match tuple(edge):")
+    ),
     "walk-test-without-closing-step": (
         CellComplex, "check_chain_complex", _without_closing_step
     ),
@@ -450,6 +473,38 @@ def test_rotated_bases_move_the_random_fan_digest(monkeypatch):
     assert all(verify(random_fan(s, 2)).all_consistent for s in range(6))
     block = test_fan.RANDOM_FAN_BLOCKS[0]
     assert test_fan.random_fan_digest(block) != test_fan.RANDOM_FAN_DIGESTS[0]
+
+
+def test_left_neighbor_twice_fails_the_contraction_digest(monkeypatch):
+    # verify never contracts a ray; minimal_model does, through blow_down,
+    # and refuses the first fan that has a -1 ray.
+    _apply(monkeypatch, "blow-down-left-neighbor-twice")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    with pytest.raises(NotExceptional):
+        test_fan.TestMinimalModel().test_contractions_keep_their_digest()
+
+
+def test_container_guard_mutant_fails_the_per_cell_verdict(monkeypatch):
+    # Real complexes are tuples of tuples, so verify cannot see the mutant;
+    # a set of edges or of faces that closes its walks passes it.
+    _apply(monkeypatch, "container-guard-removed")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    for level in ("edges", "faces"):
+        with pytest.raises(AssertionError), monkeypatch.context() as patch:
+            test_linear_stages.test_the_fast_path_gives_the_per_cell_verdict(
+                patch, level, "set"
+            )
+
+
+def test_any_iterable_edge_mutant_fails_the_per_cell_verdict(monkeypatch):
+    # The edge {0, 1} passes as (0, 1), and so does the mapping {0: 0, 1: 1}.
+    _apply(monkeypatch, "edge-pattern-any-iterable")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    for kind in ("set", "dict"):
+        with pytest.raises(AssertionError), monkeypatch.context() as patch:
+            test_linear_stages.test_the_fast_path_gives_the_per_cell_verdict(
+                patch, "edge", kind
+            )
 
 
 def test_table_one_size_up_fails_the_entry_refusals(monkeypatch):

@@ -298,7 +298,7 @@ F1 = hirzebruch_fan(1)
 UNIT = ToricDivisor((0, 0, 1, 1))
 
 
-# Each coefficient and each coordinate of u is read through
+# Each coefficient must be an int and each coordinate of u is read through
 # operator.index: a float or a string is refused by name, where it used to
 # give a float polygon, float coefficients or a bare TypeError. A bool
 # coefficient is refused too, as divisor_from_json refuses it, and a u of
@@ -372,3 +372,39 @@ def test_divisors_and_characters_must_be_integers(call, args, message):
     with pytest.raises(InvalidInput) as refused:
         call(*args)
     assert (type(refused.value), str(refused.value)) == (InvalidInput, message)
+
+
+class Index:
+    """An integer only through ``__index__``, as numpy's ``int64`` is: its
+    arithmetic is its own, so the library must not run on it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+# A coefficient is an int that is not a bool, the rule of normalize_fan's
+# rays and divisor_from_json's coefficients. An __index__ coefficient used
+# to reach the arithmetic: a bare TypeError here, and numpy int64 wrapped
+# around, so an ample divisor read as not ample.
+@pytest.mark.parametrize(
+    "call, extra",
+    [
+        (intersection_numbers, ()),
+        (is_ample, ()),
+        (polygon_from_divisor, ()),
+        (translate_divisor, ((0, 0),)),
+        (run_moment_checks, ()),
+    ],
+    ids=lambda x: getattr(x, "__name__", ""),
+)
+def test_an_index_coefficient_is_refused_by_name(call, extra):
+    divisor = ToricDivisor((0, 0, Index(1), 1))
+    with pytest.raises(InvalidInput) as refused:
+        call(F1, divisor, *extra)
+    assert str(refused.value) == "coefficient 2 must be an integer, got Index(1)"
