@@ -70,6 +70,11 @@ def det2(u: Vec, v: Vec) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
+def parity_codes(points: Iterable[Vec]) -> list[int]:
+    """Codes ``(x mod 2) << 1 | (y mod 2)``; on the rays, λ_i = v_i mod 2."""
+    return [(x & 1) << 1 | (y & 1) for x, y in points]
+
+
 def is_primitive(v: Vec) -> bool:
     """True when the coordinates are coprime (the zero vector is not)."""
     return gcd(v[0], v[1]) == 1

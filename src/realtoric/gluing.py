@@ -9,11 +9,11 @@ boundary faces. A sign vector acts on a character ``u = (u1, u2)`` by
 
 which depends only on ``u mod 2``.
 
-Two copies are glued along a face when their sign vectors agree on the
-characters parallel to that face. Read mod 2, that is a grouping of the
-four copies: along the edge on ray ``v`` they are grouped by their value
-on its quarter-turn, and at a vertex, whose only parallel character is
-zero, nothing separates them, so all four meet. The rule never reads the
+One rule serves every face: two copies are glued along it when their sign
+vectors agree on the characters parallel to it. Read mod 2, that is a
+grouping of the four copies, one table entry per face: along the edge on
+ray ``v`` by their value on its quarter-turn, and at a vertex, whose only
+parallel character is zero, not at all, so all four meet. It never reads the
 divisor: :func:`build_real_complex` builds ``d`` vertices, ``2d`` edges
 (two classes per ray) and the four faces straight from the fan.
 
@@ -36,7 +36,7 @@ from operator import index, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import IndexOutOfRange, InvalidComplex, PolygonFanMismatch
-from .fan import Fan, Vec, integer_argument, self_intersections
+from .fan import Fan, Vec, integer_argument, parity_codes
 from .intmat import Matrix
 
 if TYPE_CHECKING:  # an annotation only: classify never loads the polygon layer
@@ -246,12 +246,11 @@ def _grouping(key) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 _PARITIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-# Groupings by parity code (x & 1) << 1 | (y & 1), an index of _PARITIES:
-# at a corner the anchor's; along a ray (never even) 4 * its code plus the
-# anchor's, split by its quarter-turn (-y, x), of parity (y, x), and anchor.
-_CORNER_CLASSES = [_grouping(lambda eps: evaluate(eps, a)) for a in _PARITIES]
-_EDGE_CLASSES = [
-    _grouping(lambda eps: (evaluate(eps, (y, x)), evaluate(eps, a))) if x | y else None
+# One rule for every face, at 4 * p + a: the copies grouped by their values
+# on its parallel characters, the quarter-turn (-y, x) of a ray (x, y) of
+# code p, and on an anchor of code a. A corner has p = 0: it reads entry a.
+_CLASSES = [
+    _grouping(lambda eps: (evaluate(eps, (y, x)), evaluate(eps, a)))
     for x, y in _PARITIES
     for a in _PARITIES
 ]
@@ -266,9 +265,8 @@ def _glue(fan: Fan, codes: Sequence[int]) -> CellComplex:
     # its i-th entry is its class on ray i, always positive. Consecutive
     # anchors differ by a multiple of the ray's quarter-turn, so an edge
     # class lies in one class at each end, and its first copy finds them.
-    corners = list(map(_CORNER_CLASSES.__getitem__, codes))
-    rays = [_EDGE_CLASSES[(x & 1) << 3 | (y & 1) << 2 | a]
-            for (x, y), a in zip(fan.rays, codes)]
+    corners = list(map(_CLASSES.__getitem__, codes))
+    rays = [_CLASSES[4 * p + a] for p, a in zip(parity_codes(fan.rays), codes)]
     heads = [classes for classes, _ in corners]
     first_vertex = list(accumulate([len(r) for _, r in corners], initial=0))
     num_vertices = first_vertex.pop()
@@ -313,20 +311,22 @@ def build_affine_span_complex(fan: Fan, polygon: LatticePolygon) -> CellComplex:
         for a, b, v in zip(w[-1:] + w[:-1], w, fan.rays)
     ):
         raise PolygonFanMismatch("polygon does not fit this fan")
-    return _glue(fan, [(x & 1) << 1 | (y & 1) for x, y in w])
+    return _glue(fan, parity_codes(w))
 
 
 def tubular_neighborhood(fan: Fan, i: int) -> NeighborhoodType:
     """Strip around the glued boundary circle of ray ``i``.
 
     The two edge copies close up to a circle whose neighborhood twists
-    exactly when the ray's self-intersection number is odd.
+    exactly when the ray's self-intersection number ``a[i]`` is odd. In a
+    valid fan ``v[i-1] + v[i+1] == -a[i] * v[i]``, ``v[i]`` primitive, so
+    ``a[i]`` is odd exactly when λ_{i-1} ≠ λ_{i+1}, λ = v mod 2 (``parity_codes``).
     """
     i = integer_argument("ray index", i)
     if not 0 <= i < fan.d:
         raise IndexOutOfRange(f"ray index {i} out of range for {fan.d} rays")
-    a = self_intersections(fan)[i]
-    return NeighborhoodType.MOEBIUS_BAND if a % 2 else NeighborhoodType.CYLINDER
+    p, q = parity_codes((fan.rays[i - 1], fan.rays[(i + 1) % fan.d]))
+    return NeighborhoodType.MOEBIUS_BAND if p != q else NeighborhoodType.CYLINDER
 
 
 def complex_to_json(c: CellComplex) -> dict:

@@ -27,7 +27,7 @@ from operator import index, neg
 from typing import NamedTuple
 
 from .errors import InvalidComplex, NotAClosedSurfaceProfile
-from .fan import Fan, fan_to_json, self_intersections
+from .fan import Fan, fan_to_json, parity_codes, self_intersections
 from .gluing import CellComplex, build_real_complex
 from .intmat import Matrix, smith_normal_form
 
@@ -199,12 +199,10 @@ def predict_theorem(fan: Fan) -> SurfaceType:
 
 
 def orientable_fast(fan: Fan) -> bool:
-    """Orientability without homology: no ray has odd self-intersection.
-
-    In a valid fan ``v[i-1] + v[i+1] == -a[i] * v[i]``, ``v[i]`` primitive,
-    so ``a[i]`` is odd exactly when ``v[i-1]`` and ``v[i+1]`` differ mod 2.
-    """
-    p = [(x & 1) << 1 | (y & 1) for x, y in fan.rays]
+    """Orientability without homology: no ray has odd self-intersection,
+    that is λ_{i-1} == λ_{i+1} for every ray ``i`` (see
+    ``tubular_neighborhood``)."""
+    p = parity_codes(fan.rays)
     return p[2:] + p[:2] == p
 
 

@@ -83,9 +83,9 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
     Weights are computed as ``exp(<u, log|x|> - max)`` so the largest is
     exactly 1 and nothing overflows. Depends on the coordinates only
     through their absolute values, bit for bit. Raises DegenerateWeights
-    when ``points`` is empty, ValueError when a coordinate of ``x`` is 0,
-    and InvalidInput when ``x`` is not two finite numbers, naming the
-    first point that is not two numbers below 2**1000 in magnitude.
+    when ``points`` is empty, and InvalidInput when ``x`` is not two finite
+    nonzero numbers, naming the first point that is not two numbers below
+    2**1000 in magnitude.
     """
     if not points:
         raise DegenerateWeights("no points to average")
@@ -97,7 +97,7 @@ def moment_map(x: TorusPoint, points: Sequence[Vec]) -> tuple[float, float]:
     if not (magnitudes[0] < math.inf and magnitudes[1] < math.inf):  # inf, NaN
         raise InvalidInput(f"x must be two numbers, both finite, got {x!r}")
     if 0.0 in magnitudes:
-        raise ValueError("torus points have nonzero coordinates")
+        raise InvalidInput(f"x must be two numbers, both nonzero, got {x!r}")
     coords = []
     for k, u in enumerate(points):
         try:

@@ -133,11 +133,10 @@ class TestClassifyAndPredict:
     )
     def test_predict_on_any_stdout_encoding(self, write, encoding, stdout):
         # A stream that cannot encode the name gets it escaped, not a crash.
-        src = Path(__file__).resolve().parents[1] / "src"
         fan = write("fan.json", P2_RAYS)
         result = subprocess.run(
             [sys.executable, "-m", "realtoric.cli", "predict", fan],
-            env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": encoding},
+            env=child_env(PYTHONIOENCODING=encoding),
             capture_output=True,
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, stdout, b"")
@@ -905,7 +904,6 @@ def test_golden_stdout(
 def test_import_does_not_load_the_process_pool():
     # Only corpus --jobs above 1 needs it; every other command would pay
     # for importing multiprocessing at start-up.
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys, realtoric.cli; "
         "pool = {'multiprocessing', 'concurrent.futures.process'}; "
@@ -913,7 +911,7 @@ def test_import_does_not_load_the_process_pool():
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -1166,7 +1164,6 @@ def test_exact_commands_load_only_the_exact_core(tmp_path):
     # pipeline uses it.
     fan_file = tmp_path / "fan.json"
     fan_file.write_text(json.dumps(P2_RAYS))
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import contextlib, io, json, sys\n"
         "from realtoric import cli\n"
@@ -1179,7 +1176,7 @@ def test_exact_commands_load_only_the_exact_core(tmp_path):
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe, str(fan_file)],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -1188,7 +1185,6 @@ def test_exact_commands_load_only_the_exact_core(tmp_path):
 
 
 def test_dir_lists_the_lazy_names_before_they_load():
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import json, sys, realtoric\n"
         "print(json.dumps({\n"
@@ -1198,7 +1194,7 @@ def test_dir_lists_the_lazy_names_before_they_load():
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -1251,7 +1247,7 @@ def test_every_exported_name_resolves():
     assert realtoric.__all__ == sorted(exported)
     result = subprocess.run(
         [sys.executable, "-c", "from realtoric import *"],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(),
         capture_output=True,
         text=True,
     )
@@ -1283,6 +1279,42 @@ def test_each_public_name_is_declared_once():
     assert sorted([*eager, *realtoric._LAZY]) == [
         stem for stem in modules if stem not in ("__init__", "cli")
     ]
+
+
+def _bit_and_one_sites(node, scope=()):
+    # the dotted name of the enclosing def of each `& 1`, "" at module level
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _bit_and_one_sites(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.BinOp) and isinstance(child.op, ast.BitAnd):
+            if any(isinstance(s, ast.Constant) and s.value == 1
+                   for s in (child.left, child.right)):
+                yield ".".join(scope)
+        yield from _bit_and_one_sites(child, scope)
+
+
+def test_the_parity_code_is_spelled_once():
+    # λ_i = v_i mod 2 has one encoding, fan.parity_codes, which both
+    # builders, the strips and orientable_fast read. The strips come from
+    # it alone, so gluing does not import the self-intersections.
+    package = Path(__file__).resolve().parents[1] / "src" / "realtoric"
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    sites = {
+        (stem, site) for stem, tree in trees.items() for site in _bit_and_one_sites(tree)
+    }
+    assert sites == {("fan", "parity_codes")}
+    imported = [
+        alias.name
+        for node in ast.walk(trees["gluing"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert "parity_codes" in imported
+    assert "self_intersections" not in imported
 
 
 # Scripted callers match on these codes, so a renamed class is a changed code.
@@ -1350,7 +1382,6 @@ INTERNAL_VALUE_ERRORS = [
     ("intmat", "_int_rows"),
     ("intmat", "mat_mul"),
     ("intmat", "smith_normal_form"),
-    ("moment", "moment_map"),
     ("moment", "sign_profile"),
     ("rng", "SplitMix64.below"),
 ]

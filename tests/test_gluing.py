@@ -30,6 +30,7 @@ from realtoric import (
     polygon_from_divisor,
     projective_plane_fan,
     random_fan,
+    self_intersections,
     translate_divisor,
     tubular_neighborhood,
 )
@@ -277,6 +278,16 @@ class TestTubularNeighborhood:
     def test_index_checked(self):
         with pytest.raises(IndexOutOfRange):
             tubular_neighborhood(P2, 3)
+
+    def test_strips_follow_the_self_intersections(self):
+        # The strip reads only the parities of the ray's two neighbours;
+        # the exact numbers twist it when they are odd. Every mod-2 class
+        # up to 14 rays, and F_0 ... F_59.
+        fans = [*mod2_classes(14).values(), *map(hirzebruch_fan, range(60))]
+        for fan in fans:
+            kinds = [tubular_neighborhood(fan, i) for i in range(fan.d)]
+            odd = [a % 2 == 1 for a in self_intersections(fan)]
+            assert [k is NeighborhoodType.MOEBIUS_BAND for k in kinds] == odd, fan
 
 
 class TestExport:

@@ -56,12 +56,15 @@ def fans(tmp_path):
     return paths
 
 
-def child_env():
-    """This checkout's src first on the path, and standard out buffered as
-    a user's shell leaves it: PYTHONUNBUFFERED would hide an output that
-    main leaves in the buffer, or flushes into a closed pipe."""
+def child_env(**overrides):
+    """The environment of every child interpreter the tests start, other
+    CPythons aside: this checkout's src first on the path, and standard out
+    buffered as a user's shell leaves it: PYTHONUNBUFFERED would hide an
+    output that main leaves in the buffer, or flushes into a closed pipe.
+    Each override sets a variable, or drops it where it is None."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return {**env, "PYTHONPATH": str(SRC)}
+    env.update({"PYTHONPATH": str(SRC), **overrides})
+    return {k: v for k, v in env.items() if v is not None}
 
 
 def _child(args):

@@ -4,7 +4,6 @@ import ast
 import hashlib
 import json
 import math
-import os
 import random
 import shutil
 import subprocess
@@ -43,6 +42,7 @@ from realtoric.moment import (
     _grid_images,
     _min_separation,
 )
+from test_main import child_env
 
 P2 = projective_plane_fan()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -164,6 +164,16 @@ class TestMomentMap:
             moment_map(x, pts)
         assert type(refused.value) is InvalidInput
         assert str(refused.value) == f"x must be two numbers, both finite, got {x!r}"
+
+    @pytest.mark.parametrize("x", [(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0)])
+    def test_refuses_a_zero_coordinate(self, x):
+        # x is the caller's point, no torus point: a refused input, where a
+        # bare ValueError read as an internal fault.
+        pts = [(0, 0), (1, 0), (0, 1)]
+        with pytest.raises(InvalidInput) as refused:
+            moment_map(x, pts)
+        assert type(refused.value) is InvalidInput
+        assert str(refused.value) == f"x must be two numbers, both nonzero, got {x!r}"
 
     def test_huge_exponents_stay_finite(self):
         # direct monomials would overflow; the shifted form must not
@@ -918,7 +928,10 @@ def test_sample_memory_stays_bounded():
         "print(peak() - before)\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe, str(SRC)], capture_output=True, text=True
+        [sys.executable, "-c", probe, str(SRC)],
+        env=child_env(),
+        capture_output=True,
+        text=True,
     )
     assert result.returncode == 0, result.stderr
     growth_mb = float(result.stdout) / 1024
@@ -955,10 +968,9 @@ def test_moment_check_runs_on_the_standard_library_alone(tmp_path):
         "foreign = loaded - set(sys.stdlib_module_names) - {'realtoric'}\n"
         "print(json.dumps({'code': code, 'foreign': sorted(foreign)}))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe, str(SRC), str(fan_file)],
-        env=env,
+        env=child_env(PYTHONPATH=None),
         capture_output=True,
         text=True,
         check=True,
@@ -977,11 +989,10 @@ def test_moment_check_runs_on_the_standard_library_alone(tmp_path):
 
 def test_import_does_not_load_numpy():
     # The package uses the standard library only; numpy is not loaded.
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = "import sys, realtoric, realtoric.cli; print('numpy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -992,14 +1003,13 @@ def test_import_does_not_load_numpy():
 def test_import_does_not_load_dataclasses():
     # The records are NamedTuples; dataclasses would pull in inspect, ast
     # and dis. -S keeps the site step from importing them first.
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys, realtoric, realtoric.cli; "
         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -10,8 +10,9 @@ through ``sys.modules``: the package attribute of that name is the function
 ``homology`` (``from .homology import *`` rebinds it), so a patch through
 the package would change nothing. ``realtoric.gluing`` and
 ``realtoric.moment`` are reached the same way, for uniformity, and a
-method is wrapped on its class. Where ``realtoric.cli`` binds the same
-function itself, the mutant replaces it there too. The package keeps a
+method is wrapped on its class. Where ``realtoric.cli`` or another module
+of the package binds the same function itself, the mutant replaces it
+there too. The package keeps a
 few module-level memos, such as the samples' sign verdicts and magnitudes
 per ``(seed, samples)`` and the invariant factors per Smith-form input:
 ``_apply`` empties every one of them, so that a warm entry cannot hide a
@@ -36,6 +37,7 @@ from hypothesis import Phase, find, settings
 import realtoric.cli as cli
 import test_acceptance
 import test_fan
+import test_gluing
 import test_intmat
 import test_linear_stages
 from realtoric import (
@@ -63,6 +65,8 @@ HOMOLOGY = sys.modules["realtoric.homology"]
 INTMAT = sys.modules["realtoric.intmat"]
 MOMENT = sys.modules["realtoric.moment"]
 SRC = Path(__file__).resolve().parents[1] / "src"
+# Where a mutant replaces its target besides its own module.
+MODULES = (cli, FAN, GLUING, HOMOLOGY, INTMAT, MOMENT)
 
 # Every module-level memo in the package, as (module, name).
 MEMOS = [
@@ -99,8 +103,8 @@ def _anchor_only(table):
     # Each ray's copies grouped by the anchor alone, as at a corner: the
     # ray's quarter-turn no longer splits them, so under the parallel rule
     # all four copies share one edge per ray. Entry 4 * ray + anchor of the
-    # edge table becomes the corner table's entry for the anchor.
-    return [GLUING._CORNER_CLASSES[k & 3] for k in range(len(table))]
+    # table becomes the entry for the anchor alone, a corner's.
+    return [table[k & 3] for k in range(len(table))]
 
 
 def _without_closing_step(fn):
@@ -283,7 +287,18 @@ def _keyed_by_shape(fn):
 # name -> (module or class, function or table in it, wrapper that breaks it)
 MUTANTS = {
     "edge-class-swap": (HOMOLOGY, "build_real_complex", _swap_edge_classes),
-    "edge-key-without-ray": (GLUING, "_EDGE_CLASSES", _anchor_only),
+    "edge-key-without-ray": (GLUING, "_CLASSES", _anchor_only),
+    # The code of (x, y) read as that of (y, x): each ray's copies split
+    # by their values on the ray itself, not on its quarter-turn, and each
+    # anchor read reflected.
+    "parity-codes-bits-swapped": (
+        FAN, "parity_codes", _rewritten("(x & 1) << 1 | (y & 1)", "(y & 1) << 1 | (x & 1)")
+    ),
+    # Ray i's strip read off rays i and i + 1, which never agree mod 2, their
+    # determinant being 1: every strip twists.
+    "tubular-neighbours-adjacent": (
+        GLUING, "tubular_neighborhood", _rewritten("fan.rays[i - 1]", "fan.rays[i]")
+    ),
     "random-fan-bases-rotated": (FAN, "_BASES", _rotated),
     "signed-index-table-one-size-up": (GLUING, "_signed_indices", _one_size_up),
     # The -1 test reads ray i - 1 twice: 2 v[i-1] == v[i] holds for no ray
@@ -380,7 +395,7 @@ def _apply(monkeypatch, name):
     module, target, wrap = MUTANTS[name]
     original = getattr(module, target)
     mutant = wrap(original)
-    for where in (module, cli):
+    for where in (module, *MODULES):
         if getattr(where, target, None) is original:
             monkeypatch.setattr(where, target, mutant)
     _clear_memos()
@@ -482,6 +497,33 @@ def test_left_neighbor_twice_fails_the_contraction_digest(monkeypatch):
     assert all(verify(fan).all_consistent for fan in FANS)
     with pytest.raises(NotExceptional):
         test_fan.TestMinimalModel().test_contractions_keep_their_digest()
+
+
+def test_swapped_parity_bits_fail_the_rule_sweep_and_the_labels(monkeypatch):
+    # Each ray's copies split by their values on the ray, not on its
+    # quarter-turn: the right grouping with two copies exchanged, so every
+    # complex keeps its homology and verify cannot see the mutant. The rule
+    # checked by its definition on every mod-2 class sees it, and so do the
+    # paper's F_a labels, read without the package's parity codes.
+    _apply(monkeypatch, "parity-codes-bits-swapped")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    with pytest.raises(AssertionError):
+        test_gluing.TestPolytopeBuilders().test_rule_on_every_mod2_class()
+    with pytest.raises(AssertionError):
+        test_gluing.TestExport().test_dot_labels_the_papers_hirzebruch_example(1)
+
+
+def test_adjacent_neighbours_mutant_fails_the_strip_checks(monkeypatch):
+    # verify never reads a strip. Criterion 3 and the strip sweep of
+    # tests/test_gluing.py do, each through its own binding of the name.
+    _apply(monkeypatch, "tubular-neighbours-adjacent")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    for module in (test_acceptance, test_gluing):
+        monkeypatch.setattr(module, "tubular_neighborhood", GLUING.tubular_neighborhood)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_3_strip_suite.__wrapped__([])
+    with pytest.raises(AssertionError):
+        test_gluing.TestTubularNeighborhood().test_strips_follow_the_self_intersections()
 
 
 def test_container_guard_mutant_fails_the_per_cell_verdict(monkeypatch):

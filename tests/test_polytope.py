@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from realtoric import (
+    LatticePolygon,
     LengthMismatch,
     NotAmple,
     ToricDivisor,
@@ -247,6 +248,18 @@ def test_lattice_points_match_bounding_box_scan(seed):
         double_area = shoelace_double_area(poly.vertices)
         boundary = boundary_point_count(poly.vertices)
         assert len(pts) == (double_area + boundary) // 2 + 1
+
+
+def test_a_column_refused_by_a_horizontal_ray_is_empty():
+    # polygon_from_divisor's vertices span exactly the polygon, so no column
+    # of its box fails a ray with v[1] == 0 whole. A hand-built record whose
+    # vertices span more does: F_0's unit square, offsets (0, 0, 1, 1),
+    # over x = -1 ... 1, where ray (1, 0) refuses the column x = -1.
+    square = ((-1, 0), (1, 0), (1, 1), (-1, 1))
+    wide = LatticePolygon(fan=hirzebruch_fan(0), offsets=(0, 0, 1, 1), vertices=square)
+    pts = lattice_points(wide)
+    assert pts == brute_force_lattice_points(wide)
+    assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def assert_vertices_satisfy_every_inequality(polygon):
