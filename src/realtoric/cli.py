@@ -56,8 +56,11 @@ from .homology import (
 # run it, so classify and the other exact commands never load it.
 
 
-class _CliError(Exception):
-    """Argument-level problem; reported like any other input error."""
+class _CliError(ToricError):
+    """Argument-level problem, reported as a ToricError with code "Usage"."""
+
+
+_CliError.code = "Usage"  # after the class, whose __init_subclass__ sets its name
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,21 +305,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace | int:
-    # argparse exits once it has printed --help: hand back its status.
-    try:
-        return _build_parser().parse_args(list(argv))
-    except SystemExit as exc:
-        return exc.code
-
-
 def run(argv: Sequence[str]) -> int:
     """Parse and execute one command line; returns the exit code."""
     stage = None
     try:
-        args = _parse(argv)
-        if isinstance(args, int):
-            return args
+        args = _build_parser().parse_args(list(argv))
         stage = args.command
         if "fan" in args:
             args.fan = fan_from_json(_load_json(args.fan))
@@ -325,9 +318,8 @@ def run(argv: Sequence[str]) -> int:
         return code
     except BrokenPipeError:  # the reader closed stdout: stop, as on SIGPIPE
         return 141
-    except _CliError as exc:
-        print(json.dumps({"error": "Usage", "detail": str(exc)}), file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # argparse exits once it has printed --help
+        return exc.code
     except ToricError as exc:
         print(
             json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr

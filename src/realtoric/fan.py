@@ -103,6 +103,11 @@ def _ccw_cmp(u: Vec, v: Vec) -> int:
     return -1 if det2(u, v) > 0 else 1
 
 
+def _adjacent_dets(rays: Sequence[Vec]) -> list[int]:
+    """``det(v[i], v[i+1])`` for each i, indices mod d: all 1 in a fan."""
+    return [det2(v, w) for v, w in zip(rays, rays[1:] + rays[:1])]
+
+
 class Fan(NamedTuple):
     """A complete smooth fan, canonically ordered. Build via normalize_fan."""
 
@@ -150,8 +155,7 @@ def normalize_fan(raw_rays: Iterable[Sequence[int]]) -> Fan:
     start = min(range(len(rays)), key=lambda i: (quadrant(rays[i]),) + rays[i])
     rays = rays[start:] + rays[:start]
 
-    d = len(rays)
-    dets = [det2(rays[i], rays[(i + 1) % d]) for i in range(d)]
+    dets = _adjacent_dets(rays)
     if any(c != 1 for c in dets):
         try:
             got = f"got determinants {dets}"
@@ -179,24 +183,17 @@ def fan_from_json(obj: object) -> Fan:
 
 
 def self_intersections(fan: Fan) -> tuple[int, ...]:
-    """Self-intersection number of each ray's divisor, in ray order.
-
-    The number ``a[i]`` is defined by ``v[i-1] + v[i+1] == -a[i] * v[i]``;
-    the neighbor sum is always an integer multiple of ``v[i]`` in a valid
-    fan, and the quotient is computed exactly.
+    """Self-intersection number of each ray's divisor, in ray order:
+    ``a[i] = det(v[i+1], v[i-1])``, since ``v[i-1] + v[i+1] == -a[i] * v[i]``
+    where every adjacent pair is a lattice basis. RuntimeError names the
+    first pair that is not, ``det(v[i], v[i+1]) != 1``: a record built
+    without normalize_fan.
     """
     rays = fan.rays
-    out = []
-    for (p0, p1), v, (q0, q1) in zip(rays[-1:] + rays[:-1], rays, rays[1:] + rays[:1]):
-        x, y = v
-        w0, w1 = p0 + q0, p1 + q1
-        if w0 * y != w1 * x:
-            raise RuntimeError(f"neighbor sum {(w0, w1)} not parallel to ray {v}")
-        c = w0 // x if x else w1 // y
-        if w0 != c * x or w1 != c * y:
-            raise RuntimeError(f"neighbor sum {(w0, w1)} not a multiple of ray {v}")
-        out.append(-c)
-    return tuple(out)
+    for i, c in enumerate(_adjacent_dets(rays)):
+        if c != 1:
+            raise RuntimeError(f"det(v[{i}], v[{(i + 1) % len(rays)}]) != 1")
+    return tuple(det2(q, p) for p, q in zip(rays[-1:] + rays[:-1], rays[1:] + rays[:1]))
 
 
 def apply_map(fan: Fan, m: Mat2) -> Fan:

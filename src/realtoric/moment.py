@@ -70,10 +70,10 @@ _COORD_BOUND = 2**1000
 
 
 def sign_profile(x: TorusPoint) -> SignHom:
-    """The sign component containing ``x``; ValueError when a coordinate
+    """The sign component containing ``x``; InvalidInput when a coordinate
     is 0, infinite or NaN, which lies on no component."""
     if not (0.0 < abs(x[0]) < math.inf and 0.0 < abs(x[1]) < math.inf):
-        raise ValueError("torus points have finite, nonzero coordinates")
+        raise InvalidInput("torus points have finite, nonzero coordinates")
     return SignHom(1 if x[0] > 0 else -1, 1 if x[1] > 0 else -1)
 
 

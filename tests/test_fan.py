@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from realtoric import (
     DuplicateRay,
+    Fan,
     IndexOutOfRange,
     InvalidInput,
     NonPrimitiveRay,
@@ -116,6 +117,28 @@ class TestSelfIntersections:
             fan = random_fan(seed, seed % 7)
             seq = self_intersections(fan)
             assert sum(seq) == 12 - 3 * fan.d
+
+    @pytest.mark.parametrize(
+        "rays, first",
+        [
+            # Clockwise P2 and F_1: every neighbour sum is a multiple of
+            # its ray, so a division by the ray gave (1, 1, 1) and
+            # (0, 1, 0, -1); det(v[0], v[1]) is -1.
+            (((1, 0), (-1, -1), (0, 1)), 0),
+            (((1, 0), (0, -1), (-1, 1), (0, 1)), 0),
+            # A repeated ray, and a pair of determinant 2.
+            (((1, 0), (0, 1), (0, 1), (-1, -1)), 1),
+            (((2, 0), (0, 1), (-1, 0), (1, -1)), 0),
+        ],
+        ids=["clockwise-P2", "clockwise-F1", "repeated-ray", "not-smooth"],
+    )
+    def test_records_that_are_no_fan_are_refused(self, rays, first):
+        # A Fan record built without normalize_fan; the error names the
+        # first adjacent pair that is no positively oriented lattice basis.
+        message = f"det(v[{first}], v[{(first + 1) % len(rays)}]) != 1"
+        with pytest.raises(RuntimeError) as refused:
+            self_intersections(Fan(rays))
+        assert str(refused.value) == message
 
 
 def rotations(seq):

@@ -67,19 +67,19 @@ class TestSignProfile:
         assert sign_profile((-0.5, -0.5)) == SignHom(-1, -1)
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             sign_profile((0.0, 1.0))
 
     @pytest.mark.parametrize("x", [(math.nan, 1.0), (-1.0, -math.nan)])
     def test_rejects_nan(self, x):
         # NaN compares false with 0 either way, so it read as negative.
-        with pytest.raises(ValueError, match="nonzero coordinates"):
+        with pytest.raises(InvalidInput, match="nonzero coordinates"):
             sign_profile(x)
 
     @pytest.mark.parametrize("x", NOT_FINITE, ids=NOT_FINITE_IDS)
     def test_rejects_points_that_are_not_finite(self, x):
         # An infinite coordinate read as a point of the component.
-        with pytest.raises(ValueError, match="finite, nonzero coordinates"):
+        with pytest.raises(InvalidInput, match="finite, nonzero coordinates"):
             sign_profile(x)
 
     def test_sign_of_character_contract(self):

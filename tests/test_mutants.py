@@ -36,6 +36,7 @@ from hypothesis import Phase, find, settings
 
 import realtoric.cli as cli
 import test_acceptance
+import test_census
 import test_fan
 import test_gluing
 import test_intmat
@@ -64,9 +65,10 @@ GLUING = sys.modules["realtoric.gluing"]
 HOMOLOGY = sys.modules["realtoric.homology"]
 INTMAT = sys.modules["realtoric.intmat"]
 MOMENT = sys.modules["realtoric.moment"]
+POLYTOPE = sys.modules["realtoric.polytope"]
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Where a mutant replaces its target besides its own module.
-MODULES = (cli, FAN, GLUING, HOMOLOGY, INTMAT, MOMENT)
+MODULES = (cli, FAN, GLUING, HOMOLOGY, INTMAT, MOMENT, POLYTOPE)
 
 # Every module-level memo in the package, as (module, name).
 MEMOS = [
@@ -299,6 +301,14 @@ MUTANTS = {
     "tubular-neighbours-adjacent": (
         GLUING, "tubular_neighborhood", _rewritten("fan.rays[i - 1]", "fan.rays[i]")
     ),
+    # det(v[i-1], v[i+1]) for a[i]: every self-intersection negated.
+    "self-intersections-det-reversed": (
+        FAN, "self_intersections", _rewritten("det2(q, p)", "det2(p, q)")
+    ),
+    # No adjacent-basis check: a record that is no fan gets numbers.
+    "self-intersections-guard-skipped": (
+        FAN, "self_intersections", _rewritten("if c != 1:", "if False:")
+    ),
     "random-fan-bases-rotated": (FAN, "_BASES", _rotated),
     "signed-index-table-one-size-up": (GLUING, "_signed_indices", _one_size_up),
     # The -1 test reads ray i - 1 twice: 2 v[i-1] == v[i] holds for no ray
@@ -497,6 +507,32 @@ def test_left_neighbor_twice_fails_the_contraction_digest(monkeypatch):
     assert all(verify(fan).all_consistent for fan in FANS)
     with pytest.raises(NotExceptional):
         test_fan.TestMinimalModel().test_contractions_keep_their_digest()
+
+
+def test_reversed_determinant_fails_the_census_and_criterion_5(monkeypatch):
+    # predict_theorem reads only the largest |a_i|, so verify cannot see
+    # the negated numbers. The census and criterion 5's sum rule, each
+    # through its own binding of the name, do.
+    _apply(monkeypatch, "self-intersections-det-reversed")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    for module in (test_acceptance, test_census):
+        monkeypatch.setattr(module, "self_intersections", FAN.self_intersections)
+    with pytest.raises(AssertionError):
+        test_census.test_self_intersections_give_back_the_sequence()
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_5_structural_identities.__wrapped__([P2])
+
+
+def test_skipped_guard_fails_the_record_refusals(monkeypatch):
+    # Every valid fan passes the check, so only a record that is no fan
+    # shows the mutant: clockwise P2 and F_1 get numbers.
+    _apply(monkeypatch, "self-intersections-guard-skipped")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    monkeypatch.setattr(test_fan, "self_intersections", FAN.self_intersections)
+    refused = test_fan.TestSelfIntersections().test_records_that_are_no_fan_are_refused
+    for rays in (P2.rays[::-1], hirzebruch_fan(1).rays[::-1]):
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            refused(rays, 0)
 
 
 def test_swapped_parity_bits_fail_the_rule_sweep_and_the_labels(monkeypatch):
