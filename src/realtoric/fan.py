@@ -16,9 +16,9 @@ counterclockwise starting from the positive x-axis:
     1: x <= 0, y > 0         3: x >= 0, y < 0
 
 All arithmetic is on Python integers, so nothing here ever rounds.
-Construct :class:`Fan` values through :func:`normalize_fan` (or the
-surgery functions, which re-normalize); the record itself, a NamedTuple,
-does not re-validate.
+``Fan(rays)`` is :func:`normalize_fan`'s answer, when that keeps the rays
+as given, or its refusal, so every :class:`Fan` is a valid fan in
+canonical form. ``Fan._make``, which only this module calls, skips that check.
 """
 
 from __future__ import annotations
@@ -103,15 +103,25 @@ def _ccw_cmp(u: Vec, v: Vec) -> int:
     return -1 if det2(u, v) > 0 else 1
 
 
-def _adjacent_dets(rays: Sequence[Vec]) -> list[int]:
-    """``det(v[i], v[i+1])`` for each i, indices mod d: all 1 in a fan."""
-    return [det2(v, w) for v, w in zip(rays, rays[1:] + rays[:1])]
-
-
-class Fan(NamedTuple):
-    """A complete smooth fan, canonically ordered. Build via normalize_fan."""
-
+class _Rays(NamedTuple):
     rays: tuple[Vec, ...]
+
+
+class Fan(_Rays):
+    """A complete smooth fan in canonical order. ``Fan(rays)`` is
+    ``normalize_fan(rays)`` when that keeps the rays in the given order, else
+    its error, or InvalidInput; ``_make`` and ``_replace`` skip the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, rays: Iterable[Sequence[int]]) -> Fan:
+        # normalize_fan and the order check below each read every ray once.
+        given = tuple(tuple(v) if hasattr(v, "__next__") else v for v in rays)
+        fan = normalize_fan(given)
+        for i, (v, w) in enumerate(zip(fan.rays, given)):
+            if v != tuple(w):
+                raise InvalidInput(f"ray {i} is out of canonical order")
+        return fan
 
     @property
     def d(self) -> int:
@@ -155,7 +165,7 @@ def normalize_fan(raw_rays: Iterable[Sequence[int]]) -> Fan:
     start = min(range(len(rays)), key=lambda i: (quadrant(rays[i]),) + rays[i])
     rays = rays[start:] + rays[:start]
 
-    dets = _adjacent_dets(rays)
+    dets = [det2(v, w) for v, w in zip(rays, rays[1:] + rays[:1])]
     if any(c != 1 for c in dets):
         try:
             got = f"got determinants {dets}"
@@ -164,7 +174,7 @@ def normalize_fan(raw_rays: Iterable[Sequence[int]]) -> Fan:
         if any(c <= 0 for c in dets):
             raise NotComplete(f"adjacent rays must be positively oriented; {got}")
         raise NotSmooth(f"some adjacent pair spans a proper sublattice; {got}")
-    return Fan(tuple(rays))
+    return Fan._make((tuple(rays),))
 
 
 def fan_to_json(fan: Fan) -> dict:
@@ -185,14 +195,9 @@ def fan_from_json(obj: object) -> Fan:
 def self_intersections(fan: Fan) -> tuple[int, ...]:
     """Self-intersection number of each ray's divisor, in ray order:
     ``a[i] = det(v[i+1], v[i-1])``, since ``v[i-1] + v[i+1] == -a[i] * v[i]``
-    where every adjacent pair is a lattice basis. RuntimeError names the
-    first pair that is not, ``det(v[i], v[i+1]) != 1``: a record built
-    without normalize_fan.
+    where every adjacent pair is a lattice basis.
     """
     rays = fan.rays
-    for i, c in enumerate(_adjacent_dets(rays)):
-        if c != 1:
-            raise RuntimeError(f"det(v[{i}], v[{(i + 1) % len(rays)}]) != 1")
     return tuple(det2(q, p) for p, q in zip(rays[-1:] + rays[:-1], rays[1:] + rays[:1]))
 
 

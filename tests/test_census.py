@@ -9,14 +9,22 @@ Algebraic Geometry*, 1988; Fulton, *Introduction to Toric Varieties*,
 1993, §2.5). Every step keeps det(v_i, v_{i+1}) = 1, so it turns the rays
 counterclockwise by less than a half-turn, and a sequence is a fan exactly
 when its rays close after one full turn.
+
+The census is also the oracle of the fan layer's surgery: the blow-up
+closure of the minimal fans must give the same classes, and
+``minimal_model``'s steps must undo into each census fan.
 """
 
 from functools import cache
 
 from realtoric import (
+    Fan,
+    blow_up,
     find_ample,
+    hirzebruch_fan,
     is_ample,
-    normalize_fan,
+    minimal_model,
+    projective_plane_fan,
     self_intersections,
     verify,
 )
@@ -67,7 +75,30 @@ def cyclic_class(seq):
 
 @cache
 def census():
-    return [(seq, normalize_fan(rays_of(seq))) for seq in sequences(MAX_D, BOUND)]
+    # Fan(rays) refuses rays out of canonical order, so each fan keeps the
+    # built order.
+    return [(seq, Fan(rays_of(seq))) for seq in sequences(MAX_D, BOUND)]
+
+
+def blow_up_closure(max_d, bound):
+    # The classes of every fan with at most max_d rays and no a_i below
+    # -bound that blow_up makes from P2 and F_0 ... F_{bound + max_d}.
+    # Every smooth complete fan is a blow-up of P2 or of some F_a (Fulton,
+    # 1993, §2.5). A blow-up lowers the values of the new ray's neighbours
+    # and gives it -1, so once some a_i < -bound no later fan comes back:
+    # the branch is pruned, and the bases with a > bound with it. Fans of
+    # one class have blow-ups of one class, so one fan stands for each.
+    seen = set()
+    todo = [projective_plane_fan()] + [hirzebruch_fan(a) for a in range(bound + max_d + 1)]
+    while todo:
+        fan = todo.pop()
+        seq = self_intersections(fan)
+        if min(seq) < -bound or cyclic_class(seq) in seen:
+            continue
+        seen.add(cyclic_class(seq))
+        if fan.d < max_d:
+            todo += [blow_up(fan, i) for i in range(fan.d)]
+    return seen
 
 
 def test_census_counts():
@@ -95,3 +126,26 @@ def test_every_census_fan_verifies_and_has_an_ample_divisor():
     for seq, fan in census():
         assert verify(fan).all_consistent, seq
         assert is_ample(fan, find_ample(fan)), seq
+
+
+def test_the_blow_up_closure_gives_the_census_classes():
+    closure = blow_up_closure(MAX_D, BOUND)
+    boxed = {c for c in closure if max(map(abs, c)) <= BOUND}
+    assert boxed == {cyclic_class(seq) for seq, _ in census()}
+    assert len(boxed) == 141
+
+
+def test_minimal_model_steps_blow_back_up_into_each_census_fan():
+    # Each step, undone in reverse order, inserts its ray between its
+    # recorded neighbours at its recorded index, which was the lowest -1
+    # index of the fan it was contracted from; the last gives the fan back.
+    for seq, fan in census():
+        current, steps = minimal_model(fan)
+        assert current.d <= 4 and -1 not in self_intersections(current), seq
+        for step in reversed(steps):
+            i = current.rays.index(step.left)
+            assert current.rays[(i + 1) % current.d] == step.right, seq
+            current = blow_up(current, i)
+            assert current.rays[step.index] == step.ray, seq
+            assert self_intersections(current).index(-1) == step.index, seq
+        assert current == fan, seq

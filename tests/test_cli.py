@@ -1317,6 +1317,21 @@ def test_the_parity_code_is_spelled_once():
     assert "self_intersections" not in imported
 
 
+def test_the_package_builds_fans_only_through_fan_make():
+    # Fan(rays) runs normalize_fan again, in O(d log d), to check the rays.
+    # The package never pays for that: no module calls Fan(...), and only
+    # realtoric.fan builds a Fan, through Fan._make.
+    package = Path(__file__).resolve().parents[1] / "src" / "realtoric"
+    calls = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.rsplit(".", 1)[-1] in ("Fan", "_make"):
+                    calls.add((path.stem, name))
+    assert calls == {("fan", "Fan._make")}
+
+
 # Scripted callers match on these codes, so a renamed class is a changed code.
 ERROR_CODES = {
     "ToricError": "Error",

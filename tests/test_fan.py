@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from realtoric import (
     NotSmooth,
     NotUnimodular,
     TooFewRays,
+    ToricError,
     apply_map,
     blow_down,
     blow_up,
@@ -98,6 +101,69 @@ class TestNormalize:
             fan_from_json([1, 2, 3])
 
 
+def test_the_first_ray_out_of_order_is_named_without_its_coordinates():
+    with pytest.raises(InvalidInput, match=r"^ray 1 is out of canonical order$"):
+        Fan([(1, 0), (-1, -1), (0, 1)])
+    # A ray past the integer digit limit is not printed either.
+    huge = 10**5000
+    fan = normalize_fan([(1, 0), (huge, 1), (huge - 1, 1), (-1, 0), (0, -1)])
+    with pytest.raises(InvalidInput, match=r"^ray 1 is out of canonical order$"):
+        Fan(fan.rays[:1] + fan.rays[1:3][::-1] + fan.rays[3:])
+
+
+def test_fan_reads_each_ray_once():
+    # A ray given as an iterator is read before normalize_fan reads it.
+    assert Fan(iter(v) for v in P2.rays) == P2
+
+
+def fan_outcome(rays):
+    # The Fan built from the rays, or the type of the error raised.
+    try:
+        return Fan(rays)
+    except ToricError as exc:
+        return type(exc)
+
+
+def expected_fan_outcome(rays):
+    # normalize_fan's answer when it keeps the rays as given, else its
+    # error, or InvalidInput for a valid fan out of canonical order.
+    try:
+        fan = normalize_fan(rays)
+    except ToricError as exc:
+        return type(exc)
+    return fan if fan.rays == tuple(map(tuple, rays)) else InvalidInput
+
+
+def ray_lists():
+    # Lists of 0 to 8 small integer pairs; the permutations of a few valid
+    # fans' rays reach the order check far more often.
+    pairs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    fans = [P2, hirzebruch_fan(0), hirzebruch_fan(2), blow_up(P2, 0), random_fan(3, 4)]
+    permuted = st.sampled_from([f.rays for f in fans]).flatmap(st.permutations)
+    return st.one_of(st.lists(pairs, max_size=8), permuted)
+
+
+@given(ray_lists())
+@example([])
+@example(list(P2.rays))
+@example([[1, 0], [0, 1], [-1, -1]])
+@example(list(P2.rays[::-1]))
+@settings(max_examples=200, deadline=None)
+def test_fan_is_normalize_fans_answer_or_its_refusal(rays):
+    # Any error other than a ToricError escapes fan_outcome and fails here.
+    assert fan_outcome(rays) == expected_fan_outcome(rays)
+
+
+@pytest.mark.parametrize(
+    "fan", [P2, hirzebruch_fan(3), random_fan(5, 20)], ids=["P2", "F3", "random-5-20"]
+)
+def test_copies_give_back_equal_fans(fan):
+    copies = [pickle.loads(pickle.dumps(fan, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.deepcopy(fan), fan._replace(rays=fan.rays), Fan._make(fan)]
+    for twin in copies:
+        assert twin == fan and type(twin) is Fan
+
+
 class TestSelfIntersections:
     def test_projective_plane(self):
         assert self_intersections(P2) == (1, 1, 1)
@@ -119,26 +185,44 @@ class TestSelfIntersections:
             assert sum(seq) == 12 - 3 * fan.d
 
     @pytest.mark.parametrize(
-        "rays, first",
+        "rays, error",
         [
-            # Clockwise P2 and F_1: every neighbour sum is a multiple of
-            # its ray, so a division by the ray gave (1, 1, 1) and
-            # (0, 1, 0, -1); det(v[0], v[1]) is -1.
-            (((1, 0), (-1, -1), (0, 1)), 0),
-            (((1, 0), (0, -1), (-1, 1), (0, 1)), 0),
+            # Clockwise P2 and F_1: the rays of a valid fan, out of order.
+            # Each neighbour sum is a multiple of its ray, so a division by
+            # the ray once gave (1, 1, 1) and (0, 1, 0, -1).
+            (((1, 0), (-1, -1), (0, 1)), InvalidInput),
+            (((1, 0), (0, -1), (-1, 1), (0, 1)), InvalidInput),
             # A repeated ray, and a pair of determinant 2.
-            (((1, 0), (0, 1), (0, 1), (-1, -1)), 1),
-            (((2, 0), (0, 1), (-1, 0), (1, -1)), 0),
+            (((1, 0), (0, 1), (0, 1), (-1, -1)), DuplicateRay),
+            (((2, 0), (0, 1), (-1, 0), (1, -1)), NonPrimitiveRay),
+            # While Fan took any rays, verify gave F_1's rays listed twice,
+            # whose adjacent determinants are all 1, betti [1, 5, 0]; the
+            # fan that is not smooth the exit-2 verdict of a faulty
+            # construction; the two opposite rays a bare ValueError; and
+            # the floats a TypeError.
+            (hirzebruch_fan(1).rays * 2, DuplicateRay),
+            (((1, 0), (1, 2), (-1, -1)), NotSmooth),
+            (((1, 0), (-1, 0)), NotComplete),
+            (((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)), InvalidInput),
+            (P2.rays[1:] + P2.rays[:1], InvalidInput),
         ],
-        ids=["clockwise-P2", "clockwise-F1", "repeated-ray", "not-smooth"],
+        ids=[
+            "clockwise-P2",
+            "clockwise-F1",
+            "repeated-ray",
+            "not-smooth",
+            "twice-round-F1",
+            "determinant-2",
+            "two-opposite-rays",
+            "float-rays",
+            "rotated-P2",
+        ],
     )
-    def test_records_that_are_no_fan_are_refused(self, rays, first):
-        # A Fan record built without normalize_fan; the error names the
-        # first adjacent pair that is no positively oriented lattice basis.
-        message = f"det(v[{first}], v[{(first + 1) % len(rays)}]) != 1"
-        with pytest.raises(RuntimeError) as refused:
+    def test_records_that_are_no_fan_are_refused(self, rays, error):
+        # self_intersections checks nothing: a record that is no fan in
+        # canonical order never becomes a Fan.
+        with pytest.raises(error):
             self_intersections(Fan(rays))
-        assert str(refused.value) == message
 
 
 def rotations(seq):

@@ -252,6 +252,10 @@ def _rewritten(old, new):
     return wrap
 
 
+def _rays_as_given(fn):
+    return lambda cls, rays: cls._make((rays,))
+
+
 def _rotated(table):
     # random_fan's first draw picks the next base of the table.
     return table[1:] + table[:1]
@@ -305,9 +309,11 @@ MUTANTS = {
     "self-intersections-det-reversed": (
         FAN, "self_intersections", _rewritten("det2(q, p)", "det2(p, q)")
     ),
-    # No adjacent-basis check: a record that is no fan gets numbers.
-    "self-intersections-guard-skipped": (
-        FAN, "self_intersections", _rewritten("if c != 1:", "if False:")
+    # Fan(rays) keeps the rays as given, as Fan._make does.
+    "fan-record-unchecked": (FAN.Fan, "__new__", _rays_as_given),
+    # Fan(rays) is normalize_fan(rays) in any input order.
+    "fan-order-unchecked": (
+        FAN.Fan, "__new__", _rewritten("if v != tuple(w):", "if False:")
     ),
     "random-fan-bases-rotated": (FAN, "_BASES", _rotated),
     "signed-index-table-one-size-up": (GLUING, "_signed_indices", _one_size_up),
@@ -523,16 +529,31 @@ def test_reversed_determinant_fails_the_census_and_criterion_5(monkeypatch):
         test_acceptance.test_criterion_5_structural_identities.__wrapped__([P2])
 
 
-def test_skipped_guard_fails_the_record_refusals(monkeypatch):
-    # Every valid fan passes the check, so only a record that is no fan
-    # shows the mutant: clockwise P2 and F_1 get numbers.
-    _apply(monkeypatch, "self-intersections-guard-skipped")
+def test_unchecked_record_fails_the_probes(monkeypatch):
+    # Every fan the package builds comes through Fan._make, so verify cannot
+    # see the mutant; F_1's rays listed twice become a Fan, and verify
+    # answers for them.
+    _apply(monkeypatch, "fan-record-unchecked")
     assert all(verify(fan).all_consistent for fan in FANS)
-    monkeypatch.setattr(test_fan, "self_intersections", FAN.self_intersections)
     refused = test_fan.TestSelfIntersections().test_records_that_are_no_fan_are_refused
-    for rays in (P2.rays[::-1], hirzebruch_fan(1).rays[::-1]):
-        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
-            refused(rays, 0)
+    twice_round = hirzebruch_fan(1).rays * 2
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        refused(twice_round, test_fan.DuplicateRay)
+    assert verify(FAN.Fan(twice_round)).all_consistent
+
+
+def test_unchecked_order_fails_the_refusals_and_the_property(monkeypatch):
+    # Clockwise P2 comes back as P2, and the property draws a permutation of
+    # a valid fan's rays that Fan now accepts.
+    _apply(monkeypatch, "fan-order-unchecked")
+    assert all(verify(fan).all_consistent for fan in FANS)
+    refused = test_fan.TestSelfIntersections().test_records_that_are_no_fan_are_refused
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        refused(P2.rays[::-1], test_fan.InvalidInput)
+    _counterexample(
+        test_fan.ray_lists(),
+        lambda rays: test_fan.fan_outcome(rays) != test_fan.expected_fan_outcome(rays),
+    )
 
 
 def test_swapped_parity_bits_fail_the_rule_sweep_and_the_labels(monkeypatch):
